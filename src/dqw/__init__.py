@@ -7,7 +7,7 @@ third construction to a sum over admissible diagrams.
 """
 
 from .poly import Polynomial, Rational, parse_polynomial
-from .series import EpsSeries, NCSeries, nc_exp, nc_log, nc_exp_log
+from .series import EpsSeries, NCSeries, nc_exp, nc_log
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .freelie import (
     FreeLie,

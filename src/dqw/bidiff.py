@@ -24,7 +24,7 @@ from .series import EpsSeries
 Multi = tuple[int, ...]
 Key = tuple[int, Multi, Multi]
 
-__all__ = ["BiDiffOp", "BiDiffError", "apply_bidiff", "wedge_operator"]
+__all__ = ["BiDiffOp", "BiDiffError", "wedge_operator"]
 
 
 class BiDiffError(ValueError):
@@ -221,10 +221,6 @@ class BiDiffOp:
             bits.append(f"eps^{m}*({poly.to_text()})*d{l}⊗d{r}")
         more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
         return f"BiDiffOp({' + '.join(bits) or '0'}{more})"
-
-
-def apply_bidiff(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
-    return op.apply(f, g)
 
 
 def wedge_operator(

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from multiprocessing import Pool
 
@@ -57,10 +58,10 @@ from .star import (
     EquivalenceReport,
     StarError,
     StarProduct,
-    _monomials_up_to,
+    associativity_failure,
     cbh_product,
-    check_associativity,
-    check_equivalence,
+    equivalence_failure,
+    equivalence_pairs,
     moyal_product,
     random_polynomials,
     uea_product,
@@ -176,9 +177,31 @@ def _jobs(args) -> int:
     return max(1, jobs)
 
 
-def _chunks(items: list, jobs: int) -> list[list]:
-    size = (len(items) + jobs - 1) // jobs
-    return [items[i : i + size] for i in range(0, len(items), size)] or [[]]
+def fan_out_plan(items: int, jobs: int, cpus: int | None) -> tuple[int, int]:
+    """(workers, chunksize) for `items` items split `jobs` ways.
+
+    Each chunk holds ceil(items / jobs) items; the pool never has more
+    workers than chunks or than the machine has CPUs.
+    """
+    chunksize = max(1, -(-items // jobs))
+    chunks = -(-items // chunksize)
+    return min(jobs, chunks, cpus or 1), chunksize
+
+
+def _fan_out(fn, items: list, jobs: int):
+    """fn over items, yielded in input order.
+
+    Serial when the plan has one worker (one job, one item or one CPU),
+    otherwise over a process pool.  `fn` and the items are pickled, so they
+    must be module-level functions (or partials of them) and plain data such
+    as text; `Polynomial` and `StarProduct` cannot cross.
+    """
+    workers, chunksize = fan_out_plan(len(items), jobs, os.cpu_count())
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with Pool(workers) as pool:
+        yield from pool.imap(fn, items, chunksize)
 
 
 # -- subcommand handlers --------------------------------------------------------------
@@ -317,23 +340,18 @@ def cmd_xny(args) -> int:
     return 0
 
 
-def _classify_rows(texts: list[str]) -> list[dict]:
-    rows = []
-    for text in texts:
-        g = parse_graph(text)
-        cls = classify(g)
-        rows.append(
-            {
-                "graph": text,
-                "loop": cls.loop,
-                "prime": cls.prime,
-                "sym_admissible": cls.sym_admissible,
-                "lie_admissible": cls.lie_admissible,
-                "w_computable": cls.w_computable,
-                "symmetry": symmetry_count(g),
-            }
-        )
-    return rows
+def _classify_row(text: str) -> dict:
+    g = parse_graph(text)
+    cls = classify(g)
+    return {
+        "graph": text,
+        "loop": cls.loop,
+        "prime": cls.prime,
+        "sym_admissible": cls.sym_admissible,
+        "lie_admissible": cls.lie_admissible,
+        "w_computable": cls.w_computable,
+        "symmetry": symmetry_count(g),
+    }
 
 
 def cmd_graphs(args) -> int:
@@ -343,12 +361,7 @@ def cmd_graphs(args) -> int:
         print("\n".join(to_dot(g) for g in graphs))
         return 0
     if args.classify:
-        jobs = _jobs(args)
-        if jobs > 1 and len(texts) > 1:
-            with Pool(jobs) as pool:
-                rows = [r for chunk in pool.map(_classify_rows, _chunks(texts, jobs)) for r in chunk]
-        else:
-            rows = _classify_rows(texts)
+        rows = list(_fan_out(_classify_row, texts, _jobs(args)))
     else:
         rows = [{"graph": t} for t in texts]
     doc = {"schema": 1, "command": "graphs", "n": args.n, "count": len(rows), "rows": rows}
@@ -402,14 +415,10 @@ def cmd_weight(args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
-def _assoc_chunk(payload) -> tuple[int, list[dict]]:
-    method, algebra, order, triples = payload
+def _associativity_failure(method: str, algebra: str, order: int, triple) -> dict | None:
     star = build_star(method, algebra, order)
-    parsed = [
-        tuple(parse_polynomial(t, dim=star.dim) for t in triple) for triple in triples
-    ]
-    report = check_associativity(star, parsed)
-    return report.trials, report.failures
+    f, g, h = (parse_polynomial(t, dim=star.dim) for t in triple)
+    return associativity_failure(star, f, g, h)
 
 
 def cmd_verify_assoc(args) -> int:
@@ -421,78 +430,34 @@ def cmd_verify_assoc(args) -> int:
     triples = [
         (f.to_text(), g.to_text(), h.to_text()) for f, g, h in zip(*polys)
     ]
-    jobs = _jobs(args)
     report = AssociativityReport(star.name, star.order)
-    if jobs > 1 and len(triples) > 1:
-        payloads = [
-            (args.method, args.algebra, args.order, chunk)
-            for chunk in _chunks(triples, jobs)
-        ]
-        with Pool(jobs) as pool:
-            for trials, failures in pool.map(_assoc_chunk, payloads):
-                report.trials += trials
-                report.failures.extend(failures)
-    else:
-        trials, failures = _assoc_chunk((args.method, args.algebra, args.order, triples))
-        report.trials, report.failures = trials, failures
+    check = partial(_associativity_failure, args.method, args.algebra, args.order)
+    for failure in _fan_out(check, triples, _jobs(args)):
+        report.add(failure)
     doc = report.to_json()
     status = "ASSOCIATIVE" if report.ok else "FAILED"
     _emit(args, doc, [f"{status} method={args.method} trials={report.trials}"])
     return 0 if report.ok else 1
 
 
-def _equiv_chunk(payload) -> tuple[int, list[dict]]:
-    a, b, algebra, order, pairs, cap = payload
+def _equivalence_failure(a: str, b: str, algebra: str, order: int, pair) -> dict | None:
     sa = build_star(a, algebra, order)
     sb = build_star(b, algebra, order)
-    count = 0
-    failures: list[dict] = []
-    for ftext, gtext in pairs:
-        f = parse_polynomial(ftext, dim=sa.dim)
-        g = parse_polynomial(gtext, dim=sa.dim)
-        count += 1
-        diff = sa(f, g) - sb(f, g)
-        if not diff.is_zero() and len(failures) < cap:
-            failures.append(
-                {
-                    "f": ftext,
-                    "g": gtext,
-                    "difference": [
-                        {"eps": m, "value": t} for m, t in diff.to_pairs() if t != "0"
-                    ],
-                }
-            )
-    return count, failures
+    f, g = (parse_polynomial(t, dim=sa.dim) for t in pair)
+    return equivalence_failure(sa, sb, f, g)
 
 
 def cmd_verify_equiv(args) -> int:
     sa = build_star(args.a, args.algebra, args.order)
     build_star(args.b, args.algebra, args.order)
-    if args.mode == "monomials":
-        monos = _monomials_up_to(sa.dim, args.degree)
-        pairs = [
-            (f.to_text(), g.to_text())
-            for f in monos
-            for g in monos
-            if f.total_degree() + g.total_degree() <= args.degree
-        ]
-    else:
-        fs = random_polynomials(sa.dim, args.trials, args.degree, args.seed)
-        gs = random_polynomials(sa.dim, args.trials, args.degree, args.seed + 1)
-        pairs = [(f.to_text(), g.to_text()) for f, g in zip(fs, gs)]
-    jobs = _jobs(args)
+    pairs = [
+        (f.to_text(), g.to_text())
+        for f, g in equivalence_pairs(sa.dim, args.degree, args.mode, args.seed, args.trials)
+    ]
     report = EquivalenceReport(args.a, args.b, args.order, args.mode)
-    chunks = _chunks(pairs, jobs) if jobs > 1 else [pairs]
-    payloads = [(args.a, args.b, args.algebra, args.order, ch, 5) for ch in chunks]
-    if jobs > 1 and len(pairs) > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_equiv_chunk, payloads)
-    else:
-        results = [_equiv_chunk(p) for p in payloads]
-    for count, failures in results:
-        report.pairs += count
-        report.failures.extend(failures)
-    del report.failures[5:]
+    check = partial(_equivalence_failure, args.a, args.b, args.algebra, args.order)
+    for failure in _fan_out(check, pairs, _jobs(args)):
+        report.add(failure)
     doc = report.to_json()
     status = "EQUAL" if report.ok else "DIFFER"
     _emit(args, doc, [f"{status} {args.a} vs {args.b} pairs={report.pairs}"])
@@ -657,15 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = verify_sub.add_parser("identities")
     pi.add_argument("--max", type=int, default=30)
-    pi.add_argument("--seed", type=int, default=0)
-    _add_jobs(pi)
     _add_format(pi)
     pi.set_defaults(handler=cmd_verify_identities)
 
     pl = verify_sub.add_parser("loops")
     pl.add_argument("--algebra", required=True)
     pl.add_argument("--max-n", type=int, default=3, dest="max_n")
-    _add_jobs(pl)
     _add_format(pl)
     pl.set_defaults(handler=cmd_verify_loops)
 

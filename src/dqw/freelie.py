@@ -236,7 +236,6 @@ class FreeLie:
     def evaluate_tree(self, tree: BracketTree, assignment: Mapping[str, "LieSeries"], order: int) -> LieDict:
         if isinstance(tree, str):
             return dict(assignment[tree].terms)
-        left, right = tree
         return self.bracket(
             self.evaluate_tree(tree[0], assignment, order),
             self.evaluate_tree(tree[1], assignment, order),

@@ -20,7 +20,7 @@ from .poly import Polynomial, PolyError, Rational
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]
 
-__all__ = ["EpsSeries", "NCSeries", "nc_exp", "nc_log", "nc_exp_log", "SeriesError"]
+__all__ = ["EpsSeries", "NCSeries", "nc_exp", "nc_log", "SeriesError"]
 
 
 class SeriesError(ValueError):
@@ -291,12 +291,3 @@ def nc_log(s: NCSeries) -> NCSeries:
         result = result + power * sign
     return result
 
-
-def nc_exp_log(s: NCSeries, kind: str, order: int | None = None) -> NCSeries:
-    if order is not None:
-        s = s.retruncate(order)
-    if kind == "exp":
-        return nc_exp(s)
-    if kind == "log":
-        return nc_log(s)
-    raise SeriesError(f"unknown kind {kind!r} (expected 'exp' or 'log')")

@@ -12,7 +12,10 @@ for x^n * y with x, y linear, where the coefficient ladder is binomial(n,k)
 times a Bernoulli number; its two variants walk the two sign conventions.
 
 `check_associativity` and `check_equivalence` produce small report objects
-the command-line front end prints as JSON.
+the command-line front end prints as JSON.  They are built from per-item
+checks (`associativity_failure`, `equivalence_failure`) and the reports'
+`add`, which the command-line front end also uses when it fans a batch out
+over worker processes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ __all__ = [
     "xn_star_y_coefficients",
     "check_associativity",
     "check_equivalence",
+    "associativity_failure",
+    "equivalence_failure",
+    "equivalence_pairs",
     "check_degree_drop",
     "random_polynomials",
     "AssociativityReport",
@@ -105,7 +111,7 @@ def _constant_matrix(alpha) -> tuple[tuple[Fraction, ...], ...]:
         if alpha.kind != "constant":
             raise StarError("this product needs a constant-coefficient structure")
         return tuple(
-            tuple(alpha.entries[i][j].constant_term for j in range(alpha.dim))
+            tuple(alpha.entries[i][j].constant_term() for j in range(alpha.dim))
             for i in range(alpha.dim)
         )
     rows = tuple(tuple(Fraction(v) for v in row) for row in alpha)
@@ -373,6 +379,10 @@ def random_polynomials(
     return out
 
 
+def _nonzero_levels(series: EpsSeries) -> list[dict]:
+    return [{"eps": m, "value": t} for m, t in series.to_pairs() if t != "0"]
+
+
 @dataclass
 class AssociativityReport:
     name: str
@@ -383,6 +393,12 @@ class AssociativityReport:
     @property
     def ok(self) -> bool:
         return self.trials > 0 and not self.failures
+
+    def add(self, failure: dict | None) -> None:
+        """Count one triple; `failure` is `associativity_failure`'s result."""
+        self.trials += 1
+        if failure is not None:
+            self.failures.append(failure)
 
     def to_json(self) -> dict:
         return {
@@ -396,41 +412,51 @@ class AssociativityReport:
         }
 
 
+def associativity_failure(
+    star: StarProduct, f: Polynomial, g: Polynomial, h: Polynomial
+) -> dict | None:
+    """None when (f*g)*h == f*(g*h), else the failure entry with the residual."""
+    residual = star(star(f, g), h) - star(f, star(g, h))
+    if residual.is_zero():
+        return None
+    return {
+        "f": f.to_text(),
+        "g": g.to_text(),
+        "h": h.to_text(),
+        "residual": _nonzero_levels(residual),
+    }
+
+
 def check_associativity(
     star: StarProduct, triples: Iterable[tuple[Polynomial, Polynomial, Polynomial]]
 ) -> AssociativityReport:
     report = AssociativityReport(star.name, star.order)
     for f, g, h in triples:
-        left = star(star(f, g), h)
-        right = star(f, star(g, h))
-        report.trials += 1
-        residual = left - right
-        if not residual.is_zero():
-            report.failures.append(
-                {
-                    "f": f.to_text(),
-                    "g": g.to_text(),
-                    "h": h.to_text(),
-                    "residual": [
-                        {"eps": m, "value": t} for m, t in residual.to_pairs() if t != "0"
-                    ],
-                }
-            )
+        report.add(associativity_failure(star, f, g, h))
     return report
 
 
 @dataclass
 class EquivalenceReport:
+    """Counts every pair and lists the first `max_failures` failures."""
+
     left: str
     right: str
     order: int
     mode: str
     pairs: int = 0
     failures: list[dict] = field(default_factory=list)
+    max_failures: int = 5
 
     @property
     def ok(self) -> bool:
         return self.pairs > 0 and not self.failures
+
+    def add(self, failure: dict | None) -> None:
+        """Count one pair; `failure` is `equivalence_failure`'s result."""
+        self.pairs += 1
+        if failure is not None and len(self.failures) < self.max_failures:
+            self.failures.append(failure)
 
     def to_json(self) -> dict:
         return {
@@ -460,6 +486,39 @@ def _monomials_up_to(dim: int, degree: int) -> list[Polynomial]:
     return out
 
 
+def equivalence_pairs(
+    dim: int, degree_bound: int, mode: str = "monomials", seed: int = 0, trials: int = 25
+) -> list[tuple[Polynomial, Polynomial]]:
+    """The (f, g) pairs an equivalence check compares, in report order.
+
+    "monomials": every pair of monomials with deg f + deg g <= degree_bound.
+    "random": `trials` seeded pairs from `random_polynomials`.
+    """
+    if mode == "monomials":
+        monos = _monomials_up_to(dim, degree_bound)
+        return [
+            (f, g)
+            for f in monos
+            for g in monos
+            if f.total_degree() + g.total_degree() <= degree_bound
+        ]
+    if mode == "random":
+        fs = random_polynomials(dim, trials, degree_bound, seed)
+        gs = random_polynomials(dim, trials, degree_bound, seed + 1)
+        return list(zip(fs, gs))
+    raise StarError(f"unknown mode {mode!r}")
+
+
+def equivalence_failure(
+    a: StarProduct, b: StarProduct, f: Polynomial, g: Polynomial
+) -> dict | None:
+    """None when a(f, g) == b(f, g), else the failure entry with the difference."""
+    diff = a(f, g) - b(f, g)
+    if diff.is_zero():
+        return None
+    return {"f": f.to_text(), "g": g.to_text(), "difference": _nonzero_levels(diff)}
+
+
 def check_equivalence(
     a: StarProduct,
     b: StarProduct,
@@ -472,38 +531,9 @@ def check_equivalence(
     """Compare two products pairwise; exact equality of truncated series."""
     if a.dim != b.dim or a.order != b.order:
         raise StarError("products must share dim and truncation order")
-    report = EquivalenceReport(a.name, b.name, a.order, mode)
-    if mode == "monomials":
-        monos = _monomials_up_to(a.dim, degree_bound)
-        pairs = [
-            (f, g)
-            for f in monos
-            for g in monos
-            if f.total_degree() + g.total_degree() <= degree_bound
-        ]
-    elif mode == "random":
-        fs = random_polynomials(a.dim, trials, degree_bound, seed)
-        gs = random_polynomials(a.dim, trials, degree_bound, seed + 1)
-        pairs = list(zip(fs, gs))
-    else:
-        raise StarError(f"unknown mode {mode!r}")
-    for f, g in pairs:
-        report.pairs += 1
-        diff = a(f, g) - b(f, g)
-        if not diff.is_zero():
-            if len(report.failures) < max_failures:
-                report.failures.append(
-                    {
-                        "f": f.to_text(),
-                        "g": g.to_text(),
-                        "difference": [
-                            {"eps": m, "value": t} for m, t in diff.to_pairs() if t != "0"
-                        ],
-                    }
-                )
-            else:
-                report.failures.append({"truncated": True})
-                break
+    report = EquivalenceReport(a.name, b.name, a.order, mode, max_failures=max_failures)
+    for f, g in equivalence_pairs(a.dim, degree_bound, mode, seed, trials):
+        report.add(equivalence_failure(a, b, f, g))
     return report
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.bidiff import BiDiffError, BiDiffOp, apply_bidiff, wedge_operator
+from dqw.bidiff import BiDiffError, BiDiffOp, wedge_operator
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries
 
@@ -113,11 +113,6 @@ class TestExp:
 
 
 class TestApply:
-    def test_alias(self):
-        op = BiDiffOp.identity(2, 1)
-        f = parse_polynomial("x1", dim=2)
-        assert apply_bidiff(op, f, f) == op.apply(f, f)
-
     def test_dimension_mismatch(self):
         op = BiDiffOp.identity(2, 1)
         with pytest.raises(BiDiffError):

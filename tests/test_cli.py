@@ -4,12 +4,22 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from dqw.cli import main, resolve_algebra
+import dqw.cli
+from dqw.cli import fan_out_plan, main, resolve_algebra
 from dqw.graphs import parse_graph
+from dqw.liealg import solvable2
 from dqw.poly import parse_polynomial
+from dqw.star import (
+    cbh_product,
+    check_associativity,
+    check_equivalence,
+    random_polynomials,
+    uea_product,
+)
 
 
 def run(argv):
@@ -341,6 +351,62 @@ class TestVerify:
                 os.environ["DQW_JOBS"] = old
         _, b, _ = run(args)
         assert a == b
+
+
+class TestFailurePath:
+    """Negative control: a perturbed CBH product seeded into the CLI's cache.
+
+    The pool forks, so `--jobs 2` workers inherit the seeded product too.
+    """
+
+    @pytest.fixture
+    def bad(self, monkeypatch):
+        star = cbh_product(solvable2(), 4, override={("X", "X", "Y"): Fraction(1, 10)})
+        monkeypatch.setitem(dqw.cli._STAR_CACHE, ("cbh", "solvable2", 4), star)
+        monkeypatch.delenv("DQW_JOBS", raising=False)
+        return star
+
+    def test_equiv_report_equals_library(self, bad):
+        args = [
+            "verify", "equiv", "--a", "uea", "--b", "cbh", "--algebra", "solvable2",
+            "--degree", "6", "--order", "4", "--format", "json",
+        ]
+        code, serial, _ = run(args + ["--jobs", "1"])
+        assert code == 1
+        code, fanned, _ = run(args + ["--jobs", "2"])
+        assert code == 1 and fanned == serial
+        library = check_equivalence(uea_product(solvable2(), 4), bad, 6)
+        assert json.loads(serial) == library.to_json()
+
+    def test_assoc_report_equals_library(self, bad):
+        args = [
+            "verify", "assoc", "--method", "cbh", "--algebra", "solvable2",
+            "--order", "4", "--format", "json",
+        ]
+        code, serial, _ = run(args + ["--jobs", "1"])
+        assert code == 1
+        code, fanned, _ = run(args + ["--jobs", "2"])
+        assert code == 1 and fanned == serial
+        polys = [random_polynomials(2, 10, 3, seed) for seed in range(3)]
+        library = check_associativity(bad, zip(*polys))
+        assert json.loads(serial) == library.to_json()
+
+
+class TestFanOutPlan:
+    def test_split_matches_jobs(self):
+        assert fan_out_plan(10, 3, 8) == (3, 4)
+        assert fan_out_plan(462, 2, 2) == (2, 231)
+
+    def test_serial_cases(self):
+        assert fan_out_plan(100, 1, 8)[0] == 1
+        assert fan_out_plan(1, 4, 8)[0] == 1
+        assert fan_out_plan(0, 4, 8)[0] == 0
+        assert fan_out_plan(100, 4, None)[0] == 1
+
+    def test_large_jobs_bounded_by_cpus_and_chunks(self):
+        assert fan_out_plan(100, 10**6, 4) == (4, 1)
+        assert fan_out_plan(3, 10**6, 64) == (3, 1)
+        assert fan_out_plan(10**5, 10**9, 2) == (2, 1)
 
 
 class TestPlumbing:

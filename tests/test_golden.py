@@ -82,3 +82,17 @@ def test_jobs_two_matches_golden(argv, fmt):
     code, out = run(argv + ["--format", fmt, "--jobs", "2"])
     assert code == 0
     assert out == golden(argv, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--jobs", "2"],
+        ["verify", "identities", "--seed", "1"],
+        ["verify", "loops", "--algebra", "strictly_upper(4)", "--jobs", "2"],
+    ],
+    ids=slug,
+)
+def test_flags_without_effect_are_usage_errors(argv):
+    code, out = run(argv)
+    assert code == 2 and out == ""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqw.poly import Polynomial, parse_polynomial
-from dqw.series import EpsSeries, NCSeries, SeriesError, nc_exp, nc_log, nc_exp_log
+from dqw.series import EpsSeries, NCSeries, SeriesError, nc_exp, nc_log
 
 
 def P(text, dim=2):
@@ -69,16 +69,14 @@ class TestNCSeries:
         with pytest.raises(SeriesError):
             nc_log(one - 1)  # constant term 0, not 1
 
-    def test_exp_log_dispatcher(self):
+    def test_exp_log_round_trip(self):
         X = NCSeries.letter(("X", "Y"), 5, "X")
-        assert nc_exp_log(nc_exp_log(X, "exp"), "log") == X
-        with pytest.raises(SeriesError):
-            nc_exp_log(X, "sqrt")
+        assert nc_log(nc_exp(X)) == X
 
     def test_retruncate(self):
         X = NCSeries.letter(("X",), 4, "X")
         s = nc_exp(X)
-        assert nc_exp_log(s, "log", order=2) == X.retruncate(2)
+        assert nc_log(s.retruncate(2)) == X.retruncate(2)
 
 
 def small_nc_series(order=4):

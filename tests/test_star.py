@@ -24,6 +24,7 @@ from dqw.star import (
     check_associativity,
     check_degree_drop,
     check_equivalence,
+    equivalence_pairs,
     moyal_product,
     poisson_operator,
     random_polynomials,
@@ -72,6 +73,15 @@ class TestMoyal:
         assert out.coeffs[0] == f * g
         assert out.coeffs[1] == parse_polynomial("1/2*x3*x4 + 1/2*x1*x2", dim=4)
         assert out.coeffs[2] == Polynomial.constant(4, F(1, 4))
+
+    def test_poisson_structure_equals_matrix(self):
+        alpha = [[0, 1, F(1, 2), -1], [-1, 0, 2, 0], [F(-1, 2), -2, 0, 1], [1, 0, -1, 0]]
+        via_structure = moyal_product(constant_poisson(alpha), 3)
+        via_matrix = moyal_product(alpha, 3)
+        for f, g in zip(
+            random_polynomials(4, 5, 3, seed=31), random_polynomials(4, 5, 3, seed=32)
+        ):
+            assert via_structure(f, g) == via_matrix(f, g)
 
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(StarError):
@@ -233,6 +243,16 @@ class TestChecks:
         b = moyal_product([[0, 2], [-2, 0]], 3)
         rep = check_equivalence(a, b, 2)
         assert not rep.ok and rep.failures
+
+    def test_equivalence_counts_every_pair_and_caps_failures(self):
+        c = solvable2()
+        bad = cbh_product(c, 4, override={("X", "X", "Y"): F(1, 10)})
+        rep = check_equivalence(uea_product(c, 4), bad, 6)
+        assert rep.pairs == len(equivalence_pairs(2, 6)) == 210
+        assert len(rep.failures) == 5
+        assert all(set(entry) == {"f", "g", "difference"} for entry in rep.failures)
+        capped = check_equivalence(uea_product(c, 4), bad, 6, max_failures=2)
+        assert capped.pairs == 210 and capped.failures == rep.failures[:2]
 
     def test_equivalence_random_mode(self):
         c = heisenberg()
