@@ -10,12 +10,22 @@ multi-indices — derivatives of one factor never act on the coefficients of
 the other.  For constant coefficients this is genuine operator composition;
 in general it is the product in which the exponentials appearing here are
 taken, so `exp` is defined relative to it.
+
+`apply` runs over an application plan built on its first call and kept
+beside `terms` (it takes no part in `==` or `repr`): the terms grouped by
+left multi-index L with the groups sorted by |L|, and each group's entries
+sorted by |R|.  Since d^L f = 0 whenever |L| > deg f, or whenever L exceeds
+the componentwise largest exponent of f, a call stops at the first group
+with |L| > deg f and skips every L that exceeds f's largest exponents; the
+same holds for R against g, with d^R g computed once per call.  Each eps
+level is accumulated in one exponent dict, not one Polynomial per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, itemgetter, le
 from typing import Iterable, Mapping
 
 from .poly import Polynomial
@@ -35,10 +45,27 @@ def _add_multi(a: Multi, b: Multi) -> Multi:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _max_exponents(p: Polynomial) -> Multi:
+    """Componentwise largest exponent of a nonzero polynomial."""
+    return tuple(map(max, zip(*p.terms)))
+
+
+def _accumulate(acc: dict, coeff: dict, df: dict, dg: dict) -> None:
+    """acc += coeff * df * dg on exponent -> Fraction dicts; zeros are left
+    for the Polynomial constructor to drop."""
+    for e2, c2 in df.items():
+        for e3, c3 in dg.items():
+            e23 = tuple(map(add, e2, e3))
+            c23 = c2 * c3
+            for e1, c1 in coeff.items():
+                key = tuple(map(add, e1, e23))
+                acc[key] = acc.get(key, 0) + c1 * c23
+
+
 class BiDiffOp:
     """eps-graded bidifferential operator; immutable once built."""
 
-    __slots__ = ("dim", "order", "terms")
+    __slots__ = ("dim", "order", "terms", "_plan")
 
     def __init__(self, dim: int, order: int, terms: Mapping[Key, Polynomial] | None = None):
         if dim < 1 or order < 0:
@@ -71,6 +98,7 @@ class BiDiffOp:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiDiffOp is immutable")
@@ -182,32 +210,54 @@ class BiDiffOp:
 
     # -- action on polynomial pairs ---------------------------------------------
 
+    def _apply_plan(self) -> tuple:
+        """The terms as (|L|, L, entries) groups sorted by |L|, each group's
+        entries (|R|, R, m, coefficient terms) sorted by |R|.  Built on the
+        first `apply`; it shares the coefficient dicts with `terms`."""
+        plan = self._plan
+        if plan is None:
+            groups: dict[Multi, list] = {}
+            for (m, left, right), poly in self.terms.items():
+                groups.setdefault(left, []).append((sum(right), right, m, poly.terms))
+            plan = tuple(
+                sorted(
+                    (
+                        (sum(left), left, tuple(sorted(entries, key=itemgetter(0))))
+                        for left, entries in groups.items()
+                    ),
+                    key=itemgetter(0),
+                )
+            )
+            object.__setattr__(self, "_plan", plan)
+        return plan
+
     def apply(self, f: Polynomial, g: Polynomial) -> EpsSeries:
         if f.dim != self.dim or g.dim != self.dim:
             raise BiDiffError("argument dimension mismatch")
-        by_left: dict[Multi, list[tuple[int, Multi, Polynomial]]] = {}
-        for (m, left, right), poly in self.terms.items():
-            by_left.setdefault(left, []).append((m, right, poly))
-        levels = [Polynomial.zero(self.dim) for _ in range(self.order + 1)]
+        if f.is_zero() or g.is_zero():
+            return EpsSeries.zero(self.dim, self.order)
         deg_f, deg_g = f.total_degree(), g.total_degree()
-        right_cache: dict[Multi, Polynomial] = {}
-        for left, entries in by_left.items():
-            if sum(left) > deg_f:
+        top_f, top_g = _max_exponents(f), _max_exponents(g)
+        levels: list[dict] = [{} for _ in range(self.order + 1)]
+        right_cache: dict[Multi, dict] = {}
+        for left_deg, left, entries in self._apply_plan():
+            if left_deg > deg_f:
+                break
+            if not all(map(le, left, top_f)):
                 continue
-            df = f.derive_multi(left)
-            if df.is_zero():
+            df = f.derive_multi(left).terms
+            if not df:
                 continue
-            for m, right, poly in entries:
-                if sum(right) > deg_g:
-                    continue
+            for right_deg, right, m, coeff in entries:
+                if right_deg > deg_g:
+                    break
                 dg = right_cache.get(right)
                 if dg is None:
-                    dg = g.derive_multi(right)
+                    dg = g.derive_multi(right).terms if all(map(le, right, top_g)) else {}
                     right_cache[right] = dg
-                if dg.is_zero():
-                    continue
-                levels[m] = levels[m] + poly * df * dg
-        return EpsSeries(self.dim, self.order, levels)
+                if dg:
+                    _accumulate(levels[m], coeff, df, dg)
+        return EpsSeries(self.dim, self.order, [Polynomial(self.dim, acc) for acc in levels])
 
     def max_derivative_order(self) -> int:
         return max((max(sum(l), sum(r)) for (_, l, r) in self.terms), default=0)

@@ -99,8 +99,12 @@ def _symplectic_matrix(d: int) -> tuple:
 
 def resolve_algebra(spec: str):
     """Turn a name or a JSON file path into ("lie", constants) or
-    ("constant", matrix)."""
-    if os.sep in spec or spec.endswith(".json") or os.path.exists(spec):
+    ("constant", matrix).
+
+    A spec is a file only when it ends in ".json" or holds a path separator,
+    so a stray file in the working directory never shadows a builtin name.
+    """
+    if spec.endswith(".json") or os.sep in spec:
         with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
         if "alpha" in doc:
@@ -531,6 +535,20 @@ def _add_format(p, choices=("text", "json")) -> None:
     p.add_argument("--format", choices=choices, default="text")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so that an empty batch is bad input
+    (exit 2) rather than a verdict."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_jobs(p) -> None:
     p.add_argument("--jobs", type=int, default=None, help="process fan-out (env DQW_JOBS)")
 
@@ -600,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--method", choices=("moyal", "uea", "cbh", "kontsevich"), required=True)
     pa.add_argument("--algebra", required=True)
     pa.add_argument("--order", type=int, default=4)
-    pa.add_argument("--degree", type=int, default=3)
-    pa.add_argument("--trials", type=int, default=10)
+    pa.add_argument("--degree", type=_int_at_least(0), default=3)
+    pa.add_argument("--trials", type=_int_at_least(1), default=10)
     pa.add_argument("--seed", type=int, default=0)
     _add_jobs(pa)
     _add_format(pa)
@@ -611,10 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--a", choices=("moyal", "uea", "cbh", "kontsevich"), required=True)
     pq.add_argument("--b", choices=("moyal", "uea", "cbh", "kontsevich"), required=True)
     pq.add_argument("--algebra", required=True)
-    pq.add_argument("--degree", type=int, required=True)
+    pq.add_argument("--degree", type=_int_at_least(0), required=True)
     pq.add_argument("--order", type=int, required=True)
     pq.add_argument("--mode", choices=("monomials", "random"), default="monomials")
-    pq.add_argument("--trials", type=int, default=25)
+    pq.add_argument("--trials", type=_int_at_least(1), default=25)
     pq.add_argument("--seed", type=int, default=0)
     _add_jobs(pq)
     _add_format(pq)
@@ -627,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = verify_sub.add_parser("loops")
     pl.add_argument("--algebra", required=True)
-    pl.add_argument("--max-n", type=int, default=3, dest="max_n")
+    pl.add_argument("--max-n", type=_int_at_least(2), default=3, dest="max_n")
     _add_format(pl)
     pl.set_defaults(handler=cmd_verify_loops)
 

@@ -318,6 +318,13 @@ class PoissonStructure:
                     raise LieAlgebraError("alpha must be antisymmetric")
         if self.kind not in ("constant", "linear", "general"):
             raise LieAlgebraError(f"unknown kind {self.kind!r}")
+        degrees = {sum(e) for row in self.entries for p in row for e in p.terms}
+        allowed = {"constant": {0}, "linear": {1}}.get(self.kind)
+        if allowed is not None and not degrees <= allowed:
+            raise LieAlgebraError(
+                f"a {self.kind} structure has entry monomials of degree "
+                f"{sorted(degrees - allowed)}"
+            )
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i - 1][j - 1]

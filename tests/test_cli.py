@@ -127,6 +127,19 @@ class TestAlgebraValidate:
 
         assert matrix[0][1] == Fraction(1, 2)
 
+    def test_builtin_name_not_shadowed_by_a_file(self, tmp_path, monkeypatch):
+        # a file named like a builtin in the working directory is not read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "heisenberg").write_text(
+            json.dumps({"dim": 2, "alpha": [[0, 1], [-1, 0]]})
+        )
+        code, out, _ = run(["algebra", "validate", "heisenberg", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "lie" and doc["dim"] == 3
+        kind, _ = resolve_algebra(os.path.join(".", "heisenberg"))
+        assert kind == "constant"
+
 
 class TestStar:
     def test_uea_series(self):
@@ -333,6 +346,24 @@ class TestVerify:
     def test_loops_survivor_exit_one(self):
         code, out, _ = run(["verify", "loops", "--algebra", "solvable2", "--max-n", "2"])
         assert code == 1 and "NONZERO" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--a", "uea", "--b", "cbh", "--algebra", "heisenberg",
+             "--degree", "-1", "--order", "2"],
+            ["equiv", "--a", "uea", "--b", "cbh", "--algebra", "heisenberg",
+             "--degree", "2", "--order", "2", "--mode", "random", "--trials", "0"],
+            ["assoc", "--method", "cbh", "--algebra", "heisenberg", "--trials", "0"],
+            ["loops", "--algebra", "heisenberg", "--max-n", "-2"],
+            ["loops", "--algebra", "heisenberg", "--max-n", "1"],
+        ],
+        ids=["equiv-degree", "equiv-trials", "assoc-trials", "loops-negative", "loops-one"],
+    )
+    def test_empty_batch_is_bad_input(self, argv):
+        code, out, err = run(["verify", *argv])
+        assert code == 2 and out == ""
+        assert "must be >=" in err
 
     def test_env_var_jobs(self):
         old = os.environ.get("DQW_JOBS")

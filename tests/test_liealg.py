@@ -185,6 +185,26 @@ class TestPoisson:
         x2 = Polynomial.variable(2, 2)
         assert pi.poisson_bracket(x1, x2) == Polynomial.one(2)
 
+    def test_kind_must_match_entry_degrees(self):
+        # negative control: a linear bracket labelled "constant" was accepted,
+        # and moyal_product of it dropped the bracket x3 from x1 * x2
+        linear = linear_poisson(heisenberg()).entries
+        with pytest.raises(LieAlgebraError, match="constant"):
+            PoissonStructure(3, "constant", linear)
+        constant = constant_poisson([[0, 1], [-1, 0]]).entries
+        with pytest.raises(LieAlgebraError, match="linear"):
+            PoissonStructure(2, "linear", constant)
+        x1 = parse_polynomial("x1", dim=2)
+        mixed = ((Polynomial.zero(2), x1 + 1), (-x1 - 1, Polynomial.zero(2)))
+        for kind in ("constant", "linear"):
+            with pytest.raises(LieAlgebraError):
+                PoissonStructure(2, kind, mixed)
+        assert PoissonStructure(2, "general", mixed).kind == "general"
+        assert PoissonStructure(3, "general", linear).kind == "general"
+        zero = tuple(tuple(Polynomial.zero(2) for _ in range(2)) for _ in range(2))
+        assert PoissonStructure(2, "linear", zero).kind == "linear"
+        assert PoissonStructure(2, "constant", zero).kind == "constant"
+
     def test_antisymmetry_enforced(self):
         with pytest.raises(LieAlgebraError):
             constant_poisson([[0, 1], [1, 0]])
