@@ -143,11 +143,7 @@ class BiDiffOp:
         terms = dict(self.terms)
         for key, poly in other.terms.items():
             acc = terms.get(key)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            terms[key] = poly if acc is None else acc + poly
         return BiDiffOp(self.dim, self.order, terms)
 
     def __sub__(self, other):
@@ -187,11 +183,7 @@ class BiDiffOp:
                 key = (m, _add_multi(l1, l2), _add_multi(r1, r2))
                 prod = p1 * p2
                 acc = terms.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
+                terms[key] = prod if acc is None else acc + prod
         return BiDiffOp(self.dim, self.order, terms)
 
     def exp(self) -> "BiDiffOp":

@@ -2,9 +2,10 @@
 
 Every subcommand computes a report, prints it in a deterministic format
 (text, json, or dot where it makes sense), and exits 0 on success, 1 when a
-verification check fails, and 2 on malformed input.  Rationals are always
-printed as p/q strings, JSON documents carry `"schema": 1`, and identical
-invocations produce byte-identical output.  `--jobs` (or the DQW_JOBS
+verification check fails, 2 on malformed input, and 3 (with the traceback
+on stderr) when the program itself fails.  Rationals are always printed as
+p/q strings, JSON documents carry `"schema": 1`, and identical invocations
+produce byte-identical output.  `--jobs` (or the DQW_JOBS
 environment variable) fans verification and enumeration batches out over a
 process pool with an ordered merge, so the output does not depend on the
 worker count.
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -663,6 +665,9 @@ def main(argv=None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Mapping, Sequence, Union
 
 from .graphs import GROUND_X, GROUND_Y, AdmissibleGraph
-from .poly import Polynomial
+from .poly import Polynomial, nonzero
 from .series import NCSeries, nc_exp, nc_log
 
 Word = tuple[str, ...]
@@ -132,11 +132,8 @@ class FreeLie:
             for w1, c1 in pu.items():
                 for w2, c2 in pv.items():
                     for key, coeff in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                        acc = result.get(key, Fraction(0)) + coeff
-                        if acc:
-                            result[key] = acc
-                        else:
-                            result.pop(key, None)
+                        result[key] = result.get(key, 0) + coeff
+            result = nonzero(result)
         self._expansion[word] = result
         return result
 
@@ -163,12 +160,8 @@ class FreeLie:
                     continue
                 coords[lw] = coeff
                 for word, c in self.expansion(lw).items():
-                    acc = residual.get(word, Fraction(0)) - coeff * c
-                    if acc:
-                        residual[word] = acc
-                    else:
-                        residual.pop(word, None)
-            if residual:
+                    residual[word] = residual.get(word, 0) - coeff * c
+            if any(residual.values()):
                 raise LieError(f"not a Lie element (degree {degree} remainder)")
         return coords
 
@@ -189,11 +182,7 @@ class FreeLie:
             for w1, c1 in pu.items():
                 for w2, c2 in pv.items():
                     for word, coeff in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                        acc = assoc.get(word, Fraction(0)) + coeff
-                        if acc:
-                            assoc[word] = acc
-                        else:
-                            assoc.pop(word, None)
+                        assoc[word] = assoc.get(word, 0) + coeff
             result = self.lyndon_coordinates(assoc)
         self._pair[key] = result
         return result
@@ -205,12 +194,8 @@ class FreeLie:
                 if max_degree is not None and len(u) + len(v) > max_degree:
                     continue
                 for w, c in self.basis_bracket(u, v).items():
-                    acc = out.get(w, Fraction(0)) + ca * cb * c
-                    if acc:
-                        out[w] = acc
-                    else:
-                        out.pop(w, None)
-        return out
+                    out[w] = out.get(w, 0) + ca * cb * c
+        return nonzero(out)
 
     def left_nested(self, word: Word) -> LieDict:
         """[[..[w1,w2],w3]..,wn] in basis coordinates."""
@@ -294,11 +279,7 @@ class LieSeries:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w, Fraction(0)) + c
-            if acc:
-                terms[w] = acc
-            else:
-                terms.pop(w, None)
+            terms[w] = terms.get(w, 0) + c
         return LieSeries(self.alphabet, self.order, terms)
 
     def __sub__(self, other):
@@ -345,11 +326,7 @@ class LieSeries:
             tree = src.bracket_tree(word)
             value = dst.evaluate_tree(tree, assignment, order)
             for w, c in value.items():
-                acc = total.get(w, Fraction(0)) + coeff * c
-                if acc:
-                    total[w] = acc
-                else:
-                    total.pop(w, None)
+                total[w] = total.get(w, 0) + coeff * c
         return LieSeries(target_alpha, order, total)
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
@@ -378,11 +355,7 @@ def hausdorff_series(order: int) -> LieSeries:
         # left-bracketing projection: word w of degree n contributes (c/n) [[..w..]]
         scale = coeff / len(word)
         for w, c in fl.left_nested(word).items():
-            acc = total.get(w, Fraction(0)) + scale * c
-            if acc:
-                total[w] = acc
-            else:
-                total.pop(w, None)
+            total[w] = total.get(w, 0) + scale * c
     return LieSeries(alpha, order, total)
 
 

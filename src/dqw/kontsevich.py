@@ -107,11 +107,7 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
                 total = total * poly
             key = (n, left, right)
             acc = terms.get(key)
-            acc = total if acc is None else acc + total
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            terms[key] = total if acc is None else acc + total
             return
         t1, t2 = g.edges[v - 1]
         for i, j, base in support:
@@ -179,7 +175,10 @@ class LoopReport:
 
 def loop_vanishing_report(c: StructureConstants, max_n: int) -> LoopReport:
     """Compile every loop graph with up to max_n vertices against the halved
-    linear structure and record the ones that survive."""
+    linear structure and record the ones that survive.  The first loop graphs
+    have two vertices, so max_n < 2 would check nothing and is refused."""
+    if max_n < 2:
+        raise KontsevichError(f"max_n must be >= 2, got {max_n}")
     pi = half_poisson(c)
     report = LoopReport(max_n)
     for n in range(2, max_n + 1):

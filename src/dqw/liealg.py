@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Polynomial
+from .poly import Polynomial, nonzero
 
 __all__ = [
     "StructureConstants",
@@ -100,12 +100,8 @@ class StructureConstants:
             for j, cb in b.items():
                 if ca and cb:
                     for k, c in self.bracket_basis(i, j).items():
-                        acc = out.get(k, Fraction(0)) + ca * cb * c
-                        if acc:
-                            out[k] = acc
-                        else:
-                            out.pop(k, None)
-        return out
+                        out[k] = out.get(k, 0) + ca * cb * c
+        return nonzero(out)
 
     def ad_matrix(self, i: int) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of ad_{X^i} acting on column vectors: rows k, columns j."""

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .liealg import StructureConstants
-from .poly import Polynomial
+from .poly import Polynomial, nonzero
 from .series import EpsSeries
 
 Word = tuple[int, ...]  # non-decreasing generator indices, 1-based
@@ -41,17 +41,6 @@ __all__ = [
 
 class PBWError(ValueError):
     pass
-
-
-def _add_into(target: Element, key: tuple[Word, int], value: Fraction) -> None:
-    acc = target.get(key, _ZERO) + value
-    if acc:
-        target[key] = acc
-    else:
-        target.pop(key, None)
-
-
-_ZERO = Fraction(0)
 
 
 def word_of_monomial(exps: tuple[int, ...]) -> Word:
@@ -96,7 +85,9 @@ class EnvelopingAlgebra:
             for k, coeff in self.c.bracket_basis(word[p], word[p + 1]).items():
                 contracted = word[:p] + (k,) + word[p + 2 :]
                 for (w, m), value in self.normal_form(contracted).items():
-                    _add_into(result, (w, m + 1), coeff * value)
+                    key = (w, m + 1)
+                    result[key] = result.get(key, 0) + coeff * value
+            result = nonzero(result)
         self._nf[word] = result
         return result
 
@@ -114,8 +105,9 @@ class EnvelopingAlgebra:
                 for (w, dm), value in self.normal_form(w1 + w2).items():
                     m = base + dm
                     if m <= order:
-                        _add_into(out, (w, m), scale * value)
-        return out
+                        key = (w, m)
+                        out[key] = out.get(key, 0) + scale * value
+        return nonzero(out)
 
     # -- symmetrization ------------------------------------------------------------
 
@@ -140,7 +132,9 @@ class EnvelopingAlgebra:
                 weight = share * multiplicity
                 for (w, m), value in rest.items():
                     for (w2, dm), v2 in self.normal_form((letter,) + w).items():
-                        _add_into(result, (w2, m + dm), weight * value * v2)
+                        key = (w2, m + dm)
+                        result[key] = result.get(key, 0) + weight * value * v2
+            result = nonzero(result)
         self._sigma[word] = result
         return result
 
@@ -150,8 +144,8 @@ class EnvelopingAlgebra:
         out: Element = {}
         for exps, coeff in p.terms.items():
             for key, value in self.sigma_word(word_of_monomial(exps)).items():
-                _add_into(out, key, coeff * value)
-        return out
+                out[key] = out.get(key, 0) + coeff * value
+        return nonzero(out)
 
     def sigma_series(self, s: EpsSeries) -> Element:
         out: Element = {}
@@ -160,8 +154,9 @@ class EnvelopingAlgebra:
                 continue
             for (w, dm), value in self.sigma_polynomial(level).items():
                 if m + dm <= s.order:
-                    _add_into(out, (w, m + dm), value)
-        return out
+                    key = (w, m + dm)
+                    out[key] = out.get(key, 0) + value
+        return nonzero(out)
 
     def inverse_sigma(self, element: Element, order: int) -> EpsSeries:
         """Peel eps levels: level-m leftovers form p_m, subtract sigma(p_m) eps^m."""
@@ -181,8 +176,9 @@ class EnvelopingAlgebra:
                 for (w, dm), value in self.sigma_word(word_of_monomial(exps)).items():
                     mm = m + dm
                     if mm <= order:
-                        _add_into(work, (w, mm), -coeff * value)
-        if work:
+                        key = (w, mm)
+                        work[key] = work.get(key, 0) - coeff * value
+        if any(work.values()):
             raise PBWError("symmetrization inverse left a remainder")
         return EpsSeries(self.dim, order, levels)
 

@@ -6,6 +6,14 @@ text output, serialized results -- terms are sorted graded-lexicographically,
 so identical inputs always render identically.
 
 Variables are written ``x1 .. xd`` in text form.
+
+Every sparse sum in the package (polynomials, words, Lyndon coordinates, PBW
+elements, operator terms) keeps one rule: a stored coefficient is never
+zero.  It is enforced where a value is built, not where it is summed.  The
+constructors of `Polynomial`, `NCSeries`, `LieSeries` and `BiDiffOp` drop
+zero coefficients, and a function that returns a raw dict passes it through
+`nonzero` once on the way out.  Arithmetic in between accumulates freely
+(``d[k] = d.get(k, 0) + v``), and a zero it leaves behind is harmless.
 """
 
 from __future__ import annotations
@@ -36,6 +44,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def nonzero(terms: Mapping) -> dict:
+    """The entries of a raw sparse sum whose value is not zero."""
+    return {k: v for k, v in terms.items() if v}
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -138,11 +151,7 @@ class Polynomial:
         self._check_dim(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms.get(exps, 0) + coeff
         return Polynomial(self.dim, terms)
 
     __radd__ = __add__
@@ -173,11 +182,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, 0) + c1 * c2
         return Polynomial(self.dim, terms)
 
     __rmul__ = __mul__
@@ -405,16 +410,13 @@ class _Parser:
             return {(): Fraction(num)}
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    # raw term representation: dict[ tuple[(var, exp), ...] sorted ] -> Fraction
+    # raw term representation: dict[ tuple[(var, exp), ...] sorted ] -> Fraction,
+    # zeros included; the final Polynomial drops them
     @staticmethod
     def _radd(a, b):
         out = dict(a)
         for key, coeff in b.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return out
 
     @staticmethod
@@ -430,11 +432,7 @@ class _Parser:
                 for var, e in k1 + k2:
                     merged[var] = merged.get(var, 0) + e
                 key = tuple(sorted(merged.items()))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return out
 
     @classmethod

@@ -207,11 +207,7 @@ class NCSeries:
         self._check(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = terms.get(word, Fraction(0)) + coeff
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
+            terms[word] = terms.get(word, 0) + coeff
         return NCSeries(self.alphabet, self.order, terms)
 
     __radd__ = __add__
@@ -242,11 +238,7 @@ class NCSeries:
                 if len(w2) > room:
                     continue
                 key = w1 + w2
-                acc = terms.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, 0) + c1 * c2
         return NCSeries(self.alphabet, self.order, terms)
 
     __rmul__ = __mul__

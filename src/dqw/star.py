@@ -38,8 +38,8 @@ from .liealg import (
     constant_poisson,
     linear_poisson,
 )
-from .pbw import uea_star
-from .poly import Polynomial
+from .pbw import enveloping_algebra
+from .poly import Polynomial, nonzero
 from .series import EpsSeries
 
 __all__ = [
@@ -157,9 +157,8 @@ def poisson_operator(pi: PoissonStructure, order: int) -> BiDiffOp:
 
 
 def uea_product(c: StructureConstants, order: int) -> StarProduct:
-    return StarProduct(
-        "uea", c.dim, order, lambda f, g: uea_star(c, f, g, order), None
-    )
+    alg = enveloping_algebra(c)
+    return StarProduct("uea", c.dim, order, lambda f, g: alg.star(f, g, order), None)
 
 
 # -- Hausdorff-series product ---------------------------------------------------------
@@ -191,26 +190,14 @@ def _contract_tree(
     out: dict = {}
     for (l1, r1), v1 in left.items():
         for (l2, r2), v2 in right.items():
-            vec = c.bracket_vectors(v1, v2)
-            if not vec:
-                continue
             key = (
                 tuple(a + b for a, b in zip(l1, l2)),
                 tuple(a + b for a, b in zip(r1, r2)),
             )
-            acc = out.get(key)
-            if acc is None:
-                out[key] = vec
-            else:
-                for k, v in vec.items():
-                    s = acc.get(k, Fraction(0)) + v
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
-                if not acc:
-                    out.pop(key)
-    return out
+            acc = out.setdefault(key, {})
+            for k, v in c.bracket_vectors(v1, v2).items():
+                acc[k] = acc.get(k, 0) + v
+    return nonzero({key: nonzero(acc) for key, acc in out.items()})
 
 
 def bracket_monomial_operator(
@@ -226,17 +213,16 @@ def bracket_monomial_operator(
     eps_degree = tree_degree(tree) - 1
     if eps_degree < 1:
         raise StarError("need at least one bracket")
-    terms = {}
-    for (left, right), vec in _contract_tree(c, tree).items():
-        poly = Polynomial(
+    terms = {
+        (eps_degree, left, right): Polynomial(
             d,
             {
                 tuple(1 if m == k else 0 for m in range(1, d + 1)): v
                 for k, v in vec.items()
             },
         )
-        if not poly.is_zero():
-            terms[(eps_degree, left, right)] = poly
+        for (left, right), vec in _contract_tree(c, tree).items()
+    }
     return BiDiffOp(d, order, terms)
 
 

@@ -11,7 +11,7 @@ import pytest
 import dqw.cli
 from dqw.cli import fan_out_plan, main, resolve_algebra
 from dqw.graphs import parse_graph
-from dqw.liealg import solvable2
+from dqw.liealg import LieAlgebraError, solvable2
 from dqw.poly import parse_polynomial
 from dqw.star import (
     cbh_product,
@@ -453,6 +453,22 @@ class TestPlumbing:
     def test_repeated_invocations_byte_identical(self):
         args = ["hausdorff", "--degree", "4", "--format", "json"]
         assert run(args) == run(args)
+
+    def test_crash_is_not_a_failed_check(self, monkeypatch):
+        def crash(args):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(dqw.cli, "cmd_bernoulli", crash)
+        code, out, err = run(["bernoulli", "--max", "2"])
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "RuntimeError: internal fault" in err
+
+    def test_domain_error_is_still_bad_input(self, monkeypatch):
+        def refuse(args):
+            raise LieAlgebraError("not a Lie algebra")
+
+        monkeypatch.setattr(dqw.cli, "cmd_bernoulli", refuse)
+        assert run(["bernoulli", "--max", "2"]) == (2, "", "error: not a Lie algebra\n")
 
     def test_console_entry_point(self):
         proc = subprocess.run(

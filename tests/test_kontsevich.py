@@ -125,6 +125,12 @@ class TestLoopGraphs:
         assert len(rep.nonzero) == 16
         assert "1:(X,2);2:(Y,1)" in rep.nonzero
 
+    @pytest.mark.parametrize("max_n", [1, 0])
+    def test_report_refuses_an_empty_range(self, max_n):
+        # no loop graph has fewer than two vertices: nothing would be checked
+        with pytest.raises(KontsevichError):
+            loop_vanishing_report(heisenberg(), max_n)
+
     def test_report_json_shape(self):
         doc = loop_vanishing_report(heisenberg(), 2).to_json()
         assert doc["schema"] == 1 and doc["all_vanish"] is True
