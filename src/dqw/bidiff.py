@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from operator import add, itemgetter, le
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .poly import Polynomial
 from .series import EpsSeries

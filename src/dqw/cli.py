@@ -54,7 +54,8 @@ from .liealg import (
     structure_from_json,
 )
 from .pbw import PBWError, uea_star
-from .poly import Polynomial, parse_polynomial
+from .poly import ParseError, Polynomial, PolyError, parse_polynomial
+from .series import SeriesError
 from .star import (
     AssociativityReport,
     EquivalenceReport,
@@ -71,16 +72,28 @@ from .star import (
 )
 from .weights import WeightError, product_weight, weight_w_computable
 
+
+class InputError(ValueError):
+    """Malformed command-line input that no library layer checks: an
+    unreadable JSON document, a bad number in an algebra spec, a bad
+    DQW_JOBS."""
+
+
+# Bad input exits 2.  Any other exception, a bare ValueError included, is a
+# bug and exits 3.
 _ERRORS = (
     BiDiffError,
     GraphError,
+    InputError,
     KontsevichError,
     LieAlgebraError,
     LieError,
+    ParseError,
     PBWError,
+    PolyError,
+    SeriesError,
     StarError,
     WeightError,
-    ValueError,
     OSError,
 )
 
@@ -108,18 +121,32 @@ def resolve_algebra(spec: str):
     """
     if spec.endswith(".json") or os.sep in spec:
         with open(spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "alpha" in doc:
-            d = int(doc["dim"])
-            rows = doc["alpha"]
-            if len(rows) != d or any(len(r) != d for r in rows):
-                raise LieAlgebraError(f"{spec}: alpha must be a {d}x{d} matrix")
-            matrix = tuple(tuple(Fraction(str(v)) for v in r) for r in rows)
-            return "constant", matrix
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise InputError(f"{spec}: not a JSON document: {exc}") from exc
+        if isinstance(doc, dict) and "alpha" in doc:
+            return "constant", _alpha_matrix(spec, doc)
         return "lie", structure_from_json(doc)
     if spec.startswith("symplectic(") and spec.endswith(")"):
-        return "constant", _symplectic_matrix(int(spec[len("symplectic(") : -1]))
+        text = spec[len("symplectic(") : -1]
+        try:
+            d = int(text)
+        except ValueError:
+            raise InputError(f"symplectic(d) needs an integer d, got {text!r}") from None
+        return "constant", _symplectic_matrix(d)
     return "lie", builtin_algebra(spec)
+
+
+def _alpha_matrix(spec: str, doc: dict) -> tuple:
+    try:
+        d = int(doc["dim"])
+        matrix = tuple(tuple(Fraction(str(v)) for v in r) for r in doc["alpha"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
+    if len(matrix) != d or any(len(r) != d for r in matrix):
+        raise LieAlgebraError(f"{spec}: alpha must be a {d}x{d} matrix")
+    return matrix
 
 
 def _lie_algebra(spec: str) -> StructureConstants:
@@ -179,7 +206,11 @@ def _series_rows(series) -> list[dict]:
 def _jobs(args) -> int:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
-        jobs = int(os.environ.get("DQW_JOBS", "1"))
+        text = os.environ.get("DQW_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise InputError(f"DQW_JOBS must be an integer, got {text!r}") from None
     return max(1, jobs)
 
 

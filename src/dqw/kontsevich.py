@@ -5,9 +5,16 @@ the graph expansion of the star product for linear structures.
 over edge colorings: vertex k with edges colored (i, j) contributes the
 coefficient alpha^{ij}, differentiated once for every incoming edge's color;
 edges into the grounds collect the derivative multi-indices acting on the two
-arguments.  The search backtracks over the sparse support of alpha and prunes
-as soon as a vertex coefficient differentiates to zero — on a linear
-structure a second incoming derivative kills the branch immediately.
+arguments.  The search never differentiates a polynomial itself: it reads
+the derivatives off the structure's table (`PoissonStructure.live_derivatives`,
+filled once per multiset of derivative indices and kept for every later
+graph).  A vertex factor is a key (i, j, I), meaning d^I alpha^{ij} with I
+the sorted multiset of colors of its incoming edges.  A vertex iterates only
+the entries live under the derivatives already pending on it; an edge into
+an earlier vertex extends that vertex's I by one table lookup, and an edge
+into a later vertex kills the branch at once when no entry is live under the
+grown pending multiset — on a linear structure a second incoming derivative
+ends the branch immediately.  Polynomials are multiplied only at a leaf.
 
 For a linear structure with strictly increasing brackets the compilation
 sorts every graph into three bins: graphs with an aerial in-degree >= 2
@@ -30,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .bidiff import BiDiffOp
 from .freelie import free_lie, hausdorff_series, lie_to_lgraph
@@ -81,6 +87,11 @@ def half_poisson(c: StructureConstants) -> PoissonStructure:
     return PoissonStructure(pi.dim, "linear", entries)
 
 
+def _bump(multi: tuple, idx: int) -> tuple:
+    """The multi-index with its idx-th (1-based) exponent raised by one."""
+    return multi[: idx - 1] + (multi[idx - 1] + 1,) + multi[idx:]
+
+
 def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> BiDiffOp:
     """Sum over edge colorings of the graph, contracted against `pi`.
 
@@ -92,60 +103,48 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
         return BiDiffOp.identity(d, order)
     if n > order:
         return BiDiffOp.zero(d, order)
-    support = [
-        (i, j, pi.entry(i, j))
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if not pi.entry(i, j).is_zero()
-    ]
+    edges = g.edges
+    live = pi.live_derivatives
     terms: dict = {}
 
-    def color(v: int, factors: dict, pending: dict, left: tuple, right: tuple):
+    def color(v: int, factors: list, pending: tuple, left: tuple, right: tuple):
+        # factors[k - 1] = (i, j, I): vertex k carries d^I alpha^{ij}
         if v > n:
-            total = Polynomial.one(d)
-            for poly in factors.values():
-                total = total * poly
+            total = None
+            for i, j, orders in factors:
+                poly = live(orders)[i, j]
+                total = poly if total is None else total * poly
             key = (n, left, right)
             acc = terms.get(key)
             terms[key] = total if acc is None else acc + total
             return
-        t1, t2 = g.edges[v - 1]
-        for i, j, base in support:
-            poly = base
-            for idx in pending.get(v, ()):
-                poly = poly.derive(idx)
-                if poly.is_zero():
-                    break
-            if poly.is_zero():
-                continue
-            new_factors = dict(factors)
-            new_pending = dict(pending)
-            new_left, new_right = left, right
-            new_factors[v] = poly
-            dead = False
-            for target, idx in ((t1, i), (t2, j)):
+        orders = pending[v - 1]
+        for i, j in live(orders):
+            new_factors = factors + [(i, j, orders)]
+            new_pending, new_left, new_right = pending, left, right
+            for target, idx in zip(edges[v - 1], (i, j)):
                 if target == GROUND_X:
-                    new_left = tuple(
-                        e + 1 if m == idx else e for m, e in enumerate(new_left, start=1)
-                    )
+                    new_left = _bump(new_left, idx)
                 elif target == GROUND_Y:
-                    new_right = tuple(
-                        e + 1 if m == idx else e for m, e in enumerate(new_right, start=1)
-                    )
+                    new_right = _bump(new_right, idx)
                 elif target < v:
-                    derived = new_factors[target].derive(idx)
-                    if derived.is_zero():
-                        dead = True
+                    ti, tj, t_orders = new_factors[target - 1]
+                    t_orders = tuple(sorted(t_orders + (idx,)))
+                    if (ti, tj) not in live(t_orders):
                         break
-                    new_factors[target] = derived
+                    new_factors[target - 1] = (ti, tj, t_orders)
                 else:
-                    new_pending[target] = new_pending.get(target, ()) + (idx,)
-            if dead:
-                continue
-            color(v + 1, new_factors, new_pending, new_left, new_right)
+                    t_orders = tuple(sorted(new_pending[target - 1] + (idx,)))
+                    if not live(t_orders):
+                        break
+                    new_pending = (
+                        new_pending[: target - 1] + (t_orders,) + new_pending[target:]
+                    )
+            else:
+                color(v + 1, new_factors, new_pending, new_left, new_right)
 
     zero = (0,) * d
-    color(1, {}, {}, zero, zero)
+    color(1, [], ((),) * n, zero, zero)
     return BiDiffOp(d, order, terms)
 
 

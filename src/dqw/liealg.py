@@ -13,10 +13,9 @@ ad_{X^i} is strictly triangular, so all traces of products of ad's vanish.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .poly import Polynomial, nonzero
 
@@ -249,7 +248,12 @@ def builtin_algebra(name: str) -> StructureConstants:
         return solvable2()
     for prefix, builder in (("strictly_upper", strictly_upper), ("moyal_trick", moyal_trick)):
         if name.startswith(prefix + "(") and name.endswith(")"):
-            return builder(int(name[len(prefix) + 1 : -1]))
+            text = name[len(prefix) + 1 : -1]
+            try:
+                size = int(text)
+            except ValueError:
+                raise LieAlgebraError(f"{prefix}(n) needs an integer n, got {text!r}") from None
+            return builder(size)
     raise LieAlgebraError(f"unknown algebra {name!r}")
 
 
@@ -295,11 +299,19 @@ def cyclic_product(c: StructureConstants, indices: Sequence[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """Antisymmetric matrix of polynomial coefficients alpha^{ij}(x)."""
+    """Antisymmetric matrix of polynomial coefficients alpha^{ij}(x).
+
+    A private table, filled on demand by `live_derivatives` and kept beside
+    `entries`, caches the nonzero derivatives of the entries for graph
+    compilation; it takes no part in `==`, `hash` or `repr`.
+    """
 
     dim: int
     kind: str  # "constant" | "linear" | "general"
     entries: tuple[tuple[Polynomial, ...], ...]
+    _derivatives: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         d = self.dim
@@ -324,6 +336,36 @@ class PoissonStructure:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i - 1][j - 1]
+
+    def live_derivatives(self, orders: tuple[int, ...]) -> dict[tuple[int, int], Polynomial]:
+        """{(i, j): d^orders alpha^{ij}} over the entries whose derivative is
+        not zero, in row-major order; `orders` is a sorted tuple of 1-based
+        coordinate indices (a multiset, so (1, 1, 3) is d1^2 d3).
+
+        Each multiset is derived once, from its parent `orders[:-1]`, and
+        only over the entries still live there: an entry that dies under I
+        is absent from I's row and is never derived below it.  The result
+        is shared; do not mutate it.
+        """
+        table = self._derivatives
+        live = table.get(orders)
+        if live is None:
+            if orders:
+                idx = orders[-1]
+                live = {}
+                for ij, p in self.live_derivatives(orders[:-1]).items():
+                    q = p.derive(idx)
+                    if q.terms:
+                        live[ij] = q
+            else:
+                live = {
+                    (i, j): p
+                    for i, row in enumerate(self.entries, start=1)
+                    for j, p in enumerate(row, start=1)
+                    if p.terms
+                }
+            table[orders] = live
+        return live
 
     def poisson_bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         total = Polynomial.zero(self.dim)
@@ -395,7 +437,7 @@ def structure_from_json(data: Mapping) -> StructureConstants:
             }
             for entry in data.get("brackets", [])
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LieAlgebraError(f"malformed structure document: {exc}") from exc
     return StructureConstants.from_brackets(dim, brackets)
 

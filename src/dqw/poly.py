@@ -19,7 +19,7 @@ zero coefficients, and a function that returns a raw dict passes it through
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 Exponents = tuple[int, ...]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence, Union
 
-from .poly import Polynomial, PolyError, Rational
+from .poly import Polynomial
 
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]

@@ -26,18 +26,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .bernoulli import bernoulli_number
 from .bidiff import BiDiffOp, wedge_operator
 from .freelie import BracketTree, free_lie, hausdorff_series, tree_degree
-from .liealg import (
-    LieAlgebraError,
-    PoissonStructure,
-    StructureConstants,
-    constant_poisson,
-    linear_poisson,
-)
+from .liealg import PoissonStructure, StructureConstants
 from .pbw import enveloping_algebra
 from .poly import Polynomial, nonzero
 from .series import EpsSeries

@@ -26,7 +26,6 @@ from .graphs import (
     GROUND_X,
     GROUND_Y,
     AdmissibleGraph,
-    GraphError,
     classify,
     decompose_nonloop,
     factorize,

@@ -470,6 +470,62 @@ class TestPlumbing:
         monkeypatch.setattr(dqw.cli, "cmd_bernoulli", refuse)
         assert run(["bernoulli", "--max", "2"]) == (2, "", "error: not a Lie algebra\n")
 
+    def test_bare_value_error_is_a_crash(self, monkeypatch):
+        # negative control: every domain error subclasses ValueError, but a
+        # bare one comes from a bug, not from the input
+        def crash(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(dqw.cli, "cmd_bernoulli", crash)
+        code, out, err = run(["bernoulli", "--max", "2"])
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "ValueError: internal fault" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["algebra", "validate", "strictly_upper(x)"],
+            ["algebra", "validate", "symplectic(x)"],
+            ["star", "--method", "uea", "--algebra", "heisenberg",
+             "--f", "x1 +", "--g", "x2", "--order", "2"],
+            ["star", "--method", "uea", "--algebra", "heisenberg",
+             "--f", "x1", "--g", "x2", "--order", "-1"],
+            ["xny", "--n", "-1", "--method", "uea", "--algebra", "heisenberg"],
+        ],
+        ids=["algebra-size", "symplectic-size", "parse", "series-order", "poly-power"],
+    )
+    def test_input_errors_exit_two(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, ',
+            '{"alpha": [[0, 1], [-1, 0]]}',
+            '{"dim": 2, "alpha": [[0, "1/x"], [-1, 0]]}',
+            '{"dim": 2, "alpha": [[0, "1/0"], [-1, 0]]}',
+            '{"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1/0"}}]}',
+            "5",
+            b"\xff\xfe",
+        ],
+        ids=["truncated", "no-dim", "bad-rational", "alpha-zero-denominator",
+             "bracket-zero-denominator", "not-an-object", "not-utf8"],
+    )
+    def test_malformed_json_exits_two(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = run(["algebra", "validate", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_bad_jobs_variable_exits_two(self, monkeypatch):
+        monkeypatch.setenv("DQW_JOBS", "two")
+        code, out, err = run(["graphs", "enumerate", "--n", "1", "--classify"])
+        assert (code, out) == (2, "") and "DQW_JOBS" in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dqw.cli", "bernoulli", "--max", "2"],

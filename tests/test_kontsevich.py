@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -5,7 +6,15 @@ import pytest
 
 from dqw.bernoulli import bernoulli_number
 from dqw.bidiff import BiDiffOp, wedge_operator
-from dqw.graphs import chain_graph, parse_graph, symmetry_count
+from dqw.graphs import (
+    GROUND_X,
+    GROUND_Y,
+    AdmissibleGraph,
+    chain_graph,
+    enumerate_graphs,
+    parse_graph,
+    symmetry_count,
+)
 from dqw.kontsevich import (
     AssembledStar,
     KontsevichError,
@@ -35,6 +44,155 @@ def general_alpha():
     p = parse_polynomial("x1^2", dim=2)
     z = Polynomial.zero(2)
     return PoissonStructure(2, "general", ((z, p), (-p, z)))
+
+
+def reference_graph_to_operator(g, pi, order):
+    """graph_to_operator before the derivative table: every branch derives
+    the entries of alpha itself.  Kept as the oracle of the table-driven
+    search."""
+    d = pi.dim
+    n = g.n
+    if n == 0:
+        return BiDiffOp.identity(d, order)
+    if n > order:
+        return BiDiffOp.zero(d, order)
+    support = [
+        (i, j, pi.entry(i, j))
+        for i in range(1, d + 1)
+        for j in range(1, d + 1)
+        if not pi.entry(i, j).is_zero()
+    ]
+    terms: dict = {}
+
+    def color(v: int, factors: dict, pending: dict, left: tuple, right: tuple):
+        if v > n:
+            total = Polynomial.one(d)
+            for poly in factors.values():
+                total = total * poly
+            key = (n, left, right)
+            acc = terms.get(key)
+            terms[key] = total if acc is None else acc + total
+            return
+        t1, t2 = g.edges[v - 1]
+        for i, j, base in support:
+            poly = base
+            for idx in pending.get(v, ()):
+                poly = poly.derive(idx)
+                if poly.is_zero():
+                    break
+            if poly.is_zero():
+                continue
+            new_factors = dict(factors)
+            new_pending = dict(pending)
+            new_left, new_right = left, right
+            new_factors[v] = poly
+            dead = False
+            for target, idx in ((t1, i), (t2, j)):
+                if target == GROUND_X:
+                    new_left = tuple(
+                        e + 1 if m == idx else e for m, e in enumerate(new_left, start=1)
+                    )
+                elif target == GROUND_Y:
+                    new_right = tuple(
+                        e + 1 if m == idx else e for m, e in enumerate(new_right, start=1)
+                    )
+                elif target < v:
+                    derived = new_factors[target].derive(idx)
+                    if derived.is_zero():
+                        dead = True
+                        break
+                    new_factors[target] = derived
+                else:
+                    new_pending[target] = new_pending.get(target, ()) + (idx,)
+            if dead:
+                continue
+            color(v + 1, new_factors, new_pending, new_left, new_right)
+
+    zero = (0,) * d
+    color(1, {}, {}, zero, zero)
+    return BiDiffOp(d, order, terms)
+
+
+def quadratic_alpha():
+    """A general quadratic structure on R^3 (antisymmetric, not Poisson):
+    entries with squares, mixed products and a linear term, so that second
+    derivatives survive and pending multisets of size 2 occur."""
+    a = parse_polynomial("x1^2 + x2*x3", dim=3)
+    b = parse_polynomial("x2^2 - 2*x1*x3 + x1", dim=3)
+    c = parse_polynomial("x3^2 + x1*x2", dim=3)
+    z = Polynomial.zero(3)
+    return PoissonStructure(3, "general", ((z, a, b), (-a, z, c), (-b, -c, z)))
+
+
+def random_graph(rng, n):
+    targets = [GROUND_X, GROUND_Y] + list(range(1, n + 1))
+    return AdmissibleGraph(
+        tuple(tuple(rng.sample([t for t in targets if t != k], 2)) for k in range(1, n + 1))
+    )
+
+
+def assert_matches_reference(graphs, pi):
+    for g in graphs:
+        got = graph_to_operator(g, pi, g.n)
+        want = reference_graph_to_operator(g, pi, g.n)
+        assert got == want, g
+        assert repr(got) == repr(want), g
+
+
+class TestDerivativeTable:
+    """graph_to_operator reads the derivatives of alpha off the structure's
+    table; the reference derives them on every branch."""
+
+    @pytest.mark.parametrize(
+        "c", [heisenberg(), solvable2(), strictly_upper(4)], ids=lambda c: f"dim{c.dim}"
+    )
+    def test_every_graph_up_to_three_vertices(self, c):
+        pi = half_poisson(c)
+        assert_matches_reference([g for n in range(4) for g in enumerate_graphs(n)], pi)
+
+    def test_quadratic_structure(self):
+        graphs = [g for n in range(3) for g in enumerate_graphs(n)]
+        graphs += random.Random(5).sample(list(enumerate_graphs(3)), 30)
+        pi = quadratic_alpha()
+        assert_matches_reference(graphs, pi)
+        assert any(len(orders) == 2 for orders in pi._derivatives)
+
+    def test_four_vertices_with_high_in_degree(self):
+        rng = random.Random(4)
+        graphs = []
+        while len(graphs) < 12:
+            g = random_graph(rng, 4)
+            if any(g.in_degree(v) >= 2 for v in range(1, 5)):
+                graphs.append(g)
+        assert_matches_reference(graphs, half_poisson(strictly_upper(5)))
+
+    def test_table_stays_out_of_equality(self):
+        for make in (lambda: half_poisson(strictly_upper(4)), quadratic_alpha):
+            used, fresh = make(), make()
+            for g in enumerate_graphs(2):
+                graph_to_operator(g, used, 2)
+            assert used._derivatives and not fresh._derivatives
+            assert used == fresh and hash(used) == hash(fresh)
+            assert repr(used) == repr(fresh)
+
+    def test_table_is_lean(self):
+        # keys are sorted multisets; only nonzero derivatives are kept, and
+        # nothing is derived below an entry that died in the parent multiset
+        pi = quadratic_alpha()
+        graphs = [g for n in range(3) for g in enumerate_graphs(n)]
+        # two edges into one vertex: backward (into 1) and pending (into 3)
+        graphs += [parse_graph("1:(X,Y);2:(X,1);3:(Y,1)"), parse_graph("1:(X,3);2:(Y,3);3:(X,Y)")]
+        for g in graphs:
+            graph_to_operator(g, pi, g.n)
+        table = pi._derivatives
+        assert any(len(orders) == 2 for orders in table)
+        for orders, live in table.items():
+            assert list(orders) == sorted(orders)
+            assert all(not p.is_zero() for p in live.values())
+            if orders:
+                assert set(live) <= set(table[orders[:-1]])
+                for ij, p in live.items():
+                    assert p == table[orders[:-1]][ij].derive(orders[-1])
 
 
 class TestGraphToOperator:
