@@ -17,9 +17,13 @@ from math import comb
 
 from .poly import Polynomial
 
-__all__ = ["bernoulli_number", "bernoulli_polynomial"]
+__all__ = ["BernoulliError", "bernoulli_number", "bernoulli_polynomial"]
 
 _VARIANTS = ("standard", "modified")
+
+
+class BernoulliError(ValueError):
+    """A negative index or degree, or an unknown variant."""
 
 
 @lru_cache(maxsize=None)
@@ -36,9 +40,9 @@ def _standard_upto(n: int) -> tuple[Fraction, ...]:
 
 def bernoulli_number(k: int, variant: str = "standard") -> Fraction:
     if k < 0:
-        raise ValueError("index must be >= 0")
+        raise BernoulliError("index must be >= 0")
     if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+        raise BernoulliError(f"variant must be one of {_VARIANTS}")
     value = _standard_upto(k)[k]
     if variant == "modified" and k % 2 == 1:
         value = -value
@@ -48,7 +52,7 @@ def bernoulli_number(k: int, variant: str = "standard") -> Fraction:
 def bernoulli_polynomial(m: int, variant: str = "standard") -> Polynomial:
     """Degree-m Bernoulli polynomial in one variable (x1)."""
     if m < 0:
-        raise ValueError("degree must be >= 0")
+        raise BernoulliError("degree must be >= 0")
     terms = {}
     for k in range(m + 1):
         coeff = comb(m, k) * bernoulli_number(m - k, variant)

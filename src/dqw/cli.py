@@ -23,7 +23,7 @@ from functools import partial
 from math import factorial
 from multiprocessing import Pool
 
-from .bernoulli import bernoulli_number, bernoulli_polynomial
+from .bernoulli import BernoulliError, bernoulli_number, bernoulli_polynomial
 from .bidiff import BiDiffError
 from .freelie import (
     LieError,
@@ -82,6 +82,7 @@ class InputError(ValueError):
 # Bad input exits 2.  Any other exception, a bare ValueError included, is a
 # bug and exits 3.
 _ERRORS = (
+    BernoulliError,
     BiDiffError,
     GraphError,
     InputError,
@@ -261,7 +262,18 @@ def cmd_bernoulli(args) -> int:
     return 0
 
 
+# Largest `hausdorff --degree` accepted, for the full series and for
+# --linear-in-y: each takes about 10 s at its limit on a 2-vCPU host, and
+# the cost grows about x3 per degree for the full series.
+MAX_HAUSDORFF_DEGREE = 14
+MAX_LINEAR_IN_Y_DEGREE = 38
+
+
 def cmd_hausdorff(args) -> int:
+    limit = MAX_LINEAR_IN_Y_DEGREE if args.linear_in_y else MAX_HAUSDORFF_DEGREE
+    if args.degree > limit:
+        flag = " --linear-in-y" if args.linear_in_y else ""
+        raise InputError(f"hausdorff --degree {args.degree}{flag} exceeds the limit {limit}")
     if args.linear_in_y:
         coeffs = hausdorff_linear_in_y(args.degree)
         rows = [{"k": 0, "value": "1"}] + [

@@ -6,11 +6,18 @@ X < Y < Z ...).  Arbitrary bracket expressions are rewritten into this basis
 by expanding in the word algebra and eliminating against the triangular
 system b(w) = w + (lexicographically larger words).
 
-The Hausdorff series H with exp(H) = exp(X) exp(Y) is computed from the
-associative logarithm by the left-bracketing projection: a degree-n word
-contributes coeff/n times its left-nested bracket.  The part of H linear in
-Y is computed separately in the quotient of the word algebra by words with
-two or more Y's, which is cheap enough for double-digit degrees.
+The Hausdorff series H with exp(H) = exp(X) exp(Y) is computed in two steps
+(after Casas & Murua, J. Math. Phys. 50 (2009)).  First, the coefficient of
+a word in log(exp X exp Y) comes from a dynamic program over its prefixes:
+exp(X) exp(Y) - 1 is the sum of the blocks X^a Y^b (a + b >= 1) with weight
+1/(a! b!), so a word's coefficient sums (-1)^(k-1)/k times the product of
+the block weights over its splittings into k blocks.  Second, because
+b(u) = u + (larger words), the coordinate of a Lyndon word w is its word
+coefficient minus the contributions of the smaller Lyndon words of its
+degree, so only the Lyndon words' coefficients are ever needed.  The part
+of H linear in Y is computed separately in the quotient of the word algebra
+by words with two or more Y's, which is cheap enough for double-digit
+degrees.
 
 Bracket monomials are nested 2-tuples with letter leaves, e.g.
 ('X', ('X', 'Y')) for [X,[X,Y]]; text form "[X,[X,Y]]".
@@ -20,12 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence, Union
 
 from .graphs import GROUND_X, GROUND_Y, AdmissibleGraph
-from .poly import Polynomial, nonzero
-from .series import NCSeries, nc_exp, nc_log
+from .poly import MAX_NESTING, Polynomial, nonzero
 
 Word = tuple[str, ...]
 BracketTree = Union[str, tuple]  # leaf letter or (left, right)
@@ -340,22 +346,63 @@ class LieSeries:
         return f"LieSeries(order={self.order}, {' + '.join(parts) or '0'})"
 
 
+def _log_word_coefficient(word: Word) -> Fraction:
+    """Coefficient of a word over X < Y in log(exp X exp Y).
+
+    exp(X) exp(Y) - 1 is the sum of the blocks X^a Y^b (a + b >= 1) with
+    weight 1/(a! b!), so the coefficient sums (-1)^(k-1)/k times the product
+    of the block weights over the splittings of the word into k blocks.
+    ways[j][k] holds that sum over the splittings of the first j letters
+    into k blocks, scaled by j!: the scaled weights are the integers
+    C(j, i) C(a + b, a) for a block word[i:j] = X^a Y^b.
+    """
+    n = len(word)
+    # ends[i]: the largest j such that word[i:j] has no Y before an X
+    ends = [n] * n
+    for i in range(n - 2, -1, -1):
+        ends[i] = i + 1 if (word[i], word[i + 1]) == ("Y", "X") else ends[i + 1]
+    ways = [[0] * (n + 1) for _ in range(n + 1)]
+    ways[0][0] = 1
+    for i in range(n):
+        row = ways[i]
+        a = 0
+        for j in range(i + 1, ends[i] + 1):
+            a += word[j - 1] == "X"
+            scale = comb(j, i) * comb(j - i, a)
+            target = ways[j]
+            for k in range(i + 1):
+                if row[k]:
+                    target[k + 1] += scale * row[k]
+    total = sum(Fraction(c if k % 2 else -c, k) for k, c in enumerate(ways[n]) if k and c)
+    return total / factorial(n)
+
+
 @lru_cache(maxsize=None)
 def hausdorff_series(order: int) -> LieSeries:
-    """H(X, Y) = log(exp X exp Y) as a LieSeries truncated at the given degree."""
+    """H(X, Y) = log(exp X exp Y) as a LieSeries truncated at the given degree.
+
+    Degree by degree, the Lyndon words w are visited in increasing order:
+    b(u) = u + (larger words), so the coefficient of w in the word expansion
+    of H involves only b(w) itself and the smaller Lyndon words u of its
+    degree, and coord[w] = coeff(w) - sum_u coord[u] * b(u)[w], with coeff
+    the word coefficient of the logarithm.
+    """
     if order < 1:
         raise LieError("order must be >= 1")
     alpha = ("X", "Y")
     fl = free_lie(alpha)
-    X = NCSeries.letter(alpha, order, "X")
-    Y = NCSeries.letter(alpha, order, "Y")
-    assoc_log = nc_log(nc_exp(X) * nc_exp(Y))
     total: LieDict = {}
-    for word, coeff in assoc_log.terms.items():
-        # left-bracketing projection: word w of degree n contributes (c/n) [[..w..]]
-        scale = coeff / len(word)
-        for w, c in fl.left_nested(word).items():
-            total[w] = total.get(w, 0) + scale * c
+    for degree in range(1, order + 1):
+        words = fl.lyndon_words(degree)
+        residual = {w: _log_word_coefficient(w) for w in words}
+        for w in words:
+            coeff = residual.pop(w)
+            if not coeff:
+                continue
+            total[w] = coeff
+            for word, c in fl.expansion(w).items():
+                if word in residual:
+                    residual[word] -= coeff * c
     return LieSeries(alpha, order, total)
 
 
@@ -437,19 +484,21 @@ def lie_to_lgraph(tree: BracketTree) -> AdmissibleGraph:
 
 
 def parse_bracket(text: str) -> BracketTree:
-    """Parse bracket-monomial text like "[X,[X,Y]]"."""
+    """Parse bracket-monomial text like "[X,[X,Y]]" (at most MAX_NESTING deep)."""
     s = text.replace(" ", "")
     pos = 0
 
-    def parse() -> BracketTree:
+    def parse(depth: int) -> BracketTree:
         nonlocal pos
         if pos < len(s) and s[pos] == "[":
+            if depth == MAX_NESTING:
+                raise LieError(f"brackets nested deeper than {MAX_NESTING} at position {pos}")
             pos += 1
-            left = parse()
+            left = parse(depth + 1)
             if pos >= len(s) or s[pos] != ",":
                 raise LieError(f"expected ',' at position {pos} of {text!r}")
             pos += 1
-            right = parse()
+            right = parse(depth + 1)
             if pos >= len(s) or s[pos] != "]":
                 raise LieError(f"expected ']' at position {pos} of {text!r}")
             pos += 1
@@ -461,7 +510,7 @@ def parse_bracket(text: str) -> BracketTree:
             return s[start:pos]
         raise LieError(f"unexpected character at position {pos} of {text!r}")
 
-    tree = parse()
+    tree = parse(0)
     if pos != len(s):
         raise LieError(f"trailing characters at position {pos} of {text!r}")
     return tree

@@ -25,7 +25,12 @@ Rational = Fraction
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+# Text parsers refuse parentheses, brackets and unary signs nested deeper
+# than this, so deep input is bad input rather than a RecursionError.
+MAX_NESTING = 100
+
 __all__ = [
+    "MAX_NESTING",
     "Rational",
     "Polynomial",
     "PolyError",
@@ -298,6 +303,7 @@ class Polynomial:
 #   factor := atom ('^' INT)?
 #   atom   := RATIONAL | VARIABLE | '(' expr ')' | ('+' | '-') factor
 #   RATIONAL := INT ('/' INT)?     VARIABLE := 'x' INT
+# Parentheses and unary signs nest at most MAX_NESTING deep.
 
 
 class _Tokenizer:
@@ -330,6 +336,7 @@ class _Parser:
         self.tok = _Tokenizer(text)
         self.dim = dim
         self.max_var = 0
+        self.depth = 0
         # with unknown dim we collect raw terms keyed by {var: exponent}
         self.raw_mode = dim is None
 
@@ -376,18 +383,23 @@ class _Parser:
         ch, pos = self.tok.peek()
         if ch is None:
             raise ParseError("unexpected end of input", pos)
-        if ch == "(":
+        if ch in "(+-":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
             self.tok.pos += 1
-            value = self._expr()
-            ch2, pos2 = self.tok.peek()
-            if ch2 != ")":
-                raise ParseError("expected ')'", pos2)
-            self.tok.pos += 1
+            self.depth += 1
+            if ch == "(":
+                value = self._expr()
+                ch2, pos2 = self.tok.peek()
+                if ch2 != ")":
+                    raise ParseError("expected ')'", pos2)
+                self.tok.pos += 1
+            else:
+                value = self._factor()
+                if ch == "-":
+                    value = self._rscale(value, Fraction(-1))
+            self.depth -= 1
             return value
-        if ch in "+-":
-            self.tok.pos += 1
-            value = self._factor()
-            return value if ch == "+" else self._rscale(value, Fraction(-1))
         if ch == "x":
             self.tok.pos += 1
             index = self.tok.take_int()

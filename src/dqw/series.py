@@ -126,9 +126,6 @@ class EpsSeries:
             total = total + p
         return total
 
-    def max_poly_degree(self) -> int:
-        return max((p.total_degree() for p in self.coeffs), default=-1)
-
     def to_pairs(self) -> list[tuple[int, str]]:
         """Ordered (eps power, polynomial text) pairs for every level."""
         return [(m, p.to_text()) for m, p in enumerate(self.coeffs)]

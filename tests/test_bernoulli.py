@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from dqw.bernoulli import bernoulli_number, bernoulli_polynomial
+from dqw.bernoulli import BernoulliError, bernoulli_number, bernoulli_polynomial
 from dqw.poly import Polynomial, parse_polynomial
 
 
@@ -38,6 +38,17 @@ def test_bad_inputs():
         bernoulli_number(-1)
     with pytest.raises(ValueError):
         bernoulli_number(2, "weird")
+
+
+def test_domain_error_class():
+    for call in (
+        lambda: bernoulli_number(-1),
+        lambda: bernoulli_number(2, "bogus"),
+        lambda: bernoulli_polynomial(-1),
+        lambda: bernoulli_polynomial(2, "bogus"),
+    ):
+        with pytest.raises(BernoulliError):
+            call()
 
 
 def test_polynomials():

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 import dqw.cli
-from dqw.cli import fan_out_plan, main, resolve_algebra
+from dqw.cli import (
+    MAX_HAUSDORFF_DEGREE,
+    MAX_LINEAR_IN_Y_DEGREE,
+    fan_out_plan,
+    main,
+    resolve_algebra,
+)
 from dqw.graphs import parse_graph
 from dqw.liealg import LieAlgebraError, solvable2
 from dqw.poly import parse_polynomial
@@ -520,6 +526,25 @@ class TestPlumbing:
             path.write_text(text)
         code, out, err = run(["algebra", "validate", str(path)])
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_deep_nesting_exits_two(self):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        code, out, err = run(
+            [
+                "star", "--method", "cbh", "--algebra", "heisenberg",
+                "--f", deep, "--g", "x2", "--order", "2",
+            ]
+        )
+        assert (code, out) == (2, "") and "nesting deeper" in err
+
+    @pytest.mark.parametrize(
+        "extra, degree",
+        [([], MAX_HAUSDORFF_DEGREE + 1), (["--linear-in-y"], MAX_LINEAR_IN_Y_DEGREE + 1)],
+        ids=["full", "linear-in-y"],
+    )
+    def test_hausdorff_degree_above_limit_exits_two(self, extra, degree):
+        code, out, err = run(["hausdorff", "--degree", str(degree)] + extra)
+        assert (code, out) == (2, "") and f"exceeds the limit {degree - 1}" in err
 
     def test_bad_jobs_variable_exits_two(self, monkeypatch):
         monkeypatch.setenv("DQW_JOBS", "two")

@@ -1,10 +1,13 @@
 """Tests for the Lyndon-basis free Lie algebra and the Hausdorff series."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import pytest
 
+from dqw import freelie
 from dqw.bernoulli import bernoulli_number
 from dqw.freelie import (
     FreeLie,
@@ -17,12 +20,57 @@ from dqw.freelie import (
     lie_to_lgraph,
     parse_bracket,
     tree_degree,
+    _log_word_coefficient,
 )
 from dqw.graphs import classify, format_graph
+from dqw.poly import MAX_NESTING
 from dqw.series import NCSeries, nc_exp, nc_log
 
 F = Fraction
 XY = ("X", "Y")
+
+
+@lru_cache(maxsize=None)
+def reference_hausdorff_series(order: int) -> LieSeries:
+    """H through the associative logarithm over all 2^n words, projected by
+    left bracketing: a degree-n word contributes coeff/n times its
+    left-nested bracket."""
+    fl = free_lie(XY)
+    X = NCSeries.letter(XY, order, "X")
+    Y = NCSeries.letter(XY, order, "Y")
+    assoc_log = nc_log(nc_exp(X) * nc_exp(Y))
+    total: dict = {}
+    for word, coeff in assoc_log.terms.items():
+        scale = coeff / len(word)
+        for w, c in fl.left_nested(word).items():
+            total[w] = total.get(w, 0) + scale * c
+    return LieSeries(XY, order, total)
+
+
+def block_dp(word, weight) -> Fraction:
+    """The block dynamic program of _log_word_coefficient in plain Fractions:
+    ways[j][k] sums the products of weight(a, b) over the splittings of
+    word[:j] into k blocks X^a Y^b."""
+    n = len(word)
+    ways = [[F(0)] * (n + 1) for _ in range(n + 1)]
+    ways[0][0] = F(1)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            block = word[i:j]
+            a = block.count("X")
+            if block != ("X",) * a + ("Y",) * (j - i - a):
+                break
+            for k in range(i + 1):
+                ways[j][k + 1] += ways[i][k] * weight(a, j - i - a)
+    return sum(F((-1) ** (k - 1), k) * ways[n][k] for k in range(1, n + 1))
+
+
+def exp_weight(a, b):
+    return F(1, factorial(a) * factorial(b))
+
+
+def oracle_mismatches(build, degrees) -> list[int]:
+    return [n for n in degrees if build(n) != reference_hausdorff_series(n)]
 
 
 class TestLyndonWords:
@@ -160,6 +208,44 @@ class TestHausdorff:
             assert H.coefficient(word) == lin[k - 1]
 
 
+class TestLyndonRoute:
+    """hausdorff_series against the 2^n-word logarithm it replaced."""
+
+    def test_equals_reference_through_degree_ten(self):
+        assert oracle_mismatches(hausdorff_series, range(1, 11)) == []
+
+    def test_word_coefficients_on_every_word_through_degree_eight(self):
+        order = 8
+        X = NCSeries.letter(XY, order, "X")
+        Y = NCSeries.letter(XY, order, "Y")
+        assoc_log = nc_log(nc_exp(X) * nc_exp(Y))
+        for n in range(1, order + 1):
+            for word in product(XY, repeat=n):
+                assert _log_word_coefficient(word) == assoc_log.coefficient(word), word
+
+    def test_linear_in_y_tail_through_thirty(self):
+        # X^k Y is the smallest Lyndon word of its degree, so its coordinate
+        # in H is its word coefficient.
+        lin = hausdorff_linear_in_y(30)
+        for k in range(1, 31):
+            assert _log_word_coefficient(("X",) * k + ("Y",)) == lin[k - 1], k
+        H = hausdorff_series(10)
+        for k in range(1, 10):
+            assert H.coefficient(("X",) * k + ("Y",)) == lin[k - 1]
+
+    def test_copy_of_the_dynamic_program_agrees(self, monkeypatch):
+        monkeypatch.setattr(freelie, "_log_word_coefficient", lambda w: block_dp(w, exp_weight))
+        assert oracle_mismatches(hausdorff_series.__wrapped__, range(1, 8)) == []
+
+    def test_perturbed_block_weight_fails_the_oracle(self, monkeypatch):
+        # negative control: the block XY weighs 2 instead of 1/(1! 1!)
+        def perturbed(a, b):
+            return exp_weight(a, b) * (2 if (a, b) == (1, 1) else 1)
+
+        monkeypatch.setattr(freelie, "_log_word_coefficient", lambda w: block_dp(w, perturbed))
+        assert oracle_mismatches(hausdorff_series.__wrapped__, range(1, 11)) == list(range(2, 11))
+
+
 class TestLieSeries:
     def test_vector_space_ops(self):
         a = LieSeries(XY, 4, {("X", "Y"): F(1)})
@@ -208,6 +294,13 @@ class TestBracketText:
         for bad in ["[X,Y", "[X Y]", "", "[X,Y]]", "[,Y]"]:
             with pytest.raises(LieError):
                 parse_bracket(bad)
+
+    def test_nesting_limit(self):
+        deep = "[X," * MAX_NESTING + "Y" + "]" * MAX_NESTING
+        assert tree_degree(parse_bracket(deep)) == MAX_NESTING + 1
+        for text in ["[X," * (MAX_NESTING + 1) + "Y" + "]" * (MAX_NESTING + 1), "[" * 3000 + "X"]:
+            with pytest.raises(LieError, match="nested deeper"):
+                parse_bracket(text)
 
     def test_tree_degree(self):
         assert tree_degree("X") == 1

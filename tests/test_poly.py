@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqw.poly import ParseError, PolyError, Polynomial, parse_polynomial
+from dqw.poly import MAX_NESTING, ParseError, PolyError, Polynomial, parse_polynomial
 
 
 def P(text, dim=None):
@@ -83,6 +83,15 @@ class TestParsing:
             P("x9", dim=2)
         with pytest.raises(ParseError):
             P("1/0")
+
+    def test_nesting_limit(self):
+        n = MAX_NESTING
+        assert P("(" * n + "x1" + ")" * n) == P("x1")
+        assert P("-" * n + "x1") == P("x1")
+        assert P("-(" * (n // 2) + "x1" + ")" * (n // 2)) == P("x1")
+        for text in ["(" * (n + 1) + "x1" + ")" * (n + 1), "-" * 3000 + "x1", "(" * 3000]:
+            with pytest.raises(ParseError, match="nesting deeper"):
+                P(text)
 
 
 def polys(dim=3, max_degree=3, max_terms=4):
