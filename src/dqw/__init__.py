@@ -27,9 +27,7 @@ from .liealg import (
     heisenberg,
     killing_matrix,
     linear_poisson,
-    load_structure,
     moyal_trick,
-    save_structure,
     solvable2,
     strictly_upper,
 )

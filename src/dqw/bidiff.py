@@ -251,9 +251,6 @@ class BiDiffOp:
                     _accumulate(levels[m], coeff, df, dg)
         return EpsSeries(self.dim, self.order, [Polynomial(self.dim, acc) for acc in levels])
 
-    def max_derivative_order(self) -> int:
-        return max((max(sum(l), sum(r)) for (_, l, r) in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Key, Polynomial]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 

@@ -384,7 +384,7 @@ def _target_from_text(s: str) -> int:
         return GROUND_X
     if s == "Y":
         return GROUND_Y
-    if s.isdigit():
+    if s.isdecimal():
         return int(s)
     raise GraphError(f"bad edge target {s!r}")
 

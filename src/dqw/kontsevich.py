@@ -348,7 +348,6 @@ def assemble_linear_star(
     c: StructureConstants,
     order: int,
     weight_source: str = "hausdorff",
-    include_loop_rows: bool = True,
 ) -> AssembledStar:
     """Star product as exp of the prime-type generator.
 
@@ -390,8 +389,7 @@ def assemble_linear_star(
             generator = generator + graph_to_operator(graph, pi, order).scale(omega)
     op = generator.exp()
     star = StarProduct("kontsevich", c.dim, order, op.apply, op)
-    loop_rows = _loop_type_rows(c, order) if include_loop_rows else []
-    return AssembledStar(star, rows, uncovered, loop_rows)
+    return AssembledStar(star, rows, uncovered, _loop_type_rows(c, order))
 
 
 # -- the classification actually exhausts the graphs -------------------------------------
@@ -430,7 +428,7 @@ class CoverageReport:
         }
 
 
-def coverage_report(c: StructureConstants, n: int, compile_all: bool = True) -> CoverageReport:
+def coverage_report(c: StructureConstants, n: int) -> CoverageReport:
     """Sort all graphs with n aerial vertices into the three bins and verify
     that the two discarded bins compile to zero on the algebra."""
     pi = half_poisson(c)
@@ -443,10 +441,10 @@ def coverage_report(c: StructureConstants, n: int, compile_all: bool = True) -> 
             continue
         if cls.loop:
             report.loop += 1
-            if compile_all and not graph_to_operator(g, pi, n).is_zero():
+            if not graph_to_operator(g, pi, n).is_zero():
                 report.loops_vanish = False
             continue
         report.high_in_degree += 1
-        if compile_all and not graph_to_operator(g, pi, n).is_zero():
+        if not graph_to_operator(g, pi, n).is_zero():
             report.high_in_degree_vanishes = False
     return report

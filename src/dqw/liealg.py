@@ -12,7 +12,6 @@ ad_{X^i} is strictly triangular, so all traces of products of ad's vanish.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,8 +31,6 @@ __all__ = [
     "constant_poisson",
     "killing_matrix",
     "cyclic_product",
-    "load_structure",
-    "save_structure",
     "structure_from_json",
     "structure_to_json",
 ]
@@ -441,13 +438,3 @@ def structure_from_json(data: Mapping) -> StructureConstants:
         raise LieAlgebraError(f"malformed structure document: {exc}") from exc
     return StructureConstants.from_brackets(dim, brackets)
 
-
-def save_structure(c: StructureConstants, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(structure_to_json(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_structure(path: str) -> StructureConstants:
-    with open(path, encoding="utf-8") as fh:
-        return structure_from_json(json.load(fh))

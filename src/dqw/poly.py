@@ -18,6 +18,7 @@ zero coefficients, and a function that returns a raw dict passes it through
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -200,8 +201,9 @@ class Polynomial:
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     # -- calculus ----------------------------------------------------------
@@ -324,7 +326,7 @@ class _Tokenizer:
     def take_int(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
@@ -332,54 +334,50 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, dim: int | None):
+    def __init__(self, text: str, dim: int):
         self.tok = _Tokenizer(text)
         self.dim = dim
-        self.max_var = 0
         self.depth = 0
-        # with unknown dim we collect raw terms keyed by {var: exponent}
-        self.raw_mode = dim is None
 
-    def parse(self):
+    def parse(self) -> Polynomial:
         value = self._expr()
         ch, pos = self.tok.peek()
         if ch is not None:
             raise ParseError(f"unexpected character {ch!r}", pos)
         return value
 
-    def _expr(self):
+    def _expr(self) -> Polynomial:
         value = self._term()
         while True:
             ch, _ = self.tok.peek()
             if ch == "+":
                 self.tok.pos += 1
-                value = self._radd(value, self._term())
+                value = value + self._term()
             elif ch == "-":
                 self.tok.pos += 1
-                value = self._radd(value, self._rscale(self._term(), Fraction(-1)))
+                value = value - self._term()
             else:
                 return value
 
-    def _term(self):
+    def _term(self) -> Polynomial:
         value = self._factor()
         while True:
             ch, _ = self.tok.peek()
             if ch == "*":
                 self.tok.pos += 1
-                value = self._rmul(value, self._factor())
+                value = value * self._factor()
             else:
                 return value
 
-    def _factor(self):
+    def _factor(self) -> Polynomial:
         value = self._atom()
         ch, _ = self.tok.peek()
         if ch == "^":
             self.tok.pos += 1
-            power = self.tok.take_int()
-            value = self._rpow(value, power)
+            value = value ** self.tok.take_int()
         return value
 
-    def _atom(self):
+    def _atom(self) -> Polynomial:
         ch, pos = self.tok.peek()
         if ch is None:
             raise ParseError("unexpected end of input", pos)
@@ -397,7 +395,7 @@ class _Parser:
             else:
                 value = self._factor()
                 if ch == "-":
-                    value = self._rscale(value, Fraction(-1))
+                    value = -value
             self.depth -= 1
             return value
         if ch == "x":
@@ -405,11 +403,10 @@ class _Parser:
             index = self.tok.take_int()
             if index < 1:
                 raise ParseError("variable indices start at 1", pos)
-            if self.dim is not None and index > self.dim:
+            if index > self.dim:
                 raise ParseError(f"variable x{index} exceeds dimension {self.dim}", pos)
-            self.max_var = max(self.max_var, index)
-            return {((index, 1),): Fraction(1)}
-        if ch.isdigit():
+            return Polynomial.variable(self.dim, index)
+        if ch.isdecimal():
             num = self.tok.take_int()
             ch2, _ = self.tok.peek()
             if ch2 == "/":
@@ -418,45 +415,14 @@ class _Parser:
                 den = self.tok.take_int()
                 if den == 0:
                     raise ParseError("zero denominator", den_pos)
-                return {(): Fraction(num, den)}
-            return {(): Fraction(num)}
+                return Polynomial.constant(self.dim, Fraction(num, den))
+            return Polynomial.constant(self.dim, num)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
-    # raw term representation: dict[ tuple[(var, exp), ...] sorted ] -> Fraction,
-    # zeros included; the final Polynomial drops them
-    @staticmethod
-    def _radd(a, b):
-        out = dict(a)
-        for key, coeff in b.items():
-            out[key] = out.get(key, 0) + coeff
-        return out
 
-    @staticmethod
-    def _rscale(a, k):
-        return {key: coeff * k for key, coeff in a.items()}
-
-    @staticmethod
-    def _rmul(a, b):
-        out: dict = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                merged: dict[int, int] = {}
-                for var, e in k1 + k2:
-                    merged[var] = merged.get(var, 0) + e
-                key = tuple(sorted(merged.items()))
-                out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    @classmethod
-    def _rpow(cls, a, power):
-        result = {(): Fraction(1)}
-        base = a
-        while power:
-            if power & 1:
-                result = cls._rmul(result, base)
-            base = cls._rmul(base, base)
-            power >>= 1
-        return result
+# In text that parses, every 'x' starts a variable, so the largest index
+# after an 'x' is the dimension the text needs.
+_VARIABLE_INDEX = re.compile(r"x\s*(\d+)")
 
 
 def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
@@ -465,13 +431,6 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
     With ``dim=None`` the dimension is inferred as the largest variable index
     present (0 for a constant).
     """
-    parser = _Parser(text, dim)
-    raw = parser.parse()
-    final_dim = dim if dim is not None else parser.max_var
-    terms: dict[Exponents, Fraction] = {}
-    for key, coeff in raw.items():
-        exps = [0] * final_dim
-        for var, e in key:
-            exps[var - 1] = e
-        terms[tuple(exps)] = coeff
-    return Polynomial(final_dim, terms)
+    if dim is None:
+        dim = max((int(i) for i in _VARIABLE_INDEX.findall(text)), default=0)
+    return _Parser(text, dim).parse()

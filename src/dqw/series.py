@@ -119,13 +119,6 @@ class EpsSeries:
         levels = [Polynomial.zero(self.dim)] * k + list(self.coeffs)
         return EpsSeries(self.dim, self.order, levels[: self.order + 1])
 
-    def at_eps_one(self) -> Polynomial:
-        """Collapse eps := 1 (the unscaled value; valid when nothing was truncated)."""
-        total = Polynomial.zero(self.dim)
-        for p in self.coeffs:
-            total = total + p
-        return total
-
     def to_pairs(self) -> list[tuple[int, str]]:
         """Ordered (eps power, polynomial text) pairs for every level."""
         return [(m, p.to_text()) for m, p in enumerate(self.coeffs)]
@@ -239,12 +232,6 @@ class NCSeries:
         return NCSeries(self.alphabet, self.order, terms)
 
     __rmul__ = __mul__
-
-    def degree_slice(self, n: int) -> dict[Word, Fraction]:
-        return {w: c for w, c in self.terms.items() if len(w) == n}
-
-    def retruncate(self, order: int) -> "NCSeries":
-        return NCSeries(self.alphabet, order, {w: c for w, c in self.terms.items() if len(w) <= order})
 
     def __repr__(self):
         parts = [f"{c}*{''.join(w) or '1'}" for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))]

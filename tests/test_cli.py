@@ -199,6 +199,16 @@ class TestStar:
         )
         assert code == 2 and "error:" in err
 
+    def test_non_ascii_digit_exits_two(self):
+        # str.isdigit accepts a superscript digit that int() refuses
+        code, out, err = run(
+            [
+                "star", "--method", "uea", "--algebra", "heisenberg",
+                "--f", "x\u00b2", "--g", "x2", "--order", "1",
+            ]
+        )
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
 
 class TestXny:
     def test_routes_agree(self):
@@ -276,6 +286,10 @@ class TestWeight:
 
     def test_malformed_graph_exits_two(self):
         assert run(["weight", "--graph", "1:(X,"])[0] == 2
+
+    def test_non_ascii_digit_exits_two(self):
+        code, out, err = run(["weight", "--graph", "1:(X,\u00b2)"])
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestVerify:

@@ -53,6 +53,27 @@ class TestBasics:
         assert p**3 == P("x1^3 + 3*x1^2 + 3*x1 + 1", dim=1)
         assert p**0 == Polynomial.one(1)
 
+    def test_pow_is_repeated_multiplication(self):
+        p = P("x1 - 2*x2 + 1/3", dim=2)
+        expected = Polynomial.one(2)
+        for e in range(10):
+            assert p**e == expected
+            expected = expected * p
+
+    def test_pow_squares_only_what_it_uses(self, monkeypatch):
+        p = P("x1 + x2", dim=2)
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        p**20
+        # 20 = 0b10100: four squarings and two products into the result
+        assert len(calls) == 6
+
 
 class TestParsing:
     def test_rationals(self):
@@ -70,8 +91,13 @@ class TestParsing:
         assert P("  x1 +   2* x2 ", dim=2) == P("x1+2*x2", dim=2)
 
     def test_dim_inference(self):
-        p = P("x3 + 1")
-        assert p.dim == 3
+        # the largest index written after an x, not the last or the count
+        assert P("x3 + 1").dim == 3
+        assert P("x12*x2 - x3").dim == 12
+        assert P("x 4^2") == P("x4^2", dim=4)
+        assert P("x2 - x2") == Polynomial.zero(2)
+        assert P("3/4") == Polynomial.constant(0, Fraction(3, 4))
+        assert P("x3 + 1", dim=5).dim == 5
 
     def test_error_positions(self):
         with pytest.raises(ParseError) as err:

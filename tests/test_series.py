@@ -31,10 +31,9 @@ class TestEpsSeries:
         with pytest.raises(SeriesError):
             EpsSeries(2, 2) * EpsSeries(3, 2)
 
-    def test_shift_and_eps_one(self):
+    def test_shift(self):
         s = EpsSeries.from_polynomial(P("x1"), 2).shift(1)
         assert s.coeffs[1] == P("x1")
-        assert s.at_eps_one() == P("x1")
 
     def test_pairs_serialization(self):
         s = EpsSeries(2, 1, [P("x1*x2"), P("1/2")])
@@ -57,7 +56,7 @@ class TestNCSeries:
         X = NCSeries.letter(("X", "Y"), 2, "X")
         Y = NCSeries.letter(("X", "Y"), 2, "Y")
         L = nc_log(nc_exp(X) * nc_exp(Y))
-        assert L.degree_slice(2) == {
+        assert {w: c for w, c in L.terms.items() if len(w) == 2} == {
             ("X", "Y"): Fraction(1, 2),
             ("Y", "X"): Fraction(-1, 2),
         }
@@ -72,11 +71,6 @@ class TestNCSeries:
     def test_exp_log_round_trip(self):
         X = NCSeries.letter(("X", "Y"), 5, "X")
         assert nc_log(nc_exp(X)) == X
-
-    def test_retruncate(self):
-        X = NCSeries.letter(("X",), 4, "X")
-        s = nc_exp(X)
-        assert nc_log(s.retruncate(2)) == X.retruncate(2)
 
 
 def small_nc_series(order=4):
