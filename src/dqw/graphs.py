@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
+from .poly import MAX_DIGITS
+
 GROUND_X = -2
 GROUND_Y = -1
 
@@ -281,38 +283,80 @@ def chain_graph(m: int) -> AdmissibleGraph:
     return build_w_computable(list(range(1, m)))
 
 
-def _relabeled_edges(g: AdmissibleGraph, perm: Sequence[int]) -> list[EdgePair]:
-    """perm maps old label k -> perm[k-1]; returns the edge table of the
-    relabeled graph (entry i holds the pair of new vertex i+1)."""
-    n = g.n
-    out: list[EdgePair] = [None] * n  # type: ignore[list-item]
-    for old in range(1, n + 1):
-        pair = tuple(perm[t - 1] if t >= 1 else t for t in g.edges[old - 1])
-        out[perm[old - 1] - 1] = pair  # type: ignore[index]
-    return out  # type: ignore[return-value]
+_UNSET = 1 << 30  # an unlabelled target: above every label given so far
+
+
+def _key_tail(
+    edges: Sequence[EdgePair], label: list[int], order: list[int], start: int
+) -> tuple[int, ...]:
+    """The relabelled, sorted pairs of new vertices start+1, start+2, ...,
+    flattened and read up to and including the first unlabelled target."""
+    out = []
+    for old in order[start:]:
+        a, b = edges[old - 1]
+        a = a if a < 0 else label[a] or _UNSET
+        b = b if b < 0 else label[b] or _UNSET
+        if a > b:
+            a, b = b, a
+        out.append(a)
+        if a == _UNSET:
+            break
+        out.append(b)
+        if b == _UNSET:
+            break
+    return tuple(out)
+
+
+def _minimal_labellings(g: AdmissibleGraph) -> list[list[int]]:
+    """Every relabelling whose sorted edge table is least, each as the list
+    mapping old vertex k to its new label at index k (index 0 unused).
+
+    An ordered search: the new labels 1..n are given in turn.  A partial
+    labelling's key is its relabelled, sorted pair sequence, read up to and
+    including the first target that has no label yet, which counts as above
+    every label given so far.  At each level only the children with the
+    least key survive.  When the key ends at an unlabelled target, the next
+    label goes to that target (to either one when both targets of its pair
+    are unlabelled), since any other choice leaves that position larger;
+    when the key is complete, any unlabelled vertex may come next.  The
+    labellings that survive level n are exactly those the brute force over
+    all n! relabellings finds minimal, and they form one coset of the
+    automorphism group of the edge-unordered type.
+    """
+    n, edges = g.n, g.edges
+    survivors: list[tuple[list[int], list[int]]] = [([0] * (n + 1), [])]
+    start = 0  # first pair of the survivors' shared key that is not final
+    for k in range(1, n + 1):
+        best: tuple[int, ...] = ()
+        kept: list[tuple[list[int], list[int]]] = []
+        for label, order in survivors:
+            if start < len(order):
+                choices = [t for t in edges[order[start] - 1] if t > 0 and not label[t]]
+            else:
+                choices = [v for v in range(1, n + 1) if not label[v]]
+            for v in choices:
+                child_label = label.copy()
+                child_label[v] = k
+                child_order = order + [v]
+                tail = _key_tail(edges, child_label, child_order, start)
+                if not kept or tail < best:
+                    best, kept = tail, [(child_label, child_order)]
+                elif tail == best:
+                    kept.append((child_label, child_order))
+        survivors = kept
+        start += (len(best) - 1) // 2 if best[-1] == _UNSET else len(best) // 2
+    return [label for label, _ in survivors]
 
 
 def symmetry_count(g: AdmissibleGraph) -> int:
     """Number of labeled, edge-ordered admissible graphs sharing g's
     topological type: n! 2^n divided by the automorphism count of the
-    unlabeled, edge-unordered type."""
+    unlabeled, edge-unordered type.  That count is the number of minimal
+    labellings `_minimal_labellings` finds."""
     n = g.n
     if n == 0:
         return 1
-    unordered = [frozenset(pair) for pair in g.edges]
-    stabilizer = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        for old in range(1, n + 1):
-            mapped = frozenset(
-                perm[t - 1] if t >= 1 else t for t in g.edges[old - 1]
-            )
-            if mapped != unordered[perm[old - 1] - 1]:
-                break
-        else:
-            stabilizer += 1
-    total = factorial(n) * 2**n
-    assert total % stabilizer == 0
-    return total // stabilizer
+    return factorial(n) * 2**n // len(_minimal_labellings(g))
 
 
 def canonical_form(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
@@ -321,28 +365,27 @@ def canonical_form(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
     Returns (canonical graph, parity): parity is (-1)^(flips used) for the
     group elements reaching the minimum, or 0 when both parities reach it
     (which forces any flip-antisymmetric quantity on the type to vanish).
+    The result is exactly that of trying all n! relabelings, found by the
+    ordered search of `_minimal_labellings`.
     """
     n = g.n
     if n == 0:
         return g, 1
-    best: tuple[EdgePair, ...] | None = None
+    table: list[EdgePair] = []
     parities: set[int] = set()
-    for perm in itertools.permutations(range(1, n + 1)):
+    for label in _minimal_labellings(g):
+        table = [None] * n  # type: ignore[list-item]
         flips = 0
-        table = []
-        for pair in _relabeled_edges(g, perm):
-            if pair[0] > pair[1]:
-                pair = (pair[1], pair[0])
+        for old, (a, b) in enumerate(g.edges, start=1):
+            a = a if a < 0 else label[a]
+            b = b if b < 0 else label[b]
+            if a > b:
+                a, b = b, a
                 flips += 1
-            table.append(pair)
-        candidate = tuple(table)
-        if best is None or candidate < best:
-            best = candidate
-            parities = {(-1) ** flips}
-        elif candidate == best:
-            parities.add((-1) ** flips)
+            table[label[old] - 1] = (a, b)
+        parities.add((-1) ** flips)
     sign = parities.pop() if len(parities) == 1 else 0
-    return AdmissibleGraph(best), sign  # type: ignore[arg-type]
+    return AdmissibleGraph(tuple(table)), sign
 
 
 def mirror(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
@@ -378,6 +421,12 @@ def _target_to_text(t: int) -> str:
     return str(t)
 
 
+def _int_from_text(s: str) -> int:
+    if len(s) > MAX_DIGITS:
+        raise GraphError(f"label longer than {MAX_DIGITS} digits")
+    return int(s)
+
+
 def _target_from_text(s: str) -> int:
     s = s.strip()
     if s == "X":
@@ -385,7 +434,7 @@ def _target_from_text(s: str) -> int:
     if s == "Y":
         return GROUND_Y
     if s.isdecimal():
-        return int(s)
+        return _int_from_text(s)
     raise GraphError(f"bad edge target {s!r}")
 
 
@@ -406,7 +455,7 @@ def parse_graph(text: str) -> AdmissibleGraph:
         m = _VERTEX_RE.match(chunk)
         if not m:
             raise GraphError(f"bad vertex entry {chunk!r} (expected k:(a,b))")
-        k = int(m.group(1))
+        k = _int_from_text(m.group(1))
         if k in entries:
             raise GraphError(f"vertex {k} listed twice")
         entries[k] = (_target_from_text(m.group(2)), _target_from_text(m.group(3)))

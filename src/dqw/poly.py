@@ -30,7 +30,12 @@ Scalar = Union[int, Fraction]
 # than this, so deep input is bad input rather than a RecursionError.
 MAX_NESTING = 100
 
+# Text parsers refuse a digit run longer than this (Python's default limit
+# for int() on text), so a long number is bad input rather than a ValueError.
+MAX_DIGITS = 4300
+
 __all__ = [
+    "MAX_DIGITS",
     "MAX_NESTING",
     "Rational",
     "Polynomial",
@@ -305,7 +310,8 @@ class Polynomial:
 #   factor := atom ('^' INT)?
 #   atom   := RATIONAL | VARIABLE | '(' expr ')' | ('+' | '-') factor
 #   RATIONAL := INT ('/' INT)?     VARIABLE := 'x' INT
-# Parentheses and unary signs nest at most MAX_NESTING deep.
+# Parentheses and unary signs nest at most MAX_NESTING deep, and an INT has
+# at most MAX_DIGITS digits.
 
 
 class _Tokenizer:
@@ -330,6 +336,8 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"integer longer than {MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import dqw.cli
 from dqw.cli import (
+    MAX_ASSEMBLY_ORDER,
+    MAX_ENUMERATE_N,
     MAX_HAUSDORFF_DEGREE,
     MAX_LINEAR_IN_Y_DEGREE,
     fan_out_plan,
@@ -559,6 +561,52 @@ class TestPlumbing:
     def test_hausdorff_degree_above_limit_exits_two(self, extra, degree):
         code, out, err = run(["hausdorff", "--degree", str(degree)] + extra)
         assert (code, out) == (2, "") and f"exceeds the limit {degree - 1}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--method", "uea", "--algebra", "heisenberg",
+             "--f", "1" * 5000, "--g", "x2", "--order", "1"],
+            ["star", "--method", "uea", "--algebra", "heisenberg",
+             "--f", "x" + "1" * 5000, "--g", "x2", "--order", "1"],
+            ["weight", "--graph", "1" * 5000 + ":(X,Y)"],
+            ["weight", "--graph", "1:(X," + "1" * 5000 + ")"],
+        ],
+        ids=["constant", "variable-index", "vertex-label", "edge-target"],
+    )
+    def test_long_digit_run_exits_two(self, argv):
+        # int() refuses text of more than 4300 digits with a bare ValueError
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and "longer than 4300 digits" in err
+
+    @pytest.mark.parametrize("n", [MAX_ENUMERATE_N + 1, 50])
+    def test_graphs_enumerate_above_limit_exits_two(self, n):
+        code, out, err = run(["graphs", "enumerate", "--n", str(n), "--classify"])
+        assert (code, out) == (2, "")
+        assert f"exceeds the limit {MAX_ENUMERATE_N}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--method", "kontsevich", "--algebra", "heisenberg",
+             "--f", "x1", "--g", "x2"],
+            ["verify", "assoc", "--method", "kontsevich", "--algebra", "heisenberg"],
+            ["verify", "equiv", "--a", "uea", "--b", "kontsevich",
+             "--algebra", "heisenberg", "--degree", "2"],
+            ["verify", "equiv", "--a", "kontsevich", "--b", "cbh",
+             "--algebra", "heisenberg", "--degree", "2"],
+        ],
+        ids=["star", "assoc", "equiv-b", "equiv-a"],
+    )
+    def test_assembly_order_above_limit_exits_two(self, argv):
+        order = MAX_ASSEMBLY_ORDER + 1
+        code, out, err = run(argv + ["--order", str(order)])
+        assert (code, out) == (2, "")
+        assert f"kontsevich --order {order} exceeds the limit {MAX_ASSEMBLY_ORDER}" in err
+
+    def test_assembly_order_limit_below_hausdorff_limit(self):
+        # the order-k assembly reads the degree-(k + 1) Hausdorff series
+        assert MAX_ASSEMBLY_ORDER <= MAX_HAUSDORFF_DEGREE - 1
 
     def test_bad_jobs_variable_exits_two(self, monkeypatch):
         monkeypatch.setenv("DQW_JOBS", "two")

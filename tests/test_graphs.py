@@ -1,10 +1,14 @@
 """Tests for the admissible-graph combinatorics."""
 
 import itertools
+import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
+import dqw.graphs
+from dqw.freelie import free_lie, lie_to_lgraph
 from dqw.graphs import (
     GROUND_X,
     GROUND_Y,
@@ -28,6 +32,80 @@ from dqw.graphs import (
     symmetry_count,
     to_dot,
 )
+
+
+def _relabeled_edges(g, perm):
+    """perm maps old label k -> perm[k-1]; returns the edge table of the
+    relabeled graph (entry i holds the pair of new vertex i+1)."""
+    n = g.n
+    out = [None] * n
+    for old in range(1, n + 1):
+        pair = tuple(perm[t - 1] if t >= 1 else t for t in g.edges[old - 1])
+        out[perm[old - 1] - 1] = pair
+    return out
+
+
+def reference_symmetry_count(g):
+    """The brute force `symmetry_count` replaced: count the relabelings, out
+    of all n!, that fix the edge-unordered graph.  Kept as the oracle for
+    the ordered search."""
+    n = g.n
+    if n == 0:
+        return 1
+    unordered = [frozenset(pair) for pair in g.edges]
+    stabilizer = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        for old in range(1, n + 1):
+            mapped = frozenset(
+                perm[t - 1] if t >= 1 else t for t in g.edges[old - 1]
+            )
+            if mapped != unordered[perm[old - 1] - 1]:
+                break
+        else:
+            stabilizer += 1
+    total = factorial(n) * 2**n
+    assert total % stabilizer == 0
+    return total // stabilizer
+
+
+def reference_canonical_form(g):
+    """The brute force `canonical_form` replaced: the least sorted edge table
+    over all n! relabelings, with the flip parities that reach it.  Kept as
+    the oracle for the ordered search."""
+    n = g.n
+    if n == 0:
+        return g, 1
+    best = None
+    parities = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        flips = 0
+        table = []
+        for pair in _relabeled_edges(g, perm):
+            if pair[0] > pair[1]:
+                pair = (pair[1], pair[0])
+                flips += 1
+            table.append(pair)
+        candidate = tuple(table)
+        if best is None or candidate < best:
+            best = candidate
+            parities = {(-1) ** flips}
+        elif candidate == best:
+            parities.add((-1) ** flips)
+    sign = parities.pop() if len(parities) == 1 else 0
+    return AdmissibleGraph(best), sign
+
+
+def random_graph(n, rng):
+    edges = []
+    for k in range(1, n + 1):
+        targets = [GROUND_X, GROUND_Y] + [v for v in range(1, n + 1) if v != k]
+        edges.append(tuple(rng.sample(targets, 2)))
+    return AdmissibleGraph(tuple(edges))
+
+
+def assert_matches_brute_force(g):
+    assert canonical_form(g) == reference_canonical_form(g), format_graph(g)
+    assert symmetry_count(g) == reference_symmetry_count(g), format_graph(g)
 
 
 class TestConstruction:
@@ -223,6 +301,53 @@ class TestCanonicalForm:
         for n in (1, 2):
             for g in enumerate_graphs(n):
                 assert canonical_form(g)[1] != 0
+
+
+class TestOrderedSearch:
+    """`canonical_form` and `symmetry_count` against the n! brute force."""
+
+    def test_every_graph_up_to_three_vertices(self):
+        for n in range(4):
+            for g in enumerate_graphs(n):
+                assert_matches_brute_force(g)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_sample(self, n):
+        rng = random.Random(n)
+        for _ in range(200):
+            assert_matches_brute_force(random_graph(n, rng))
+
+    @pytest.mark.parametrize("degree", range(2, 10))
+    def test_every_lyndon_bracket_graph(self, degree):
+        fl = free_lie(("X", "Y"))
+        for word in fl.lyndon_words(degree):
+            assert_matches_brute_force(lie_to_lgraph(fl.bracket_tree(word)))
+
+    def test_large_automorphism_group(self):
+        # six wedges side by side: every relabelling is minimal
+        g = parse_graph(";".join(f"{k}:(Y,X)" for k in range(1, 7)))
+        wedges = parse_graph(";".join(f"{k}:(X,Y)" for k in range(1, 7)))
+        assert canonical_form(g) == (wedges, 1)
+        assert symmetry_count(g) == 2**6
+        assert_matches_brute_force(g)
+
+    def test_forced_choice_visits_one_child(self, monkeypatch):
+        # a directed n-cycle on the grounds: the first label may go to any
+        # vertex, and every later one is forced onto the open target, so
+        # each of the n surviving rotations has one child per level
+        n = 8
+        g = AdmissibleGraph(tuple((GROUND_X, k % n + 1) for k in range(1, n + 1)))
+        calls = 0
+        key_tail = dqw.graphs._key_tail
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return key_tail(*args)
+
+        monkeypatch.setattr(dqw.graphs, "_key_tail", counting)
+        assert symmetry_count(g) == factorial(n) * 2**n // n
+        assert calls == n * n
 
 
 class TestMirrorAndFlips:

@@ -36,7 +36,7 @@ from dqw.liealg import (
 )
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.star import cbh_product, check_equivalence, uea_product, xn_star_y
-from dqw.weights import weight_w_computable
+from dqw.weights import WeightError, normalized_weight, weight_w_computable
 
 
 def general_alpha():
@@ -356,6 +356,22 @@ class TestPrimeTypeTable:
 
     def test_table_is_algebra_free_and_cached(self):
         assert prime_type_table(3) is prime_type_table(3)
+
+    def test_order_eight_rows_match_integral_engine(self):
+        # CBH = Kontsevich: every row the weight engine can normalise has
+        # omega = symmetry * weight * 2^-n, with symmetry and the canonical
+        # types both from the ordered search
+        covered = 0
+        for g, omega, _ in prime_type_table(8):
+            if g.n > 5:
+                continue
+            try:
+                w = normalized_weight(g)
+            except WeightError:
+                continue
+            covered += 1
+            assert omega == symmetry_count(g) * w.weight * F(1, 2**g.n), g
+        assert covered == 5
 
 
 def format_graph_key(g):
