@@ -24,12 +24,13 @@ strictly triangular matrices, and the rest — disjoint unions of rooted
 binary trees — are exactly the graphs the symmetrized expansion generates.
 
 `assemble_linear_star` builds the product as the symbol exponential of a
-generator with one term per prime tree type.  The generator coefficients come
-either from the Hausdorff series (grouped by canonical graph type with flip
-signs) or from the integral weight engine (symmetry count times weight times
-the half-structure normalisation), with uncovered types falling back and
-recorded.  `assemble_xn_star_y` specialises to a power of a linear argument
-against a linear argument, where only the chain types survive.
+generator with one term per prime tree type, its coefficient read off the
+Hausdorff series (grouped by canonical graph type with flip signs).
+`integral_omega` gives the same coefficient from the integral weight engine
+(symmetry count times weight times the half-structure normalisation) where
+the engine covers the type; `dqw assemble` compares the two row by row.
+`assemble_xn_star_y` specialises to a power of a linear argument against a
+linear argument, where only the chain types survive.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "assemble_xn_star_y",
     "prime_type_table",
     "TypeRow",
+    "integral_omega",
     "AssembledStar",
     "assemble_linear_star",
     "coverage_report",
@@ -240,9 +242,7 @@ class TypeRow:
     graph: str
     n: int
     omega: Fraction
-    source: str  # "hausdorff" | "integral" | "zeroed-loop"
     symmetry: int
-    integral: Fraction | None
     words: tuple[str, ...] = ()
 
 
@@ -272,8 +272,10 @@ def prime_type_table(order: int) -> tuple[tuple[AdmissibleGraph, Fraction, tuple
     )
 
 
-def _integral_omega(graph: AdmissibleGraph) -> Fraction | None:
-    """symmetry * (integral / n!) * (1/2)^n, when the engine covers the type."""
+def integral_omega(graph: AdmissibleGraph) -> Fraction | None:
+    """The generator coefficient of a prime type from the integral weight
+    engine: symmetry * (integral / n!) * (1/2)^n, or None when the engine
+    does not cover the type."""
     try:
         w = normalized_weight(graph)
     except WeightError:
@@ -285,32 +287,7 @@ def _integral_omega(graph: AdmissibleGraph) -> Fraction | None:
 class AssembledStar:
     star: StarProduct
     rows: list[TypeRow]
-    uncovered: list[str]
     loop_rows: list[TypeRow]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "product": self.star.name,
-            "order": self.star.order,
-            "types": [
-                {
-                    "graph": r.graph,
-                    "n": r.n,
-                    "omega": str(r.omega),
-                    "source": r.source,
-                    "symmetry": r.symmetry,
-                    "integral": None if r.integral is None else str(r.integral),
-                    "words": list(r.words),
-                }
-                for r in self.rows
-            ],
-            "uncovered": self.uncovered,
-            "loop_types": [
-                {"graph": r.graph, "n": r.n, "symmetry": r.symmetry, "source": r.source}
-                for r in self.loop_rows
-            ],
-        }
 
 
 def _loop_type_rows(c: StructureConstants, order: int) -> list[TypeRow]:
@@ -336,52 +313,27 @@ def _loop_type_rows(c: StructureConstants, order: int) -> list[TypeRow]:
                     graph=format_graph(canon),
                     n=n,
                     omega=Fraction(0),
-                    source="zeroed-loop",
                     symmetry=symmetry_count(canon),
-                    integral=None,
                 )
             )
     return rows
 
 
-def assemble_linear_star(
-    c: StructureConstants,
-    order: int,
-    weight_source: str = "hausdorff",
-) -> AssembledStar:
-    """Star product as exp of the prime-type generator.
-
-    weight_source "hausdorff" reads every generator coefficient off the
-    series; "integral" replaces it with symmetry * weight * 2^-n wherever the
-    weight engine can normalise the type, falling back (and recording the
-    type under `uncovered`) where it cannot.
-    """
-    if weight_source not in ("hausdorff", "integral"):
-        raise KontsevichError(f"unknown weight source {weight_source!r}")
+def assemble_linear_star(c: StructureConstants, order: int) -> AssembledStar:
+    """Star product as exp of the prime-type generator, every coefficient
+    read off the Hausdorff series."""
     if not c.is_triangular_nilpotent():
         raise KontsevichError("assembly needs strictly increasing brackets")
     pi = linear_poisson(c)
     rows: list[TypeRow] = []
-    uncovered: list[str] = []
     generator = BiDiffOp.zero(c.dim, order)
-    for graph, hausdorff_omega, contributing in prime_type_table(order):
-        integral_omega = _integral_omega(graph)
-        if weight_source == "integral":
-            if integral_omega is None:
-                uncovered.append(format_graph(graph))
-                omega, source = hausdorff_omega, "hausdorff"
-            else:
-                omega, source = integral_omega, "integral"
-        else:
-            omega, source = hausdorff_omega, "hausdorff"
+    for graph, omega, contributing in prime_type_table(order):
         rows.append(
             TypeRow(
                 graph=format_graph(graph),
                 n=graph.n,
                 omega=omega,
-                source=source,
                 symmetry=symmetry_count(graph),
-                integral=None if integral_omega is None else integral_omega,
                 words=contributing,
             )
         )
@@ -389,7 +341,7 @@ def assemble_linear_star(
             generator = generator + graph_to_operator(graph, pi, order).scale(omega)
     op = generator.exp()
     star = StarProduct("kontsevich", c.dim, order, op.apply, op)
-    return AssembledStar(star, rows, uncovered, _loop_type_rows(c, order))
+    return AssembledStar(star, rows, _loop_type_rows(c, order))
 
 
 # -- the classification actually exhausts the graphs -------------------------------------

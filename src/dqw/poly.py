@@ -34,9 +34,17 @@ MAX_NESTING = 100
 # for int() on text), so a long number is bad input rather than a ValueError.
 MAX_DIGITS = 4300
 
+# `parse_polynomial` refuses an exponent above MAX_EXPONENT and, when it
+# infers the dimension, a variable index above MAX_VARIABLE_INDEX, so a huge
+# power or dimension is bad input rather than a run out of time or memory.
+MAX_EXPONENT = 100
+MAX_VARIABLE_INDEX = 1000
+
 __all__ = [
     "MAX_DIGITS",
+    "MAX_EXPONENT",
     "MAX_NESTING",
+    "MAX_VARIABLE_INDEX",
     "Rational",
     "Polynomial",
     "PolyError",
@@ -310,8 +318,8 @@ class Polynomial:
 #   factor := atom ('^' INT)?
 #   atom   := RATIONAL | VARIABLE | '(' expr ')' | ('+' | '-') factor
 #   RATIONAL := INT ('/' INT)?     VARIABLE := 'x' INT
-# Parentheses and unary signs nest at most MAX_NESTING deep, and an INT has
-# at most MAX_DIGITS digits.
+# Parentheses and unary signs nest at most MAX_NESTING deep, an INT has at
+# most MAX_DIGITS digits, and an exponent is at most MAX_EXPONENT.
 
 
 class _Tokenizer:
@@ -379,10 +387,13 @@ class _Parser:
 
     def _factor(self) -> Polynomial:
         value = self._atom()
-        ch, _ = self.tok.peek()
+        ch, pos = self.tok.peek()
         if ch == "^":
             self.tok.pos += 1
-            value = value ** self.tok.take_int()
+            power = self.tok.take_int()
+            if power > MAX_EXPONENT:
+                raise ParseError(f"exponent {power} exceeds the limit {MAX_EXPONENT}", pos)
+            value = value**power
         return value
 
     def _atom(self) -> Polynomial:
@@ -437,8 +448,15 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
     """Parse polynomial text (variables x1..xd, rationals p/q, operators + - * ^).
 
     With ``dim=None`` the dimension is inferred as the largest variable index
-    present (0 for a constant).
+    present (0 for a constant); an index above MAX_VARIABLE_INDEX is refused.
     """
     if dim is None:
-        dim = max((int(i) for i in _VARIABLE_INDEX.findall(text)), default=0)
+        dim = 0
+        for match in _VARIABLE_INDEX.finditer(text):
+            digits = match.group(1)
+            if len(digits) > MAX_DIGITS or int(digits) > MAX_VARIABLE_INDEX:
+                raise ParseError(
+                    f"variable index exceeds the limit {MAX_VARIABLE_INDEX}", match.start(1)
+                )
+            dim = max(dim, int(digits))
     return _Parser(text, dim).parse()

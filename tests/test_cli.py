@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,48 @@ class TestWeight:
         assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+class TestAssemble:
+    def test_rows_agree_where_covered(self):
+        argv = ["assemble", "--algebra", "heisenberg", "--order", "4", "--format", "json"]
+        code, out, _ = run(argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and doc["differ"] == []
+        assert len(doc["rows"]) == 10 and len(doc["uncovered"]) == 5
+        for row in doc["rows"]:
+            assert row["integral"] == (None if row["graph"] in doc["uncovered"] else row["omega"])
+
+    def test_uncovered_type_listed(self):
+        code, out, _ = run(["assemble", "--algebra", "heisenberg", "--order", "4"])
+        assert code == 0
+        assert "uncovered: 1:(X,Y);2:(X,3);3:(Y,1)" in out.splitlines()
+        assert out.splitlines()[-1] == "AGREE covered=5 types=10"
+
+    def test_perturbed_integral_omega_differs(self, monkeypatch):
+        # negative control: one wrong engine value must fail its row
+        real = dqw.cli.integral_omega
+
+        def perturbed(graph):
+            value = real(graph)
+            return value + 1 if graph == parse_graph("1:(X,Y);2:(X,1)") else value
+
+        monkeypatch.setattr(dqw.cli, "integral_omega", perturbed)
+        code, out, _ = run(["assemble", "--algebra", "heisenberg", "--order", "3"])
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1].startswith("DIFFER ")
+        assert "differ: 1:(X,Y);2:(X,1)" in lines
+
+    def test_order_above_limit_exits_two(self):
+        order = MAX_ASSEMBLY_ORDER + 1
+        code, out, err = run(["assemble", "--algebra", "heisenberg", "--order", str(order)])
+        assert (code, out) == (2, "")
+        assert f"assemble --order {order} exceeds the limit {MAX_ASSEMBLY_ORDER}" in err
+
+    def test_non_nilpotent_algebra_exits_two(self):
+        code, out, err = run(["assemble", "--algebra", "solvable2", "--order", "2"])
+        assert (code, out) == (2, "") and "strictly increasing" in err
+
+
 class TestVerify:
     def test_equiv_uea_kontsevich_spec_example(self):
         code, out, _ = run(
@@ -358,6 +401,21 @@ class TestVerify:
         assert code == 0 and doc["ok"]
         kinds = {r["identity"] for r in doc["rows"]}
         assert kinds == {"convolution", "alternating", "linear-in-y", "bookkeeping"}
+
+    def test_identities_bookkeeping_mismatch_exits_one(self, monkeypatch):
+        # negative control: a wrong chain weight must fail its bookkeeping rows
+        real = dqw.cli.weight_w_computable
+
+        def doubled(graph):
+            w = real(graph)
+            return replace(w, weight=2 * w.weight)
+
+        monkeypatch.setattr(dqw.cli, "weight_w_computable", doubled)
+        code, out, _ = run(["verify", "identities", "--max", "4"])
+        lines = out.splitlines()
+        assert code == 1 and lines[0].startswith("FAILED ")
+        failed = [line for line in lines[1:] if line.startswith("FAIL bookkeeping ")]
+        assert failed and len(failed) == len(lines) - 1
 
     def test_loops_vanish_exit_zero(self):
         code, out, _ = run(

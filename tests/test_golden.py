@@ -6,6 +6,7 @@ fan out over a process pool run again with `--jobs 2` and must print the
 same bytes as the serial run.
 """
 
+import argparse
 import io
 import re
 import shlex
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dqw.cli import main
+from dqw.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -43,9 +44,19 @@ CASES = [
 FANNED_OUT = [
     pytest.param(argv, fmt, id=f"{slug(argv)}.{fmt}")
     for argv in readme_cli_lines()
-    if argv[:2] in (["verify", "equiv"], ["graphs", "enumerate"])
+    if argv[:2] in (["verify", "assoc"], ["verify", "equiv"], ["graphs", "enumerate"])
     for fmt in ("text", "json")
 ]
+
+
+def cli_leaves(parser, prefix=()):
+    """The argv prefix of every subcommand that takes no further subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from cli_leaves(sub, prefix + (name,))
+            return
+    yield prefix
 
 
 def run(argv):
@@ -67,7 +78,14 @@ def serial_default(monkeypatch):
 def test_every_golden_file_has_a_readme_line():
     expected = {f"{slug(argv)}.{fmt}" for argv in readme_cli_lines() for fmt in ("text", "json")}
     assert {p.name for p in GOLDEN.iterdir()} == expected
-    assert len(FANNED_OUT) == 4
+    assert len(FANNED_OUT) == 6
+
+
+def test_every_cli_leaf_has_a_readme_line():
+    lines = [tuple(argv) for argv in readme_cli_lines()]
+    leaves = set(cli_leaves(build_parser()))
+    assert len(leaves) == 12
+    assert {leaf for leaf in leaves if not any(a[: len(leaf)] == leaf for a in lines)} == set()
 
 
 @pytest.mark.parametrize("argv,fmt", CASES)

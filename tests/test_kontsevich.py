@@ -16,13 +16,13 @@ from dqw.graphs import (
     symmetry_count,
 )
 from dqw.kontsevich import (
-    AssembledStar,
     KontsevichError,
     assemble_linear_star,
     assemble_xn_star_y,
     coverage_report,
     graph_to_operator,
     half_poisson,
+    integral_omega,
     loop_vanishing_report,
     prime_type_table,
 )
@@ -36,7 +36,7 @@ from dqw.liealg import (
 )
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.star import cbh_product, check_equivalence, uea_product, xn_star_y
-from dqw.weights import WeightError, normalized_weight, weight_w_computable
+from dqw.weights import weight_w_computable
 
 
 def general_alpha():
@@ -365,12 +365,11 @@ class TestPrimeTypeTable:
         for g, omega, _ in prime_type_table(8):
             if g.n > 5:
                 continue
-            try:
-                w = normalized_weight(g)
-            except WeightError:
+            integral = integral_omega(g)
+            if integral is None:
                 continue
             covered += 1
-            assert omega == symmetry_count(g) * w.weight * F(1, 2**g.n), g
+            assert omega == integral, g
         assert covered == 5
 
 
@@ -399,34 +398,21 @@ class TestAssembledStar:
         asm = assemble_linear_star(c, 4)
         assert asm.star.operator == cbh_product(c, 4).operator
 
-    def test_integral_source_builds_same_product(self):
-        c = heisenberg()
-        a = assemble_linear_star(c, 4, weight_source="hausdorff")
-        b = assemble_linear_star(c, 4, weight_source="integral")
-        assert a.star.operator == b.star.operator
-
     def test_covered_types_agree_across_sources(self):
-        asm = assemble_linear_star(heisenberg(), 4, weight_source="integral")
-        for row in asm.rows:
-            if row.integral is not None:
-                assert row.omega == row.integral
-                assert row.source == "integral"
-
-    def test_uncovered_types_fall_back(self):
-        asm = assemble_linear_star(heisenberg(), 4, weight_source="integral")
-        assert "1:(X,Y);2:(X,3);3:(Y,1)" in asm.uncovered
-        fallback = {r.graph: r.source for r in asm.rows}
-        for text in asm.uncovered:
-            assert fallback[text] == "hausdorff"
-
-    def test_hausdorff_source_reports_no_uncovered(self):
+        # the Hausdorff omega of every row equals the integral engine's,
+        # wherever the engine covers the type
         asm = assemble_linear_star(heisenberg(), 4)
-        assert asm.uncovered == []
+        covered = 0
+        for row in asm.rows:
+            integral = integral_omega(parse_graph(row.graph))
+            if integral is not None:
+                covered += 1
+                assert row.omega == integral, row.graph
+        assert covered == 5
 
     def test_loop_rows_all_zeroed(self):
         asm = assemble_linear_star(heisenberg(), 4)
         assert asm.loop_rows
-        assert all(r.source == "zeroed-loop" for r in asm.loop_rows)
         assert all(r.n <= 3 for r in asm.loop_rows)
         assert all(r.omega == 0 for r in asm.loop_rows)
 
@@ -442,20 +428,9 @@ class TestAssembledStar:
         anti = star.on_polynomials(g, f)
         assert series.coeffs[1] - anti.coeffs[1] == pi.poisson_bracket(f, g)
 
-    def test_rejects_bad_source(self):
-        with pytest.raises(KontsevichError):
-            assemble_linear_star(heisenberg(), 3, weight_source="guess")
-
     def test_rejects_non_nilpotent(self):
         with pytest.raises(KontsevichError):
             assemble_linear_star(solvable2(), 3)
-
-    def test_json_shape(self):
-        doc = assemble_linear_star(heisenberg(), 3).to_json()
-        assert doc["schema"] == 1
-        assert doc["product"] == "kontsevich"
-        assert all("omega" in row for row in doc["types"])
-        assert all(r["source"] == "zeroed-loop" for r in doc["loop_types"])
 
 
 class TestCoverage:

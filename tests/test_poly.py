@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqw.poly import MAX_NESTING, ParseError, PolyError, Polynomial, parse_polynomial
+import dqw.poly
+from dqw.poly import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_VARIABLE_INDEX,
+    ParseError,
+    PolyError,
+    Polynomial,
+    parse_polynomial,
+)
 
 
 def P(text, dim=None):
@@ -118,6 +127,30 @@ class TestParsing:
         for text in ["(" * (n + 1) + "x1" + ")" * (n + 1), "-" * 3000 + "x1", "(" * 3000]:
             with pytest.raises(ParseError, match="nesting deeper"):
                 P(text)
+
+    def test_exponent_limit(self, monkeypatch):
+        assert P(f"2^{MAX_EXPONENT}") == Polynomial.constant(0, 2**MAX_EXPONENT)
+        assert P(f"x1^{MAX_EXPONENT}", dim=1).total_degree() == MAX_EXPONENT
+        # one above the limit is refused before any power is taken
+        monkeypatch.setattr(Polynomial, "__pow__", None)
+        cases = [(f"2^{MAX_EXPONENT + 1}", 1), (f"x1 ^ {MAX_EXPONENT + 1}", 3), ("2^99999999", 1)]
+        for text, position in cases:
+            with pytest.raises(ParseError, match=f"exceeds the limit {MAX_EXPONENT}") as err:
+                P(text, dim=1)
+            assert err.value.position == position
+
+    def test_inferred_index_limit(self, monkeypatch):
+        assert P(f"x{MAX_VARIABLE_INDEX}").dim == MAX_VARIABLE_INDEX
+        assert P("x2 + x" + "0" * 10 + "1").dim == 2
+        big = MAX_VARIABLE_INDEX + 1
+        assert P(f"x{big}", dim=big) == Polynomial.variable(big, big)
+        # one above the limit is refused before anything is parsed
+        monkeypatch.setattr(dqw.poly, "_Parser", None)
+        cases = [(f"x{big}", 1), ("x1 + x100000000", 6), ("x" + "1" * 5000, 1)]
+        for text, position in cases:
+            with pytest.raises(ParseError, match=f"exceeds the limit {MAX_VARIABLE_INDEX}") as err:
+                P(text)
+            assert err.value.position == position
 
 
 def polys(dim=3, max_degree=3, max_terms=4):
