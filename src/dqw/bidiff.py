@@ -11,6 +11,25 @@ the other.  For constant coefficients this is genuine operator composition;
 in general it is the product in which the exponentials appearing here are
 taken, so `exp` is defined relative to it.
 
+`symbol_mul` and `exp` share one product kernel on packed integers.  Each
+term (m, L, R) -> P is split into one row per monomial of P, and the row
+(m, L, R, x-exponent) becomes one int: the 3 * dim digits of L, R and the
+exponent take `width` bits each, with m above them all.  Coefficients become
+integer numerators over one common denominator.  A product of two rows is
+then one addition of keys and one multiplication of numerators,
+out[k1 + k2] += c1 * c2, and the result is unpacked once, through the
+`Polynomial` and `BiDiffOp` constructors, into Fraction coefficients.
+
+Why no carry corrupts a kept term: the second operand's keys are sorted, so
+a row of the product stops at the first key sum that reaches the limit
+(order + 1) << (3 * dim * width).  For `symbol_mul` the width holds the sum
+of the two operands' largest digits, so no digit of a product carries.  For
+`exp` it holds `order` times the generator's largest digit; every generator
+term has m >= 1, so a product with m <= order has at most `order` factors
+and none of its digits can carry.  A product with m > order has a key at or
+above the limit whether or not a digit carried, because a carry only raises
+a key, so it is dropped either way.
+
 `apply` runs over an application plan built on its first call and kept
 beside `terms` (it takes no part in `==` or `repr`): the terms grouped by
 left multi-index L with the groups sorted by |L|, and each group's entries
@@ -24,7 +43,7 @@ level is accumulated in one exponent dict, not one Polynomial per term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import add, itemgetter, le
 from typing import Mapping
 
@@ -41,8 +60,103 @@ class BiDiffError(ValueError):
     pass
 
 
-def _add_multi(a: Multi, b: Multi) -> Multi:
-    return tuple(x + y for x, y in zip(a, b))
+def _flatten(op: "BiDiffOp") -> tuple[list, int, int]:
+    """The terms of op one per coefficient monomial, as (m, digits, numerator)
+    with digits = L + R + x-exponent and every numerator over den, the lcm of
+    op's coefficient denominators.  Returns (rows, den, largest digit)."""
+    den = 1
+    for poly in op.terms.values():
+        for c in poly.terms.values():
+            den = lcm(den, c.denominator)
+    rows, top = [], 0
+    for (m, left, right), poly in op.terms.items():
+        for exps, c in poly.terms.items():
+            digits = left + right + exps
+            top = max(top, *digits)
+            rows.append((m, digits, c.numerator * (den // c.denominator)))
+    return rows, den, top
+
+
+def _pack_keys(rows: list, width: int) -> list[tuple[int, int]]:
+    """(key, numerator) pairs: the digits packed width bits each below m."""
+    out = []
+    for m, digits, num in rows:
+        key = m
+        for d in digits:
+            key = (key << width) | d
+        out.append((key, num))
+    return out
+
+
+def _packed_product(left: list, right: list, limit: int) -> dict[int, int]:
+    """out[k1 + k2] += c1 * c2 over every pair with k1 + k2 < limit.
+
+    `right` must be sorted by key, so each row stops at the first sum that
+    reaches the limit (the module docstring says why that drops no kept
+    term and keeps no corrupted one)."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            key = k1 + k2
+            if key >= limit:
+                break
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _packed_exp(dim: int, order: int, rows: list, den: int, width: int) -> "BiDiffOp":
+    """sum_{k <= order} G^k / k! for the flattened generator G (all m >= 1).
+
+    The k-th power is kept as integer numerators over den**k; adding it to
+    the sum scales it to the common denominator den**order * order!.  The
+    width must hold `order` times the largest digit of G.
+    """
+    gen = sorted(_pack_keys(rows, width))
+    limit = (order + 1) << (3 * dim * width)
+    common = den**order * factorial(order)
+    total = {0: common}
+    power = [(0, 1)]
+    for k in range(1, order + 1):
+        power = [(key, c) for key, c in _packed_product(power, gen, limit).items() if c]
+        if not power:
+            break
+        weight = den ** (order - k) * (factorial(order) // factorial(k))
+        for key, c in power:
+            total[key] = total.get(key, 0) + c * weight
+    return _unpack(dim, order, total, common, width)
+
+
+class _MultiIndices(dict):
+    """Packed multi-index -> tuple of its `dim` digits, decoded on first use."""
+
+    def __init__(self, dim: int, width: int):
+        super().__init__()
+        self.dim, self.width, self.mask = dim, width, (1 << width) - 1
+
+    def __missing__(self, packed: int) -> Multi:
+        bits, digits = packed, []
+        for _ in range(self.dim):
+            digits.append(bits & self.mask)
+            bits >>= self.width
+        self[packed] = value = tuple(reversed(digits))
+        return value
+
+
+def _unpack(dim: int, order: int, packed: Mapping[int, int], den: int, width: int) -> "BiDiffOp":
+    """The operator whose packed terms are key -> numerator / den."""
+    span = dim * width
+    mask = (1 << span) - 1
+    multi = _MultiIndices(dim, width)
+    grouped: dict[Key, dict] = {}
+    for key, num in packed.items():
+        exps = multi[key & mask]
+        key >>= span
+        right = multi[key & mask]
+        key >>= span
+        coeff = grouped.setdefault((key >> span, multi[key & mask], right), {})
+        coeff[exps] = Fraction(num, den)
+    return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
 
 
 def _max_exponents(p: Polynomial) -> Multi:
@@ -172,33 +286,33 @@ class BiDiffOp:
         return min((m for (m, _, _) in self.terms), default=None)
 
     def symbol_mul(self, other: "BiDiffOp") -> "BiDiffOp":
-        """Coefficients multiply, derivative multi-indices add."""
+        """Coefficients multiply, derivative multi-indices add.
+
+        Runs on the packed kernel: each digit of a product is at most the sum
+        of the two operands' largest digits, so that sum sets the width."""
         self._check(other)
-        terms: dict[Key, Polynomial] = {}
-        for (m1, l1, r1), p1 in self.terms.items():
-            for (m2, l2, r2), p2 in other.terms.items():
-                m = m1 + m2
-                if m > self.order:
-                    continue
-                key = (m, _add_multi(l1, l2), _add_multi(r1, r2))
-                prod = p1 * p2
-                acc = terms.get(key)
-                terms[key] = prod if acc is None else acc + prod
-        return BiDiffOp(self.dim, self.order, terms)
+        left, left_den, left_top = _flatten(self)
+        right, right_den, right_top = _flatten(other)
+        width = (left_top + right_top).bit_length()
+        product = _packed_product(
+            _pack_keys(left, width),
+            sorted(_pack_keys(right, width)),
+            (self.order + 1) << (3 * self.dim * width),
+        )
+        return _unpack(self.dim, self.order, product, left_den * right_den, width)
 
     def exp(self) -> "BiDiffOp":
-        """exp relative to symbol_mul; every term must have eps degree >= 1."""
+        """exp relative to symbol_mul: the sum of G^k / k! for k <= order.
+
+        Every term must have eps degree >= 1, so G^k starts at eps^k.  Runs on
+        the packed kernel (`_packed_exp`), with the width taken from order
+        times the largest digit of G.
+        """
         low = self.min_eps_degree()
         if low is not None and low < 1:
             raise BiDiffError("exp needs all terms at eps degree >= 1")
-        total = BiDiffOp.identity(self.dim, self.order)
-        power = BiDiffOp.identity(self.dim, self.order)
-        for k in range(1, self.order + 1):
-            power = power.symbol_mul(self)
-            if power.is_zero():
-                break
-            total = total + power.scale(Fraction(1, factorial(k)))
-        return total
+        rows, den, top = _flatten(self)
+        return _packed_exp(self.dim, self.order, rows, den, (self.order * top).bit_length())
 
     # -- action on polynomial pairs ---------------------------------------------
 

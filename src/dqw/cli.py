@@ -55,6 +55,7 @@ from .liealg import (
     StructureConstants,
     builtin_algebra,
     structure_from_json,
+    symplectic_matrix,
 )
 from .pbw import PBWError, uea_star
 from .poly import ParseError, Polynomial, PolyError, parse_polynomial
@@ -105,17 +106,6 @@ _ERRORS = (
 # -- algebra resolution -------------------------------------------------------------
 
 
-def _symplectic_matrix(d: int) -> tuple:
-    if d < 2 or d % 2:
-        raise LieAlgebraError("symplectic(d) needs even d >= 2")
-    h = d // 2
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(h):
-        rows[i][i + h] = Fraction(1)
-        rows[i + h][i] = Fraction(-1)
-    return tuple(tuple(r) for r in rows)
-
-
 def resolve_algebra(spec: str):
     """Turn a name or a JSON file path into ("lie", constants) or
     ("constant", matrix).
@@ -138,7 +128,7 @@ def resolve_algebra(spec: str):
             d = int(text)
         except ValueError:
             raise InputError(f"symplectic(d) needs an integer d, got {text!r}") from None
-        return "constant", _symplectic_matrix(d)
+        return "constant", symplectic_matrix(d, "split")
     return "lie", builtin_algebra(spec)
 
 
@@ -146,7 +136,7 @@ def _alpha_matrix(spec: str, doc: dict) -> tuple:
     try:
         d = int(doc["dim"])
         matrix = tuple(tuple(Fraction(str(v)) for v in r) for r in doc["alpha"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
     if len(matrix) != d or any(len(r) != d for r in matrix):
         raise LieAlgebraError(f"{spec}: alpha must be a {d}x{d} matrix")
@@ -166,11 +156,12 @@ _STAR_CACHE: dict = {}
 
 # Largest --order accepted where the graph assembly is built (`assemble`
 # and the kontsevich method of `star`, `verify assoc` and `verify equiv`):
-# at order 8 the build takes about 0.5 s on heisenberg and 6.5 s on
+# at order 8 the build takes about 0.5 s on heisenberg and 1.9 s on
 # strictly_upper(4) on a 2-vCPU host, `assemble` spends about 2 s more on
-# the integral weights, and on strictly_upper(4) order 9 takes twice as long
-# again.  It stays below MAX_HAUSDORFF_DEGREE, since the order-k assembly
-# reads the degree-(k + 1) Hausdorff series.
+# the integral weights, and on strictly_upper(4) order 9 takes about twice
+# as long again and order 10 ten times.  It stays below
+# MAX_HAUSDORFF_DEGREE, since the order-k assembly reads the degree-(k + 1)
+# Hausdorff series.
 MAX_ASSEMBLY_ORDER = 8
 
 

@@ -22,10 +22,12 @@ __all__ = [
     "StructureConstants",
     "PoissonStructure",
     "LieAlgebraError",
+    "MAX_DIM",
     "heisenberg",
     "solvable2",
     "strictly_upper",
     "moyal_trick",
+    "symplectic_matrix",
     "builtin_algebra",
     "linear_poisson",
     "constant_poisson",
@@ -38,6 +40,17 @@ __all__ = [
 
 class LieAlgebraError(ValueError):
     pass
+
+
+# Largest dimension an algebra or a constant structure may have: the
+# structure table holds dim^3 entries (72 MB at dim 150), so a larger one is
+# bad input rather than a run out of memory.
+MAX_DIM = 64
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise LieAlgebraError(f"dimension {dim} exceeds the limit {MAX_DIM}")
 
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -64,6 +77,7 @@ class StructureConstants:
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int | str]]
     ) -> "StructureConstants":
         """Build from {(i, j): {k: c_k^{ij}}} given for i < j; antisymmetry is filled in."""
+        _check_dim(dim)
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), column in brackets.items():
             if not (1 <= i < j <= dim):
@@ -180,6 +194,7 @@ def strictly_upper(n: int) -> StructureConstants:
     lands strictly beyond both arguments."""
     if n < 2:
         raise LieAlgebraError("need n >= 2")
+    _check_dim(n * (n - 1) // 2)
     positions = sorted(((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)),
                        key=lambda ab: (ab[1] - ab[0], ab[0]))
     index = {ab: k + 1 for k, ab in enumerate(positions)}
@@ -201,6 +216,29 @@ def strictly_upper(n: int) -> StructureConstants:
     return StructureConstants.from_brackets(dim, brackets)
 
 
+_PAIRINGS = {
+    "split": lambda h: [(i, i + h) for i in range(h)],
+    "adjacent": lambda h: [(2 * r, 2 * r + 1) for r in range(h)],
+}
+
+
+def symplectic_matrix(d: int, pairing: str) -> tuple[tuple[Fraction, ...], ...]:
+    """The standard symplectic form on an even number d of coordinates:
+    alpha^{ij} = 1 and alpha^{ji} = -1 for each pair (i, j) of the pairing.
+
+    `pairing` is "split" (x_i with x_{i + d/2}, the `symplectic(d)` structure)
+    or "adjacent" (x_{2r-1} with x_{2r}, as `moyal_trick(d)` uses).
+    """
+    if d < 2 or d % 2:
+        raise LieAlgebraError(f"symplectic dimension must be an even integer >= 2, got {d}")
+    _check_dim(d)
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i, j in _PAIRINGS[pairing](d // 2):
+        rows[i][j] = Fraction(1)
+        rows[j][i] = Fraction(-1)
+    return tuple(tuple(r) for r in rows)
+
+
 def moyal_trick(alpha) -> StructureConstants:
     """One central dimension above a constant antisymmetric matrix.
 
@@ -208,17 +246,12 @@ def moyal_trick(alpha) -> StructureConstants:
     enveloping-algebra product on this algebra, with the central generator
     specialised to 1, reproduces the constant-coefficient star product.
 
-    Accepts either a square matrix of rationals or an even integer d (standard
-    symplectic pairing on d coordinates: alpha^{2r-1,2r} = 1).
+    Accepts either a square matrix of rationals or an even integer d (the
+    adjacent symplectic pairing on d coordinates: alpha^{2r-1,2r} = 1).
     """
     if isinstance(alpha, int):
+        matrix = symplectic_matrix(alpha, "adjacent")
         d = alpha
-        if d < 2 or d % 2:
-            raise LieAlgebraError("symplectic dimension must be a positive even integer")
-        matrix = [[Fraction(0)] * d for _ in range(d)]
-        for r in range(0, d, 2):
-            matrix[r][r + 1] = Fraction(1)
-            matrix[r + 1][r] = Fraction(-1)
     else:
         matrix = [[Fraction(v) for v in row] for row in alpha]
         d = len(matrix)
@@ -426,15 +459,22 @@ def structure_to_json(c: StructureConstants) -> dict:
 
 
 def structure_from_json(data: Mapping) -> StructureConstants:
+    """The algebra of a `structure_to_json` document; anything malformed,
+    including a dimension above MAX_DIM, raises LieAlgebraError."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if isinstance(dim, bool):
+            raise TypeError("dim must be an integer, not a bool")
+        dim = int(dim)
         brackets = {
             (int(entry["i"]), int(entry["j"])): {
                 int(k): Fraction(v) for k, v in entry["coeffs"].items()
             }
             for entry in data.get("brackets", [])
         }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise LieAlgebraError(f"malformed structure document: {exc}") from exc
     return StructureConstants.from_brackets(dim, brackets)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -40,10 +41,16 @@ MAX_DIGITS = 4300
 MAX_EXPONENT = 100
 MAX_VARIABLE_INDEX = 1000
 
+# `parse_polynomial` refuses base^n when comb(n + t - 1, t - 1), an upper
+# bound on the term count of a t-term base to the n, exceeds MAX_POWER_TERMS,
+# so a power too large to expand in a few seconds is bad input.
+MAX_POWER_TERMS = 2000
+
 __all__ = [
     "MAX_DIGITS",
     "MAX_EXPONENT",
     "MAX_NESTING",
+    "MAX_POWER_TERMS",
     "MAX_VARIABLE_INDEX",
     "Rational",
     "Polynomial",
@@ -319,7 +326,8 @@ class Polynomial:
 #   atom   := RATIONAL | VARIABLE | '(' expr ')' | ('+' | '-') factor
 #   RATIONAL := INT ('/' INT)?     VARIABLE := 'x' INT
 # Parentheses and unary signs nest at most MAX_NESTING deep, an INT has at
-# most MAX_DIGITS digits, and an exponent is at most MAX_EXPONENT.
+# most MAX_DIGITS digits, an exponent is at most MAX_EXPONENT, and a power
+# may have at most MAX_POWER_TERMS terms by the bound above.
 
 
 class _Tokenizer:
@@ -393,6 +401,13 @@ class _Parser:
             power = self.tok.take_int()
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the limit {MAX_EXPONENT}", pos)
+            base_terms = len(value.terms)
+            if base_terms > 1 and comb(power + base_terms - 1, base_terms - 1) > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"a {base_terms}-term base to the {power} may exceed the limit of "
+                    f"{MAX_POWER_TERMS} terms",
+                    pos,
+                )
             value = value**power
         return value
 

@@ -2,17 +2,57 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dqw import bidiff
 from dqw.bidiff import BiDiffError, BiDiffOp, wedge_operator
 from dqw.kontsevich import assemble_linear_star
-from dqw.liealg import strictly_upper
+from dqw.liealg import heisenberg, solvable2, strictly_upper
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries
-from dqw.star import cbh_product, equivalence_pairs, moyal_product, random_polynomials
+from dqw.star import (
+    _cbh_generator,
+    cbh_product,
+    equivalence_pairs,
+    moyal_product,
+    random_polynomials,
+)
 
 F = Fraction
+
+
+def reference_symbol_mul(a: BiDiffOp, b: BiDiffOp) -> BiDiffOp:
+    """The term-by-term product `BiDiffOp.symbol_mul` replaced: one
+    Polynomial product per pair of terms.  Kept as the oracle for the packed
+    kernel."""
+    assert a.dim == b.dim and a.order == b.order
+    terms = {}
+    for (m1, l1, r1), p1 in a.terms.items():
+        for (m2, l2, r2), p2 in b.terms.items():
+            m = m1 + m2
+            if m > a.order:
+                continue
+            key = (m, tuple(x + y for x, y in zip(l1, l2)), tuple(x + y for x, y in zip(r1, r2)))
+            prod = p1 * p2
+            acc = terms.get(key)
+            terms[key] = prod if acc is None else acc + prod
+    return BiDiffOp(a.dim, a.order, terms)
+
+
+def reference_exp(op: BiDiffOp) -> BiDiffOp:
+    """The power-by-power exponential `BiDiffOp.exp` replaced, on
+    `reference_symbol_mul`.  Kept as the oracle for the packed kernel."""
+    total = BiDiffOp.identity(op.dim, op.order)
+    power = BiDiffOp.identity(op.dim, op.order)
+    for k in range(1, op.order + 1):
+        power = reference_symbol_mul(power, op)
+        if power.is_zero():
+            break
+        total = total + power.scale(F(1, factorial(k)))
+    return total
 
 
 def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
@@ -251,3 +291,77 @@ class TestApplyPlan:
         assert fresh == op and op == fresh
         assert repr(fresh) == repr(op)
         assert fresh.terms == op.terms
+
+
+def _operators(dim: int, order: int, min_eps: int):
+    multi = st.tuples(*[st.integers(0, 6)] * dim)
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coeff = st.dictionaries(exps, rationals, min_size=1, max_size=3)
+    key = st.tuples(st.integers(min_eps, order), multi, multi)
+    return st.dictionaries(key, coeff.map(lambda t: Polynomial(dim, t)), max_size=3).map(
+        lambda t: BiDiffOp(dim, order, t)
+    )
+
+
+@st.composite
+def operator_pairs(draw):
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    return draw(_operators(dim, order, 0)), draw(_operators(dim, order, 0))
+
+
+@st.composite
+def generators(draw):
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return draw(_operators(dim, order, 1))
+
+
+CBH_ALGEBRAS = {
+    "heisenberg": heisenberg,
+    "strictly_upper(3)": lambda: strictly_upper(3),
+    "strictly_upper(4)": lambda: strictly_upper(4),
+    "solvable2": solvable2,
+}
+
+
+class TestPackedKernel:
+    """`exp` and `symbol_mul` against `reference_exp` and
+    `reference_symbol_mul`, at exact equality."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("algebra", sorted(CBH_ALGEBRAS))
+    def test_cbh_generators(self, algebra, order):
+        gen = _cbh_generator(CBH_ALGEBRAS[algebra](), order, None)
+        star = gen.exp()
+        assert star == reference_exp(gen)
+        assert gen.symbol_mul(gen) == reference_symbol_mul(gen, gen)
+        assert star.symbol_mul(gen) == reference_symbol_mul(star, gen)
+
+    def test_generic_moyal_order_6(self):
+        coeffs = {
+            (i + 1, j + 1): GENERIC_ALPHA[i][j] for i in range(4) for j in range(4) if i != j
+        }
+        wedge = wedge_operator(4, 6, coeffs, prefactor=F(1, 2))
+        assert wedge.exp() == reference_exp(wedge)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operator_pairs())
+    def test_random_symbol_mul(self, pair):
+        a, b = pair
+        assert a.symbol_mul(b) == reference_symbol_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(generators())
+    def test_random_exp(self, gen):
+        assert gen.exp() == reference_exp(gen)
+
+    def test_one_bit_narrower_packing_disagrees(self):
+        # Heisenberg's generator has largest digit 1, so order 3 packs its
+        # digits 2 bits wide; at 1 bit, eps d1^2 carries into the eps digit.
+        gen = _cbh_generator(heisenberg(), 3, None)
+        rows, den, top = bidiff._flatten(gen)
+        width = (gen.order * top).bit_length()
+        assert (top, width) == (1, 2)
+        expected = reference_exp(gen)
+        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width) == expected
+        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width - 1) != expected

@@ -586,11 +586,16 @@ class TestPlumbing:
             '{"dim": 2, "alpha": [[0, "1/x"], [-1, 0]]}',
             '{"dim": 2, "alpha": [[0, "1/0"], [-1, 0]]}',
             '{"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1/0"}}]}',
+            '{"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["2", "1"]}]}',
+            '{"dim": true, "brackets": []}',
+            '{"dim": 65, "brackets": []}',
+            '{"dim": Infinity, "alpha": []}',
             "5",
             b"\xff\xfe",
         ],
         ids=["truncated", "no-dim", "bad-rational", "alpha-zero-denominator",
-             "bracket-zero-denominator", "not-an-object", "not-utf8"],
+             "bracket-zero-denominator", "coeffs-list", "bool-dim", "huge-dim",
+             "infinite-alpha-dim", "not-an-object", "not-utf8"],
     )
     def test_malformed_json_exits_two(self, tmp_path, text):
         path = tmp_path / "doc.json"
@@ -600,6 +605,27 @@ class TestPlumbing:
             path.write_text(text)
         code, out, err = run(["algebra", "validate", str(path)])
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["(x1+x2+x3+1)^30", "((x1+x2+1)^10)^10"])
+    def test_large_power_exits_two(self, text):
+        code, out, err = run(
+            [
+                "star", "--method", "moyal", "--algebra", "symplectic(4)",
+                "--f", text, "--g", "x2", "--order", "2",
+            ]
+        )
+        assert (code, out) == (2, "") and "terms (at position" in err
+
+    def test_star_on_malformed_algebra_exits_two(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["2", "1"]}]}')
+        code, out, err = run(
+            [
+                "star", "--method", "uea", "--algebra", str(path),
+                "--f", "x1", "--g", "x2", "--order", "2",
+            ]
+        )
+        assert (code, out) == (2, "") and "malformed structure document" in err
 
     def test_deep_nesting_exits_two(self):
         deep = "(" * 2000 + "x1" + ")" * 2000

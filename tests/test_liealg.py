@@ -7,6 +7,7 @@ import pytest
 
 from dqw.cli import resolve_algebra
 from dqw.liealg import (
+    MAX_DIM,
     LieAlgebraError,
     PoissonStructure,
     StructureConstants,
@@ -21,6 +22,7 @@ from dqw.liealg import (
     strictly_upper,
     structure_from_json,
     structure_to_json,
+    symplectic_matrix,
 )
 from dqw.poly import Polynomial, parse_polynomial
 
@@ -104,6 +106,49 @@ class TestValidation:
             moyal_trick(3)
         with pytest.raises(LieAlgebraError):
             moyal_trick([[0, 1], [1, 0]])
+
+    def test_symplectic_pairings(self):
+        one, zero, minus = F(1), F(0), F(-1)
+        assert symplectic_matrix(4, "split") == (
+            (zero, zero, one, zero),
+            (zero, zero, zero, one),
+            (minus, zero, zero, zero),
+            (zero, minus, zero, zero),
+        )
+        assert symplectic_matrix(4, "adjacent") == (
+            (zero, one, zero, zero),
+            (minus, zero, zero, zero),
+            (zero, zero, zero, one),
+            (zero, zero, minus, zero),
+        )
+        assert resolve_algebra("symplectic(4)") == ("constant", symplectic_matrix(4, "split"))
+        assert moyal_trick(4) == moyal_trick(symplectic_matrix(4, "adjacent"))
+        for d in (0, 3, -2):
+            with pytest.raises(LieAlgebraError, match="even integer"):
+                symplectic_matrix(d, "split")
+
+    def test_dimension_limit(self):
+        assert StructureConstants.from_brackets(MAX_DIM, {}).dim == MAX_DIM
+        assert symplectic_matrix(MAX_DIM, "split")[0][MAX_DIM // 2] == 1
+        assert strictly_upper(11).dim == 55 <= MAX_DIM
+        # one step above the limit, so that a lost check allocates little
+        refused = [
+            lambda: StructureConstants.from_brackets(MAX_DIM + 1, {}),
+            lambda: strictly_upper(12),
+            lambda: symplectic_matrix(MAX_DIM + 2, "split"),
+            lambda: moyal_trick(MAX_DIM),
+            lambda: structure_from_json({"dim": MAX_DIM + 1, "brackets": []}),
+        ]
+        for build in refused:
+            with pytest.raises(LieAlgebraError, match=f"exceeds the limit {MAX_DIM}"):
+                build()
+
+    def test_strictly_upper_refuses_before_building(self, monkeypatch):
+        # its bracket loop is quadratic in the dimension, so the limit is
+        # checked before it, not only in from_brackets
+        monkeypatch.setattr(StructureConstants, "from_brackets", None)
+        with pytest.raises(LieAlgebraError, match=f"exceeds the limit {MAX_DIM}"):
+            strictly_upper(12)
 
     def test_builtin_lookup(self):
         assert builtin_algebra("heisenberg") == heisenberg()
@@ -242,3 +287,18 @@ class TestSerialisation:
             structure_from_json({"brackets": []})
         with pytest.raises(LieAlgebraError):
             structure_from_json({"dim": 2, "brackets": [{"i": 1}]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["2", "1"]}]},
+            {"dim": True, "brackets": []},
+            {"dim": float("inf"), "brackets": []},
+            {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": float("inf")}}]},
+            {"dim": 2, "brackets": "x"},
+        ],
+        ids=["coeffs-list", "bool-dim", "infinite-dim", "infinite-coefficient", "brackets-text"],
+    )
+    def test_malformed_shapes(self, doc):
+        with pytest.raises(LieAlgebraError, match="malformed structure document"):
+            structure_from_json(doc)

@@ -7,6 +7,7 @@ import dqw.poly
 from dqw.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_TERMS,
     MAX_VARIABLE_INDEX,
     ParseError,
     PolyError,
@@ -138,6 +139,20 @@ class TestParsing:
             with pytest.raises(ParseError, match=f"exceeds the limit {MAX_EXPONENT}") as err:
                 P(text, dim=1)
             assert err.value.position == position
+
+    def test_power_term_limit(self, monkeypatch):
+        # comb(23, 3) = 1771 terms is within the limit and expands in full
+        assert len(P("(x1+x2+x3+x4)^20").terms) == 1771
+        assert P(f"(x1*x2)^{MAX_EXPONENT}", dim=2).total_degree() == 2 * MAX_EXPONENT
+        # the 66-term (x1+x2+1)^10 to the 10th is refused at the outer '^'
+        with pytest.raises(ParseError, match=f"limit of {MAX_POWER_TERMS} terms") as err:
+            P("((x1+x2+1)^10)^10")
+        assert err.value.position == 14
+        # comb(33, 3) = 5456 is refused before any power is taken
+        monkeypatch.setattr(Polynomial, "__pow__", None)
+        with pytest.raises(ParseError, match=f"limit of {MAX_POWER_TERMS} terms") as err:
+            P("(x1+x2+x3+1)^30")
+        assert err.value.position == 12
 
     def test_inferred_index_limit(self, monkeypatch):
         assert P(f"x{MAX_VARIABLE_INDEX}").dim == MAX_VARIABLE_INDEX

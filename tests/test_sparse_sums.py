@@ -67,6 +67,15 @@ def _symbol_mul_cancel():
     return a.symbol_mul(b)
 
 
+def _exp_cancel():
+    # exp(eps d1 x 1 - eps^2/2 d1^2 x 1) to order 2: the eps^2 d1^2 x 1 terms cancel
+    one, z = Polynomial.one(1), (0,)
+    gen = BiDiffOp(1, 2, {(1, (1,), z): one, (2, (2,), z): one * F(-1, 2)})
+    out = gen.exp()
+    assert (2, (2,), z) not in out.terms and len(out.terms) == 2
+    return out
+
+
 def _uea_mul_cancel():
     # X2 X1 = X1 X2 - eps X4 in strictly_upper(4), and eps * X4 cancels it
     alg = EnvelopingAlgebra(strictly_upper(4))
@@ -98,6 +107,7 @@ CASES = {
     "contract_tree": lambda: _contract_tree(strictly_upper(5), (XY, XY)),
     "bidiff_add": _bidiff_cancel,
     "bidiff_symbol_mul": _symbol_mul_cancel,
+    "bidiff_exp": _exp_cancel,
     "loop_graph": lambda: graph_to_operator(LOOP, half_poisson(solvable2()), 2),
 }
 

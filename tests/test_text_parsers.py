@@ -1,9 +1,12 @@
-"""Any text given to a parser yields a value or the parser's domain error."""
+"""Any text given to a parser, and any JSON document given to a reader,
+yields a value or the reader's domain error."""
 
 from hypothesis import example, given, settings, strategies as st
 
+from dqw.cli import InputError, _alpha_matrix
 from dqw.freelie import LieError, parse_bracket
 from dqw.graphs import AdmissibleGraph, GraphError, parse_graph
+from dqw.liealg import MAX_DIM, LieAlgebraError, StructureConstants, structure_from_json
 from dqw.poly import ParseError, PolyError, Polynomial, parse_polynomial
 
 ALPHABET = "xXY0123456789²()[],;:+-*^/ "
@@ -31,4 +34,63 @@ def test_parsers_return_a_value_or_a_domain_error(text):
     try:
         assert isinstance(parse_bracket(text), (str, tuple))
     except LieError:
+        pass
+
+
+# What json.load can return: scalars (floats include inf and nan, which it
+# reads from Infinity and NaN), lists and objects with string keys.  Numbers
+# stay small, so that a reader which lost its dimension limit allocates a
+# small table here rather than a huge one (tests/test_liealg.py tests the
+# limit), and short texts keep a rational's exponent small.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, MAX_DIM + 2)
+    | st.floats(-100, 100)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+    | st.text(alphabet="0123456789-/.e x", max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["1", "2", "3", "i", "j", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+small = st.integers(-1, 4) | json_values
+structure_docs = json_values | st.fixed_dictionaries(
+    {
+        "dim": small,
+        "brackets": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "i": small,
+                    "j": small,
+                    "coeffs": st.dictionaries(st.sampled_from(["1", "2", "3", "x"]), small)
+                    | json_values,
+                }
+            ),
+            max_size=3,
+        )
+        | json_values,
+    }
+)
+alpha_docs = st.fixed_dictionaries(
+    {"dim": small, "alpha": st.lists(st.lists(small, max_size=3), max_size=3) | json_values}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_docs, alpha_docs)
+@example({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["2", "1"]}]}, {"dim": True, "alpha": [[0]]})
+@example({"dim": float("inf")}, {"dim": float("inf"), "alpha": []})
+@example({"dim": MAX_DIM + 1, "brackets": []}, {"dim": 2, "alpha": {"x": [0]}})
+def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
+    try:
+        assert isinstance(structure_from_json(structure), StructureConstants)
+    except LieAlgebraError:
+        pass
+    try:
+        matrix = _alpha_matrix("doc.json", alpha)
+        assert isinstance(matrix, tuple) and all(isinstance(r, tuple) for r in matrix)
+    except (InputError, LieAlgebraError):
         pass
