@@ -17,12 +17,10 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
-from multiprocessing import Pool
 
 from .bernoulli import BernoulliError, bernoulli_number, bernoulli_polynomial
 from .bidiff import BiDiffError
@@ -54,6 +52,7 @@ from .liealg import (
     LieAlgebraError,
     StructureConstants,
     builtin_algebra,
+    check_dim,
     structure_from_json,
     symplectic_matrix,
 )
@@ -133,8 +132,16 @@ def resolve_algebra(spec: str):
 
 
 def _alpha_matrix(spec: str, doc: dict) -> tuple:
+    """The matrix of an alpha document; it shares MAX_DIM with the algebras."""
     try:
-        d = int(doc["dim"])
+        d = doc["dim"]
+        if isinstance(d, bool):
+            raise TypeError("dim must be an integer, not a bool")
+        d = int(d)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
+    check_dim(d)
+    try:
         matrix = tuple(tuple(Fraction(str(v)) for v in r) for r in doc["alpha"])
     except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
@@ -250,6 +257,8 @@ def _fan_out(fn, items: list, jobs: int):
     if workers <= 1:
         yield from map(fn, items)
         return
+    from multiprocessing import Pool  # here, so that a serial command never imports it
+
     with Pool(workers) as pool:
         yield from pool.imap(fn, items, chunksize)
 
@@ -760,6 +769,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 3
 

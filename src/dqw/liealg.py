@@ -23,6 +23,7 @@ __all__ = [
     "PoissonStructure",
     "LieAlgebraError",
     "MAX_DIM",
+    "check_dim",
     "heisenberg",
     "solvable2",
     "strictly_upper",
@@ -48,7 +49,7 @@ class LieAlgebraError(ValueError):
 MAX_DIM = 64
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     if dim > MAX_DIM:
         raise LieAlgebraError(f"dimension {dim} exceeds the limit {MAX_DIM}")
 
@@ -77,7 +78,7 @@ class StructureConstants:
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int | str]]
     ) -> "StructureConstants":
         """Build from {(i, j): {k: c_k^{ij}}} given for i < j; antisymmetry is filled in."""
-        _check_dim(dim)
+        check_dim(dim)
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), column in brackets.items():
             if not (1 <= i < j <= dim):
@@ -194,7 +195,7 @@ def strictly_upper(n: int) -> StructureConstants:
     lands strictly beyond both arguments."""
     if n < 2:
         raise LieAlgebraError("need n >= 2")
-    _check_dim(n * (n - 1) // 2)
+    check_dim(n * (n - 1) // 2)
     positions = sorted(((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)),
                        key=lambda ab: (ab[1] - ab[0], ab[0]))
     index = {ab: k + 1 for k, ab in enumerate(positions)}
@@ -231,7 +232,7 @@ def symplectic_matrix(d: int, pairing: str) -> tuple[tuple[Fraction, ...], ...]:
     """
     if d < 2 or d % 2:
         raise LieAlgebraError(f"symplectic dimension must be an even integer >= 2, got {d}")
-    _check_dim(d)
+    check_dim(d)
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i, j in _PAIRINGS[pairing](d // 2):
         rows[i][j] = Fraction(1)

@@ -590,12 +590,15 @@ class TestPlumbing:
             '{"dim": true, "brackets": []}',
             '{"dim": 65, "brackets": []}',
             '{"dim": Infinity, "alpha": []}',
+            '{"dim": true, "alpha": [[0]]}',
+            json.dumps({"dim": 65, "alpha": [[0] * 65] * 65}),
             "5",
             b"\xff\xfe",
         ],
         ids=["truncated", "no-dim", "bad-rational", "alpha-zero-denominator",
              "bracket-zero-denominator", "coeffs-list", "bool-dim", "huge-dim",
-             "infinite-alpha-dim", "not-an-object", "not-utf8"],
+             "infinite-alpha-dim", "bool-alpha-dim", "huge-alpha-dim", "not-an-object",
+             "not-utf8"],
     )
     def test_malformed_json_exits_two(self, tmp_path, text):
         path = tmp_path / "doc.json"

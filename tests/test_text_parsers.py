@@ -85,12 +85,18 @@ alpha_docs = st.fixed_dictionaries(
 @example({"dim": float("inf")}, {"dim": float("inf"), "alpha": []})
 @example({"dim": MAX_DIM + 1, "brackets": []}, {"dim": 2, "alpha": {"x": [0]}})
 def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
+    # Both readers refuse a bool dim, which int() would read as 0 or 1.
     try:
-        assert isinstance(structure_from_json(structure), StructureConstants)
+        algebra = structure_from_json(structure)
     except LieAlgebraError:
         pass
+    else:
+        assert isinstance(algebra, StructureConstants)
+        assert not isinstance(structure["dim"], bool)
     try:
         matrix = _alpha_matrix("doc.json", alpha)
-        assert isinstance(matrix, tuple) and all(isinstance(r, tuple) for r in matrix)
     except (InputError, LieAlgebraError):
         pass
+    else:
+        assert isinstance(matrix, tuple) and all(isinstance(r, tuple) for r in matrix)
+        assert not isinstance(alpha["dim"], bool)
