@@ -31,20 +31,27 @@ above the limit whether or not a digit carried, because a carry only raises
 a key, so it is dropped either way.
 
 `apply` runs over an application plan built on its first call and kept
-beside `terms` (it takes no part in `==` or `repr`): the terms grouped by
-left multi-index L with the groups sorted by |L|, and each group's entries
-sorted by |R|.  Since d^L f = 0 whenever |L| > deg f, or whenever L exceeds
-the componentwise largest exponent of f, a call stops at the first group
-with |L| > deg f and skips every L that exceeds f's largest exponents; the
-same holds for R against g, with d^R g computed once per call.  Each eps
-level is accumulated in one exponent dict, not one Polynomial per term.
+beside `terms` (it takes no part in `==` or `repr`): the terms indexed by
+left multi-index L, then by right multi-index R, sharing the coefficient
+dicts with `terms`.  d^L f is zero unless L <= top(f), f's componentwise
+largest exponents, and |L| <= deg f, so a call only needs the L in that box.
+It looks the box's points up in the index, or, when the box has more points
+than the index has keys (a dense or high-degree f), scans the keys through
+the same test, so a call visits at most min(box points, keys) keys.  R is
+found the same way in each L's entries, against g.  Derivatives are taken
+only for keys that hit, in one pass per key on integer numerators over the
+argument's common denominator (x^e -> prod e_i! / (e_i - k_i)! x^(e - k)),
+with d^R g kept for the rest of the call.  Each eps level accumulates in
+one exponent dict and is divided by the two denominators once per
+coefficient at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
-from operator import add, itemgetter, le
+from itertools import product
+from math import factorial, lcm, perm, prod
+from operator import add, le, sub
 from typing import Mapping
 
 from .poly import Polynomial
@@ -159,14 +166,77 @@ def _unpack(dim: int, order: int, packed: Mapping[int, int], den: int, width: in
     return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
 
 
-def _max_exponents(p: Polynomial) -> Multi:
-    """Componentwise largest exponent of a nonzero polynomial."""
-    return tuple(map(max, zip(*p.terms)))
+class _Box:
+    """The multi-indices K with K <= top componentwise and |K| <= deg, for the
+    componentwise largest exponents `top` and the degree `deg` of a nonzero
+    polynomial: every other derivative d^K of it is zero."""
+
+    __slots__ = ("top", "deg", "size", "_points")
+
+    def __init__(self, p: Polynomial):
+        self.top = tuple(map(max, zip(*p.terms)))
+        self.deg = p.total_degree()
+        self.size = prod(t + 1 for t in self.top)
+        self._points = None
+
+    def points(self) -> list[Multi]:
+        """The multi-indices themselves.  Unless deg covers the whole box, a
+        prefix is extended only while its sum stays within deg, so no more
+        are built than are returned."""
+        if self._points is None:
+            if self.deg >= sum(self.top):
+                points = list(product(*[range(t + 1) for t in self.top]))
+            else:
+                grown = [((), 0)]
+                for t in self.top:
+                    grown = [
+                        (prefix + (k,), s + k)
+                        for prefix, s in grown
+                        for k in range(min(t, self.deg - s) + 1)
+                    ]
+                points = [prefix for prefix, _ in grown]
+            self._points = points
+        return self._points
+
+    def within(self, index: Mapping) -> list[tuple]:
+        """The (key, value) items of index whose key is in the box.  The box
+        is looked up point by point unless it has more points than index has
+        keys; then the keys are scanned instead."""
+        if self.size <= len(index):
+            get = index.get
+            return [(k, v) for k in self.points() if (v := get(k)) is not None]
+        top, deg = self.top, self.deg
+        return [(k, v) for k, v in index.items() if sum(k) <= deg and all(map(le, k, top))]
+
+
+def _numerators(p: Polynomial) -> tuple[int, list]:
+    """(den, rows): p's terms as (exponents, integer numerator) over den, the
+    lcm of p's coefficient denominators."""
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+
+
+def _derivative(rows: list, orders: Multi) -> dict[Multi, int]:
+    """d^orders of the polynomial with these (exponents, numerator) rows, in
+    one pass: x^e goes to prod_i e_i! / (e_i - k_i)! * x^(e - k), or to zero
+    when some e_i < k_i.  Distinct e give distinct e - k, so nothing adds."""
+    out = {}
+    for exps, num in rows:
+        for e, k in zip(exps, orders):
+            if k:
+                if e < k:
+                    break
+                num *= perm(e, k)
+        else:
+            out[tuple(map(sub, exps, orders))] = num
+    return out
 
 
 def _accumulate(acc: dict, coeff: dict, df: dict, dg: dict) -> None:
-    """acc += coeff * df * dg on exponent -> Fraction dicts; zeros are left
-    for the Polynomial constructor to drop."""
+    """acc += coeff * df * dg on exponent -> coefficient dicts; zeros are
+    left for the Polynomial constructor to drop."""
     for e2, c2 in df.items():
         for e3, c3 in dg.items():
             e23 = tuple(map(add, e2, e3))
@@ -316,24 +386,14 @@ class BiDiffOp:
 
     # -- action on polynomial pairs ---------------------------------------------
 
-    def _apply_plan(self) -> tuple:
-        """The terms as (|L|, L, entries) groups sorted by |L|, each group's
-        entries (|R|, R, m, coefficient terms) sorted by |R|.  Built on the
-        first `apply`; it shares the coefficient dicts with `terms`."""
+    def _apply_plan(self) -> dict:
+        """The terms indexed as L -> R -> [(m, coefficient terms)].  Built on
+        the first `apply`; it shares the coefficient dicts with `terms`."""
         plan = self._plan
         if plan is None:
-            groups: dict[Multi, list] = {}
+            plan = {}
             for (m, left, right), poly in self.terms.items():
-                groups.setdefault(left, []).append((sum(right), right, m, poly.terms))
-            plan = tuple(
-                sorted(
-                    (
-                        (sum(left), left, tuple(sorted(entries, key=itemgetter(0))))
-                        for left, entries in groups.items()
-                    ),
-                    key=itemgetter(0),
-                )
-            )
+                plan.setdefault(left, {}).setdefault(right, []).append((m, poly.terms))
             object.__setattr__(self, "_plan", plan)
         return plan
 
@@ -342,27 +402,28 @@ class BiDiffOp:
             raise BiDiffError("argument dimension mismatch")
         if f.is_zero() or g.is_zero():
             return EpsSeries.zero(self.dim, self.order)
-        deg_f, deg_g = f.total_degree(), g.total_degree()
-        top_f, top_g = _max_exponents(f), _max_exponents(g)
+        f_den, f_rows = _numerators(f)
+        g_den, g_rows = _numerators(g)
+        g_box = _Box(g)
         levels: list[dict] = [{} for _ in range(self.order + 1)]
         right_cache: dict[Multi, dict] = {}
-        for left_deg, left, entries in self._apply_plan():
-            if left_deg > deg_f:
-                break
-            if not all(map(le, left, top_f)):
-                continue
-            df = f.derive_multi(left).terms
-            if not df:
-                continue
-            for right_deg, right, m, coeff in entries:
-                if right_deg > deg_g:
-                    break
+        for left, by_right in _Box(f).within(self._apply_plan()):
+            df = None
+            for right, entries in g_box.within(by_right):
                 dg = right_cache.get(right)
                 if dg is None:
-                    dg = g.derive_multi(right).terms if all(map(le, right, top_g)) else {}
-                    right_cache[right] = dg
-                if dg:
+                    dg = right_cache[right] = _derivative(g_rows, right)
+                if not dg:
+                    continue
+                if df is None:
+                    df = _derivative(f_rows, left)
+                if not df:
+                    break
+                for m, coeff in entries:
                     _accumulate(levels[m], coeff, df, dg)
+        den = f_den * g_den
+        if den != 1:
+            levels = [{e: c / den for e, c in acc.items()} for acc in levels]
         return EpsSeries(self.dim, self.order, [Polynomial(self.dim, acc) for acc in levels])
 
     def sorted_terms(self) -> list[tuple[Key, Polynomial]]:
