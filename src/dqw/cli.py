@@ -53,6 +53,7 @@ from .liealg import (
     StructureConstants,
     builtin_algebra,
     check_dim,
+    rational_from_json,
     structure_from_json,
     symplectic_matrix,
 )
@@ -142,7 +143,7 @@ def _alpha_matrix(spec: str, doc: dict) -> tuple:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
     check_dim(d)
     try:
-        matrix = tuple(tuple(Fraction(str(v)) for v in r) for r in doc["alpha"])
+        matrix = tuple(tuple(rational_from_json(v) for v in r) for r in doc["alpha"])
     except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
     if len(matrix) != d or any(len(r) != d for r in matrix):

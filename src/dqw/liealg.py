@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Polynomial, nonzero
+from .poly import MAX_DIGITS, Polynomial, nonzero
 
 __all__ = [
     "StructureConstants",
@@ -34,6 +34,7 @@ __all__ = [
     "constant_poisson",
     "killing_matrix",
     "cyclic_product",
+    "rational_from_json",
     "structure_from_json",
     "structure_to_json",
 ]
@@ -459,6 +460,27 @@ def structure_to_json(c: StructureConstants) -> dict:
     }
 
 
+def rational_from_json(value) -> Fraction:
+    """A rational read from a JSON document: an int, or the text of a
+    fraction p/q or a decimal (a float is read through its shortest decimal
+    text, so 0.1 is 1/10).  Text with an exponent, which would make Fraction
+    build 10**exponent, or longer than MAX_DIGITS characters is refused with
+    ValueError, as is a bool."""
+    if isinstance(value, bool):
+        raise TypeError("a rational must be a number or text, not a bool")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        value = repr(value)
+    if not isinstance(value, str):
+        raise TypeError(f"a rational must be a number or text, not {type(value).__name__}")
+    if len(value) > MAX_DIGITS:
+        raise ValueError(f"rational text longer than {MAX_DIGITS} characters")
+    if "e" in value or "E" in value:
+        raise ValueError(f"rational {value!r} has an exponent; write it as p/q or a decimal")
+    return Fraction(value)
+
+
 def structure_from_json(data: Mapping) -> StructureConstants:
     """The algebra of a `structure_to_json` document; anything malformed,
     including a dimension above MAX_DIM, raises LieAlgebraError."""
@@ -469,7 +491,7 @@ def structure_from_json(data: Mapping) -> StructureConstants:
         dim = int(dim)
         brackets = {
             (int(entry["i"]), int(entry["j"])): {
-                int(k): Fraction(v) for k, v in entry["coeffs"].items()
+                int(k): rational_from_json(v) for k, v in entry["coeffs"].items()
             }
             for entry in data.get("brackets", [])
         }

@@ -245,18 +245,6 @@ class Polynomial:
                 break
         return poly
 
-    def derive_multi(self, orders: Sequence[int]) -> "Polynomial":
-        """Apply d^orders[i]/dx_{i+1}^orders[i] for every variable."""
-        if len(orders) != self.dim:
-            raise PolyError("derivative multi-index has wrong length")
-        poly = self
-        for i, k in enumerate(orders, start=1):
-            if k:
-                poly = poly.derive(i, k)
-                if poly.is_zero():
-                    break
-        return poly
-
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.dim:
             raise PolyError("evaluation point has wrong length")

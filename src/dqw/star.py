@@ -251,8 +251,11 @@ def cbh_product(
     """Symbol exponential of the Hausdorff bracket operators.
 
     `override` replaces the series coefficient of individual Lyndon words
-    (keys like ("X","X","Y")); useful as a wrongness control, since any
-    perturbation must break associativity.
+    (keys like ("X","X","Y")), as a wrongness control.  A changed word is
+    seen only where its bracket operator is nonzero: on an algebra of
+    nilpotency step below the word's length every bracket of that length
+    vanishes, so the product does not change at all (on strictly_upper(4),
+    XXY is seen and XXYY is not).
     """
     op = _cbh_generator(c, order, override).exp()
     return StarProduct("cbh", c.dim, order, op.apply, op)

@@ -55,6 +55,18 @@ def reference_exp(op: BiDiffOp) -> BiDiffOp:
     return total
 
 
+def derive_multi(p: Polynomial, orders) -> Polynomial:
+    """d^orders p as one `Polynomial.derive` call per variable.  Kept as the
+    oracle for the one-pass integer derivatives inside `apply`."""
+    assert len(orders) == p.dim
+    for i, k in enumerate(orders, start=1):
+        if k:
+            p = p.derive(i, k)
+            if p.is_zero():
+                break
+    return p
+
+
 def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
     """The term-by-term application `BiDiffOp.apply` replaced: every term,
     grouped by left multi-index on each call, one Polynomial product per
@@ -68,7 +80,7 @@ def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
     for left, entries in by_left.items():
         if sum(left) > deg_f:
             continue
-        df = f.derive_multi(left)
+        df = derive_multi(f, left)
         if df.is_zero():
             continue
         for m, right, poly in entries:
@@ -76,7 +88,7 @@ def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
                 continue
             dg = right_cache.get(right)
             if dg is None:
-                dg = g.derive_multi(right)
+                dg = derive_multi(g, right)
                 right_cache[right] = dg
             if dg.is_zero():
                 continue
@@ -293,6 +305,113 @@ class TestApplyPlan:
         assert fresh.terms == op.terms
 
 
+    def test_mixed_denominators(self):
+        # operator, f and g each carry their own denominators, so the
+        # integer numerators of d^L f and d^R g sit over different bases
+        d = 3
+        x1, x2, x3 = _vars(d)
+        op = BiDiffOp(
+            d,
+            2,
+            {
+                (0, (0, 0, 0), (0, 0, 0)): F(1, 7),
+                (1, (1, 0, 0), (0, 1, 0)): x3 * F(2, 5) + F(-1, 3),
+                (1, (0, 1, 0), (1, 0, 0)): x3 * F(-2, 5),
+                (2, (2, 0, 0), (0, 1, 1)): x1 * x2 * F(5, 11),
+                (2, (1, 1, 0), (0, 0, 2)): F(3, 4),
+            },
+        )
+        f = x1**2 * x2 * F(3, 4) + x1 * F(1, 6) + F(2, 9)
+        g = x2 * x3**2 * F(-5, 8) + x2 * F(1, 10) + x1 * x3 * F(7, 3)
+        for a, b in [(f, g), (g, f), (f, f), (g * F(1, 13), f * F(4, 15))]:
+            assert op.apply(a, b) == reference_apply(op, a, b), (a, b)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_dense_f_box_exceeds_the_plan(self, order):
+        # (x1+...+x5)^k has (k+1)^5 box points, more than the plan has L
+        # keys, so the call scans the keys; g's box exceeds every R index
+        op = cbh_product(strictly_upper(5), order).operator
+        d = op.dim
+        f = parse_polynomial(f"(x1 + x2 + x3 + 2/3*x4 + x5)^{order}", dim=d)
+        g = parse_polynomial("(x1 + x5 - x8)^3 + 1/2*x9*x10", dim=d)
+        plan = op._apply_plan()
+        assert (order + 1) ** 5 > len(plan)
+        assert (4**3) * 2 * 2 > max(map(len, plan.values()))
+        for a, b in [(f, g), (g, f), (f, f)]:
+            assert op.apply(a, b) == reference_apply(op, a, b)
+
+    def test_visits_at_most_min_box_and_keys(self, upper4_operators, monkeypatch):
+        visits = []
+        real = bidiff._Box.within
+
+        def counting(box, index):
+            looked = [0]
+            found = real(box, _CountingIndex(index, looked))
+            visits.append((box.size, len(index), len(box.points()), looked[0]))
+            return found
+
+        monkeypatch.setattr(bidiff._Box, "within", counting)
+        op = upper4_operators["kontsevich"]
+        pairs = _stratified_c08_sample(op.dim, 2, seed=3)
+        pairs += list(zip(random_polynomials(op.dim, 4, 5, 33, terms=6), [g for _, g in pairs[:4]]))
+        dense = parse_polynomial("(x1 + x2 + x3 + x4)^5", dim=op.dim)
+        pairs += [(dense, pairs[-1][0]), (pairs[-1][0], dense)]
+        for f, g in pairs:
+            op.apply(f, g)
+        assert {size <= keys for size, keys, _, _ in visits} == {True, False}
+        for size, keys, points, looked in visits:
+            assert looked <= min(size, keys)
+            assert looked == (points if size <= keys else keys)
+
+    def test_box_rule_at_equal_size(self, monkeypatch):
+        # f = x1^2 + x2 has a 3 x 2 box but degree 2, so 5 of its 6 points
+        # are derivatives that can be nonzero; with 6 L keys (and g's box the
+        # size of each R index) the call looks up 5 points, not 6 keys
+        looked = []
+        real = bidiff._Box.within
+
+        def counting(box, index):
+            count = [0]
+            found = real(box, _CountingIndex(index, count))
+            looked.append(count[0])
+            return found
+
+        monkeypatch.setattr(bidiff._Box, "within", counting)
+        lefts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        rights = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        op = BiDiffOp(2, 1, {(1, l, r): F(1 + i, 1 + j) for i, l in enumerate(lefts)
+                             for j, r in enumerate(rights)})
+        f = parse_polynomial("x1^2 + x2", dim=2)
+        g = parse_polynomial("3/2*x1^2 - x2", dim=2)
+        out = op.apply(f, g)
+        assert out == reference_apply(op, f, g)
+        assert looked == [5] * 6
+
+
+class _CountingIndex(dict):
+    """A copy of a plan index that counts the keys looked up or scanned."""
+
+    def __init__(self, data, count):
+        super().__init__(data)
+        self.count = count
+
+    def get(self, key, default=None):
+        self.count[0] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.count[0] += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.count[0] += 1
+        return super().__contains__(key)
+
+    def items(self):
+        for item in super().items():
+            self.count[0] += 1
+            yield item
+
 def _operators(dim: int, order: int, min_eps: int):
     multi = st.tuples(*[st.integers(0, 6)] * dim)
     exps = st.tuples(*[st.integers(0, 3)] * dim)
@@ -315,6 +434,48 @@ def generators(draw):
     dim, order = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     return draw(_operators(dim, order, 1))
 
+
+
+def _polynomials(dim: int):
+    exps = st.tuples(*[st.integers(0, 4)] * dim)
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    return st.dictionaries(exps, rationals, max_size=5).map(lambda t: Polynomial(dim, t))
+
+
+@st.composite
+def applications(draw):
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    op = draw(_operators(dim, order, 0))
+    return op, draw(_polynomials(dim)), draw(_polynomials(dim))
+
+
+class TestApplyRandom:
+    """`apply` and its one-pass derivatives against the test oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(applications())
+    def test_random_application(self, case):
+        op, f, g = case
+        assert op.apply(f, g) == reference_apply(op, f, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(_polynomials(d), st.tuples(*[st.integers(0, 6)] * d))
+    ))
+    def test_one_pass_derivative(self, case):
+        # orders up to 6 against exponents up to 4, so many reach zero
+        p, orders = case
+        den, rows = bidiff._numerators(p)
+        expected = derive_multi(p, orders)
+        assert Polynomial(p.dim, {e: F(c, den) for e, c in bidiff._derivative(rows, orders).items()}) == expected
+
+    def test_derivative_reaching_zero(self):
+        p = parse_polynomial("x1^2*x2 + 3/4*x2^3", dim=2)
+        den, rows = bidiff._numerators(p)
+        assert bidiff._derivative(rows, (3, 0)) == {}
+        assert bidiff._derivative(rows, (1, 3)) == {}
+        assert derive_multi(p, (3, 0)).is_zero() and derive_multi(p, (1, 3)).is_zero()
+        assert bidiff._derivative(rows, (0, 3)) == {(0, 0): 3 * 6 * den // 4}
 
 CBH_ALGEBRAS = {
     "heisenberg": heisenberg,

@@ -592,12 +592,16 @@ class TestPlumbing:
             '{"dim": Infinity, "alpha": []}',
             '{"dim": true, "alpha": [[0]]}',
             json.dumps({"dim": 65, "alpha": [[0] * 65] * 65}),
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e99999999"}}]}',
+            '{"dim": 2, "alpha": [[0, "1e999999"], [-1, 0]]}',
+            json.dumps({"dim": 2, "alpha": [[0, "1" * 3000 + "/" + "7" * 3000], [-1, 0]]}),
             "5",
             b"\xff\xfe",
         ],
         ids=["truncated", "no-dim", "bad-rational", "alpha-zero-denominator",
              "bracket-zero-denominator", "coeffs-list", "bool-dim", "huge-dim",
-             "infinite-alpha-dim", "bool-alpha-dim", "huge-alpha-dim", "not-an-object",
+             "infinite-alpha-dim", "bool-alpha-dim", "huge-alpha-dim",
+             "exponent-coefficient", "exponent-alpha", "long-alpha", "not-an-object",
              "not-utf8"],
     )
     def test_malformed_json_exits_two(self, tmp_path, text):

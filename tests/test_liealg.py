@@ -18,13 +18,14 @@ from dqw.liealg import (
     killing_matrix,
     linear_poisson,
     moyal_trick,
+    rational_from_json,
     solvable2,
     strictly_upper,
     structure_from_json,
     structure_to_json,
     symplectic_matrix,
 )
-from dqw.poly import Polynomial, parse_polynomial
+from dqw.poly import MAX_DIGITS, Polynomial, parse_polynomial
 
 F = Fraction
 
@@ -300,5 +301,28 @@ class TestSerialisation:
         ids=["coeffs-list", "bool-dim", "infinite-dim", "infinite-coefficient", "brackets-text"],
     )
     def test_malformed_shapes(self, doc):
+        with pytest.raises(LieAlgebraError, match="malformed structure document"):
+            structure_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(7, F(7)), ("-3", F(-3)), ("1/2", F(1, 2)), ("-0.25", F(-1, 4)), (0.5, F(1, 2)),
+         (0.1, F(1, 10)), ("1" * MAX_DIGITS, F(int("1" * MAX_DIGITS)))],
+        ids=["int", "integer-text", "fraction", "decimal", "float", "inexact-float", "longest"],
+    )
+    def test_rational_reader(self, value, expected):
+        assert rational_from_json(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e99999999", "2E-3", "1/2e3", 1e-05, 1e16, float("inf"), float("nan"), "1/0x",
+         "1/" + "7" * (MAX_DIGITS - 1), True, None, [1]],
+        ids=["huge-exponent", "negative-exponent", "denominator-exponent", "small-float",
+             "large-float", "inf", "nan", "bad-text", "too-long", "bool", "null", "list"],
+    )
+    def test_rational_reader_refuses(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            rational_from_json(value)
+        doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": value}}]}
         with pytest.raises(LieAlgebraError, match="malformed structure document"):
             structure_from_json(doc)

@@ -174,6 +174,14 @@ class TestCBH:
         with pytest.raises(StarError):
             cbh_product(solvable2(), 3, override={("Y", "X"): F(1)})
 
+    def test_override_of_a_word_longer_than_the_step_is_invisible(self):
+        # strictly_upper(4) has nilpotency step 3, so every length-4 bracket
+        # operator vanishes there: changing XXYY leaves the operator as it is
+        c = strictly_upper(4)
+        plain = cbh_product(c, 5).operator
+        assert cbh_product(c, 5, override={("X", "X", "Y", "Y"): F(1, 7)}).operator == plain
+        assert cbh_product(c, 5, override={("X", "X", "Y"): F(1, 7)}).operator != plain
+
     def test_second_level_operator_formula(self):
         # at eps^2 the generator holds (1/12)([X,[X,Y]] + [[X,Y],Y]) and the
         # exponential adds (1/2)(first level)^2; check extensionally

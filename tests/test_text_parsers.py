@@ -84,8 +84,13 @@ alpha_docs = st.fixed_dictionaries(
 @example({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["2", "1"]}]}, {"dim": True, "alpha": [[0]]})
 @example({"dim": float("inf")}, {"dim": float("inf"), "alpha": []})
 @example({"dim": MAX_DIM + 1, "brackets": []}, {"dim": 2, "alpha": {"x": [0]}})
+@example(
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e99999999"}}]},
+    {"dim": 2, "alpha": [[0, "1E999999"], [1e-05, 0]]},
+)
 def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
-    # Both readers refuse a bool dim, which int() would read as 0 or 1.
+    # Both readers refuse a bool dim, which int() would read as 0 or 1, and
+    # a rational with an exponent, which Fraction would expand.
     try:
         algebra = structure_from_json(structure)
     except LieAlgebraError:
@@ -93,6 +98,8 @@ def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
     else:
         assert isinstance(algebra, StructureConstants)
         assert not isinstance(structure["dim"], bool)
+        entries = structure.get("brackets", [])
+        assert not any(_has_exponent(v) for e in entries for v in e["coeffs"].values())
     try:
         matrix = _alpha_matrix("doc.json", alpha)
     except (InputError, LieAlgebraError):
@@ -100,3 +107,11 @@ def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
     else:
         assert isinstance(matrix, tuple) and all(isinstance(r, tuple) for r in matrix)
         assert not isinstance(alpha["dim"], bool)
+        assert not any(_has_exponent(v) for r in alpha["alpha"] for v in r)
+
+
+def _has_exponent(value) -> bool:
+    """Whether a JSON value is read as text with an exponent."""
+    if isinstance(value, float):
+        value = repr(value)
+    return isinstance(value, str) and "e" in value.lower()
