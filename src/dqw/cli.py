@@ -144,7 +144,7 @@ def _alpha_matrix(spec: str, doc: dict) -> tuple:
     check_dim(d)
     try:
         matrix = tuple(tuple(rational_from_json(v) for v in r) for r in doc["alpha"])
-    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
     if len(matrix) != d or any(len(r) != d for r in matrix):
         raise LieAlgebraError(f"{spec}: alpha must be a {d}x{d} matrix")

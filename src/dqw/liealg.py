@@ -464,8 +464,8 @@ def rational_from_json(value) -> Fraction:
     """A rational read from a JSON document: an int, or the text of a
     fraction p/q or a decimal (a float is read through its shortest decimal
     text, so 0.1 is 1/10).  Text with an exponent, which would make Fraction
-    build 10**exponent, or longer than MAX_DIGITS characters is refused with
-    ValueError, as is a bool."""
+    build 10**exponent, or longer than MAX_DIGITS characters raises
+    ValueError; a bool or any other type raises TypeError."""
     if isinstance(value, bool):
         raise TypeError("a rational must be a number or text, not a bool")
     if isinstance(value, int):

@@ -304,7 +304,6 @@ class TestApplyPlan:
         assert repr(fresh) == repr(op)
         assert fresh.terms == op.terms
 
-
     def test_mixed_denominators(self):
         # operator, f and g each carry their own denominators, so the
         # integer numerators of d^L f and d^R g sit over different bases
@@ -335,57 +334,56 @@ class TestApplyPlan:
         f = parse_polynomial(f"(x1 + x2 + x3 + 2/3*x4 + x5)^{order}", dim=d)
         g = parse_polynomial("(x1 + x5 - x8)^3 + 1/2*x9*x10", dim=d)
         plan = op._apply_plan()
-        assert (order + 1) ** 5 > len(plan)
-        assert (4**3) * 2 * 2 > max(map(len, plan.values()))
+        assert bidiff._Box(f).size > len(plan)
+        assert bidiff._Box(g).size > max(map(len, plan.values()))
         for a, b in [(f, g), (g, f), (f, f)]:
             assert op.apply(a, b) == reference_apply(op, a, b)
 
-    def test_visits_at_most_min_box_and_keys(self, upper4_operators, monkeypatch):
-        visits = []
-        real = bidiff._Box.within
-
-        def counting(box, index):
-            looked = [0]
-            found = real(box, _CountingIndex(index, looked))
-            visits.append((box.size, len(index), len(box.points()), looked[0]))
-            return found
-
-        monkeypatch.setattr(bidiff._Box, "within", counting)
+    def test_visits_at_most_min_box_and_keys(self, upper4_operators, lookups):
         op = upper4_operators["kontsevich"]
         pairs = _stratified_c08_sample(op.dim, 2, seed=3)
-        pairs += list(zip(random_polynomials(op.dim, 4, 5, 33, terms=6), [g for _, g in pairs[:4]]))
+        fs = random_polynomials(op.dim, 4, 5, 33, terms=6)
+        pairs += list(zip(fs, [g for _, g in pairs[:4]]))
         dense = parse_polynomial("(x1 + x2 + x3 + x4)^5", dim=op.dim)
-        pairs += [(dense, pairs[-1][0]), (pairs[-1][0], dense)]
+        pairs += [(dense, fs[0]), (fs[0], dense)]
         for f, g in pairs:
             op.apply(f, g)
-        assert {size <= keys for size, keys, _, _ in visits} == {True, False}
-        for size, keys, points, looked in visits:
+        assert {size <= keys for size, keys, _, _ in lookups} == {True, False}
+        for size, keys, points, looked in lookups:
             assert looked <= min(size, keys)
             assert looked == (points if size <= keys else keys)
 
-    def test_box_rule_at_equal_size(self, monkeypatch):
+    def test_box_rule_at_equal_size(self, lookups):
         # f = x1^2 + x2 has a 3 x 2 box but degree 2, so 5 of its 6 points
         # are derivatives that can be nonzero; with 6 L keys (and g's box the
         # size of each R index) the call looks up 5 points, not 6 keys
-        looked = []
-        real = bidiff._Box.within
-
-        def counting(box, index):
-            count = [0]
-            found = real(box, _CountingIndex(index, count))
-            looked.append(count[0])
-            return found
-
-        monkeypatch.setattr(bidiff._Box, "within", counting)
-        lefts = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-        rights = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-        op = BiDiffOp(2, 1, {(1, l, r): F(1 + i, 1 + j) for i, l in enumerate(lefts)
-                             for j, r in enumerate(rights)})
+        multis = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        op = BiDiffOp(
+            2,
+            1,
+            {(1, l, r): F(1 + i, 1 + j) for i, l in enumerate(multis) for j, r in enumerate(multis)},
+        )
         f = parse_polynomial("x1^2 + x2", dim=2)
         g = parse_polynomial("3/2*x1^2 - x2", dim=2)
-        out = op.apply(f, g)
-        assert out == reference_apply(op, f, g)
-        assert looked == [5] * 6
+        assert op.apply(f, g) == reference_apply(op, f, g)
+        assert [looked for _, _, _, looked in lookups] == [5] * 6
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """(box points, index keys, box points within the degree, keys looked up
+    or scanned) for every `_Box.within` call `apply` makes."""
+    seen = []
+    real = bidiff._Box.within
+
+    def counting(box, index):
+        count = [0]
+        found = real(box, _CountingIndex(index, count))
+        seen.append((box.size, len(index), len(box.points()), count[0]))
+        return found
+
+    monkeypatch.setattr(bidiff._Box, "within", counting)
+    return seen
 
 
 class _CountingIndex(dict):
@@ -459,15 +457,17 @@ class TestApplyRandom:
         assert op.apply(f, g) == reference_apply(op, f, g)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(
-        lambda d: st.tuples(_polynomials(d), st.tuples(*[st.integers(0, 6)] * d))
-    ))
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(_polynomials(d), st.tuples(*[st.integers(0, 6)] * d))
+        )
+    )
     def test_one_pass_derivative(self, case):
         # orders up to 6 against exponents up to 4, so many reach zero
         p, orders = case
         den, rows = bidiff._numerators(p)
-        expected = derive_multi(p, orders)
-        assert Polynomial(p.dim, {e: F(c, den) for e, c in bidiff._derivative(rows, orders).items()}) == expected
+        derived = bidiff._derivative(rows, orders)
+        assert Polynomial(p.dim, {e: F(c, den) for e, c in derived.items()}) == derive_multi(p, orders)
 
     def test_derivative_reaching_zero(self):
         p = parse_polynomial("x1^2*x2 + 3/4*x2^3", dim=2)
@@ -476,6 +476,7 @@ class TestApplyRandom:
         assert bidiff._derivative(rows, (1, 3)) == {}
         assert derive_multi(p, (3, 0)).is_zero() and derive_multi(p, (1, 3)).is_zero()
         assert bidiff._derivative(rows, (0, 3)) == {(0, 0): 3 * 6 * den // 4}
+
 
 CBH_ALGEBRAS = {
     "heisenberg": heisenberg,
