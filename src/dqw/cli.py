@@ -53,6 +53,7 @@ from .liealg import (
     StructureConstants,
     builtin_algebra,
     check_dim,
+    index_from_json,
     rational_from_json,
     structure_from_json,
     symplectic_matrix,
@@ -135,11 +136,8 @@ def resolve_algebra(spec: str):
 def _alpha_matrix(spec: str, doc: dict) -> tuple:
     """The matrix of an alpha document; it shares MAX_DIM with the algebras."""
     try:
-        d = doc["dim"]
-        if isinstance(d, bool):
-            raise TypeError("dim must be an integer, not a bool")
-        d = int(d)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        d = index_from_json(doc["dim"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{spec}: malformed alpha document: {exc}") from exc
     check_dim(d)
     try:

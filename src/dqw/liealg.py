@@ -34,6 +34,7 @@ __all__ = [
     "constant_poisson",
     "killing_matrix",
     "cyclic_product",
+    "index_from_json",
     "rational_from_json",
     "structure_from_json",
     "structure_to_json",
@@ -481,23 +482,38 @@ def rational_from_json(value) -> Fraction:
     return Fraction(value)
 
 
+def index_from_json(value) -> int:
+    """A dimension or index read from a JSON document: an int, or text of
+    ASCII digits (JSON object keys are text).  A float such as 1.9, which
+    int() would truncate, and text longer than MAX_DIGITS raise ValueError;
+    a bool or any other type raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("an index must be an integer, not a bool")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        raise ValueError(f"an index must be an integer, not {value!r}")
+    if not isinstance(value, str):
+        raise TypeError(f"an index must be an integer, not {type(value).__name__}")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"index {value!r} is not a string of digits")
+    if len(value) > MAX_DIGITS:
+        raise ValueError(f"index text longer than {MAX_DIGITS} digits")
+    return int(value)
+
+
 def structure_from_json(data: Mapping) -> StructureConstants:
     """The algebra of a `structure_to_json` document; anything malformed,
     including a dimension above MAX_DIM, raises LieAlgebraError."""
     try:
-        dim = data["dim"]
-        if isinstance(dim, bool):
-            raise TypeError("dim must be an integer, not a bool")
-        dim = int(dim)
+        dim = index_from_json(data["dim"])
         brackets = {
-            (int(entry["i"]), int(entry["j"])): {
-                int(k): rational_from_json(v) for k, v in entry["coeffs"].items()
+            (index_from_json(entry["i"]), index_from_json(entry["j"])): {
+                index_from_json(k): rational_from_json(v) for k, v in entry["coeffs"].items()
             }
             for entry in data.get("brackets", [])
         }
-    except (
-        AttributeError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError
-    ) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LieAlgebraError(f"malformed structure document: {exc}") from exc
     return StructureConstants.from_brackets(dim, brackets)
 

@@ -13,13 +13,35 @@ listing n! permutations.  Its inverse peels eps levels: the level-m leftover
 is exactly a polynomial p_m, and subtracting sigma(p_m) eps^m clears it.
 
 The star product is f * g = sigma^{-1}(sigma(f) sigma(g)).
+
+Everything is computed on integer numerators.  D is the lcm of the
+denominators of the structure constants; each rewrite spends one eps and one
+structure constant, so an eps^m coefficient times D^m is an integer.  The
+scalings are:
+
+* the bracket table holds c_k^{ij} * D;
+* `_nf[word]` maps (w, m) to NF(word)[(w, m)] * D^m;
+* `_sigma[word]` maps (w, m) to sigma(word)[(w, m)] * n! * D^m, n = |word|;
+* a lifted input sum_j f_j eps^j is a map (w, m) -> numerator over one
+  denominator den, the lcm of denominator(c) * |w|! over its terms c x^w:
+  sigma(f)[(w, m)] = numerator / (den * D^m);
+* the product of two lifts has denominator den_f * den_g, again times D^m at
+  level m;
+* peeling level m subtracts num * S / (den * |w|! * D^(m + dm)) from level
+  m + dm, with S = `_sigma[w]`[(u, dm)].  Beforehand level m, every later
+  level and den are multiplied by F, the lcm of |w|! over the words of level
+  m, so that each subtraction is num * (F / |w|!) * S on integers.
+
+A `Fraction` is built once per output coefficient.  The public methods that
+take or return `Element`s are views over the same integer caches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from math import factorial, lcm
+from typing import Iterable, Mapping, Union
 
 from .liealg import StructureConstants
 from .poly import Polynomial, nonzero
@@ -27,6 +49,7 @@ from .series import EpsSeries
 
 Word = tuple[int, ...]  # non-decreasing generator indices, 1-based
 Element = dict[tuple[Word, int], Fraction]
+Numerators = dict[tuple[Word, int], int]  # (word, m) -> numerator, scaled as above
 
 __all__ = [
     "EnvelopingAlgebra",
@@ -36,11 +59,21 @@ __all__ = [
     "inverse_symmetrize",
     "uea_star",
     "PBWError",
+    "MAX_STAR_DEGREE",
 ]
 
 
 class PBWError(ValueError):
     pass
+
+
+# Largest deg f + deg g that `star` accepts (for a series, its largest level
+# degree).  sigma's insertion recursion is one call deep per letter, and the
+# words straightened multiply with the degree.  On a 2-vCPU host, on
+# strictly_upper(4) at order 1, (x1+x2+x3+x4)^11 * x1 takes 0.5 s, and
+# (x1+x2+x3+x4)^6 * (x1+x2+x3+x4)^6 takes 4.7 s at 259 MB peak RSS, against
+# 19 s at 937 MB for the degree-14 product of two seventh powers.
+MAX_STAR_DEGREE = 12
 
 
 def word_of_monomial(exps: tuple[int, ...]) -> Word:
@@ -57,39 +90,162 @@ def monomial_of_word(dim: int, word: Word) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _factorial_lcm(lengths: Iterable[int]) -> int:
+    """lcm of n! over the lengths: the rescale that keeps a peel integral."""
+    return factorial(max(lengths, default=0))
+
+
 class EnvelopingAlgebra:
     """Straightening, symmetrization and the induced star product for one algebra."""
 
     def __init__(self, c: StructureConstants):
         self.c = c
         self.dim = c.dim
-        self._nf: dict[Word, Element] = {}
-        self._sigma: dict[Word, Element] = {}
+        brackets = c.nonzero_brackets()
+        self._d = lcm(1, *(v.denominator for col in brackets.values() for v in col.values()))
+        # descent (j, i), j > i -> [(k, c_k^{ji} * D)]
+        self._bracket = {
+            (j, i): [(k, int(-v * self._d)) for k, v in column.items()]
+            for (i, j), column in brackets.items()
+        }
+        self._nf: dict[Word, Numerators] = {}
+        self._sigma: dict[Word, Numerators] = {}
+        self._words: dict[tuple[int, ...], Word] = {}
+        self._zero = Polynomial.zero(self.dim)
+
+    # -- integer kernel --------------------------------------------------------------
+
+    def _straighten(self, word: Word) -> Numerators:
+        """Ordered-basis expansion of `word`, scaled by D^m."""
+        cached = self._nf.get(word)
+        if cached is not None:
+            return cached
+        for p in range(len(word) - 1):
+            if word[p] > word[p + 1]:
+                break
+        else:
+            p = -1
+        if p < 0:
+            result: Numerators = {(word, 0): 1}
+        else:
+            j, i = word[p], word[p + 1]
+            head, tail = word[:p], word[p + 2 :]
+            swapped = head + (i, j) + tail
+            nf = self._nf
+            result = dict(nf.get(swapped) or self._straighten(swapped))
+            for k, coeff in self._bracket.get((j, i), ()):
+                contracted = head + (k,) + tail
+                for (w, m), value in (nf.get(contracted) or self._straighten(contracted)).items():
+                    key = (w, m + 1)
+                    result[key] = result.get(key, 0) + coeff * value
+            result = {key: value for key, value in result.items() if value}
+        self._nf[word] = result
+        return result
+
+    def _symmetrize(self, word: Word) -> Numerators:
+        """sigma(word), scaled by |word|! * D^m."""
+        cached = self._sigma.get(word)
+        if cached is not None:
+            return cached
+        if len(word) <= 1:
+            result: Numerators = {(word, 0): 1}
+        else:
+            # n! sigma(w) = sum over distinct letters of
+            # multiplicity * X^letter * (n - 1)! sigma(w minus that letter)
+            result = {}
+            nf = self._nf
+            seen: set[int] = set()
+            for p, letter in enumerate(word):
+                if letter in seen:
+                    continue
+                seen.add(letter)
+                multiplicity = word.count(letter)
+                for (w, m), value in self._symmetrize(word[:p] + word[p + 1 :]).items():
+                    value *= multiplicity
+                    word2 = (letter,) + w
+                    for (w2, dm), v2 in (nf.get(word2) or self._straighten(word2)).items():
+                        key = (w2, m + dm)
+                        result[key] = result.get(key, 0) + value * v2
+            result = {key: value for key, value in result.items() if value}
+        self._sigma[word] = result
+        return result
+
+    def _terms(self, levels: list[Polynomial]) -> list[tuple[int, Word, Fraction]]:
+        """(j, word, coefficient) for every term c x^w eps^j of sum_j levels[j] eps^j."""
+        words = self._words
+        out = []
+        for j, p in enumerate(levels):
+            if p.dim != self.dim:
+                raise PBWError("polynomial dimension mismatch")
+            for exps, coeff in p.terms.items():
+                word = words.get(exps)
+                if word is None:
+                    word = words[exps] = word_of_monomial(exps)
+                out.append((j, word, coeff))
+        return out
+
+    def _lift(self, terms: list[tuple[int, Word, Fraction]], order: int) -> tuple[Numerators, int]:
+        """sigma of the terms, truncated at eps^order, as numerators over one
+        denominator den (times D^m at eps^m)."""
+        weights = [c.denominator * factorial(len(w)) for _, w, c in terms]
+        den = lcm(1, *weights)
+        sigma = self._sigma
+        out: Numerators = {}
+        for (j, word, coeff), weight in zip(terms, weights):
+            a = coeff.numerator * (den // weight) * self._d**j
+            for (w, dm), value in (sigma.get(word) or self._symmetrize(word)).items():
+                m = j + dm
+                if m <= order:
+                    key = (w, m)
+                    out[key] = out.get(key, 0) + a * value
+        return {key: value for key, value in out.items() if value}, den
+
+    def _peel(self, levels: list[dict[Word, int]], den: int) -> EpsSeries:
+        """sigma^{-1} of the element whose eps^m part is levels[m] over den * D^m.
+        The levels are consumed."""
+        order = len(levels) - 1
+        sigma = self._sigma
+        out: list[Polynomial] = []
+        for m, level in enumerate(levels):
+            items = [(w, v) for w, v in level.items() if v]
+            if not items:
+                out.append(self._zero)
+                continue
+            rescale = _factorial_lcm(len(w) for w, _ in items)
+            if rescale > 1:
+                den *= rescale
+                for later in levels[m:]:
+                    for w in later:
+                        later[w] *= rescale
+            scale = den * self._d**m
+            out.append(
+                Polynomial(
+                    self.dim,
+                    {
+                        monomial_of_word(self.dim, w): Fraction(v * rescale, scale)
+                        for w, v in items
+                    },
+                )
+            )
+            for w, v in items:
+                a = v * (rescale // factorial(len(w)))
+                for (u, dm), s in (sigma.get(w) or self._symmetrize(w)).items():
+                    mm = m + dm
+                    if mm <= order:
+                        target = levels[mm]
+                        target[u] = target.get(u, 0) - a * s
+        if any(any(level.values()) for level in levels):
+            raise PBWError("symmetrization inverse left a remainder")
+        return EpsSeries(self.dim, order, out)
+
+    def _view(self, nums: Numerators, den: int) -> Element:
+        return {(w, m): Fraction(v, den * self._d**m) for (w, m), v in nums.items()}
 
     # -- straightening -----------------------------------------------------------
 
     def normal_form(self, word: Word) -> Element:
         """Rewrite an arbitrary word into the ordered basis (untruncated)."""
-        cached = self._nf.get(word)
-        if cached is not None:
-            return cached
-        descent = next(
-            (p for p in range(len(word) - 1) if word[p] > word[p + 1]), None
-        )
-        if descent is None:
-            result: Element = {(word, 0): Fraction(1)}
-        else:
-            p = descent
-            swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-            result = dict(self.normal_form(swapped))
-            for k, coeff in self.c.bracket_basis(word[p], word[p + 1]).items():
-                contracted = word[:p] + (k,) + word[p + 2 :]
-                for (w, m), value in self.normal_form(contracted).items():
-                    key = (w, m + 1)
-                    result[key] = result.get(key, 0) + coeff * value
-            result = nonzero(result)
-        self._nf[word] = result
-        return result
+        return self._view(self._straighten(word), 1)
 
     def mul(self, a: Element, b: Element, order: int) -> Element:
         """Product in the algebra, truncated at eps^order."""
@@ -102,85 +258,34 @@ class EnvelopingAlgebra:
                 if base > order:
                     continue
                 scale = c1 * c2
-                for (w, dm), value in self.normal_form(w1 + w2).items():
+                for (w, dm), value in self._straighten(w1 + w2).items():
                     m = base + dm
                     if m <= order:
                         key = (w, m)
-                        out[key] = out.get(key, 0) + scale * value
+                        out[key] = out.get(key, 0) + scale * Fraction(value, self._d**dm)
         return nonzero(out)
 
     # -- symmetrization ------------------------------------------------------------
 
     def sigma_word(self, word: Word) -> Element:
         """Symmetrized product of the (sorted) word's letters."""
-        cached = self._sigma.get(word)
-        if cached is not None:
-            return cached
-        n = len(word)
-        if n <= 1:
-            result: Element = {(word, 0): Fraction(1)}
-        else:
-            result = {}
-            share = Fraction(1, n)
-            seen: set[int] = set()
-            for p, letter in enumerate(word):
-                if letter in seen:
-                    continue
-                seen.add(letter)
-                multiplicity = word.count(letter)
-                rest = self.sigma_word(word[:p] + word[p + 1 :])
-                weight = share * multiplicity
-                for (w, m), value in rest.items():
-                    for (w2, dm), v2 in self.normal_form((letter,) + w).items():
-                        key = (w2, m + dm)
-                        result[key] = result.get(key, 0) + weight * value * v2
-            result = nonzero(result)
-        self._sigma[word] = result
-        return result
+        return self._view(self._symmetrize(word), factorial(len(word)))
 
     def sigma_polynomial(self, p: Polynomial) -> Element:
-        if p.dim != self.dim:
-            raise PBWError("polynomial dimension mismatch")
-        out: Element = {}
-        for exps, coeff in p.terms.items():
-            for key, value in self.sigma_word(word_of_monomial(exps)).items():
-                out[key] = out.get(key, 0) + coeff * value
-        return nonzero(out)
+        return self._view(*self._lift(self._terms([p]), max(p.total_degree(), 0)))
 
     def sigma_series(self, s: EpsSeries) -> Element:
-        out: Element = {}
-        for m, level in enumerate(s.coeffs):
-            if level.is_zero():
-                continue
-            for (w, dm), value in self.sigma_polynomial(level).items():
-                if m + dm <= s.order:
-                    key = (w, m + dm)
-                    out[key] = out.get(key, 0) + value
-        return nonzero(out)
+        return self._view(*self._lift(self._terms(list(s.coeffs)), s.order))
 
     def inverse_sigma(self, element: Element, order: int) -> EpsSeries:
         """Peel eps levels: level-m leftovers form p_m, subtract sigma(p_m) eps^m."""
-        work: Element = {k: v for k, v in element.items() if k[1] <= order}
-        levels: list[Polynomial] = []
-        for m in range(order + 1):
-            slice_terms = {
-                monomial_of_word(self.dim, w): coeff
-                for (w, mm), coeff in work.items()
-                if mm == m
-            }
-            p_m = Polynomial(self.dim, slice_terms)
-            levels.append(p_m)
-            if p_m.is_zero():
-                continue
-            for exps, coeff in p_m.terms.items():
-                for (w, dm), value in self.sigma_word(word_of_monomial(exps)).items():
-                    mm = m + dm
-                    if mm <= order:
-                        key = (w, mm)
-                        work[key] = work.get(key, 0) - coeff * value
-        if any(work.values()):
-            raise PBWError("symmetrization inverse left a remainder")
-        return EpsSeries(self.dim, order, levels)
+        kept = {key: Fraction(v) for key, v in element.items() if key[1] <= order}
+        den = lcm(1, *(v.denominator for v in kept.values()))
+        levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
+        for (w, m), v in kept.items():
+            level = levels[m]
+            level[w] = level.get(w, 0) + v.numerator * (den // v.denominator) * self._d**m
+        return self._peel(levels, den)
 
     # -- the star product ------------------------------------------------------------
 
@@ -190,19 +295,45 @@ class EnvelopingAlgebra:
         g: Union[Polynomial, EpsSeries],
         order: int,
     ) -> EpsSeries:
-        sf = self._lift(f, order)
-        sg = self._lift(g, order)
-        return self.inverse_sigma(self.mul(sf, sg, order), order)
+        fl = self._terms(self._levels(f, order))
+        gl = self._terms(self._levels(g, order))
+        degree = max((len(w) for _, w, _ in fl), default=-1) + max(
+            (len(w) for _, w, _ in gl), default=-1
+        )
+        if degree > MAX_STAR_DEGREE:
+            raise PBWError(
+                f"the UEA product of degree {degree} exceeds the limit {MAX_STAR_DEGREE}"
+            )
+        a, den_a = self._lift(fl, order)
+        b, den_b = self._lift(gl, order)
+        levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
+        nf = self._nf
+        for (w1, m1), x in a.items():
+            for (w2, m2), y in b.items():
+                base = m1 + m2
+                if base > order:
+                    continue
+                xy = x * y
+                word = w1 + w2
+                for (w, dm), value in (nf.get(word) or self._straighten(word)).items():
+                    m = base + dm
+                    if m <= order:
+                        level = levels[m]
+                        level[w] = level.get(w, 0) + xy * value
+        return self._peel(levels, den_a * den_b)
 
-    def _lift(self, f: Union[Polynomial, EpsSeries], order: int) -> Element:
+    def _levels(self, f: Union[Polynomial, EpsSeries], order: int) -> list[Polynomial]:
+        """The eps levels of a star factor, truncated at eps^order."""
         if isinstance(f, Polynomial):
-            return self.sigma_polynomial(f)
+            return [f]
         if isinstance(f, EpsSeries):
             if f.dim != self.dim:
                 raise PBWError("series dimension mismatch")
-            if f.order != order:
-                f = EpsSeries(f.dim, order, list(f.coeffs[: order + 1]))
-            return self.sigma_series(f)
+            if f.order < order:
+                raise PBWError(
+                    f"a series known to eps^{f.order} cannot be multiplied to eps^{order}"
+                )
+            return list(f.coeffs[: order + 1])
         raise PBWError(f"cannot lift {type(f).__name__}")
 
 
@@ -213,11 +344,11 @@ def enveloping_algebra(c: StructureConstants) -> EnvelopingAlgebra:
 
 def pbw_normal_form(c: StructureConstants, word: Word) -> Element:
     """Ordered-basis expansion of an arbitrary generator word."""
-    return dict(enveloping_algebra(c).normal_form(tuple(word)))
+    return enveloping_algebra(c).normal_form(tuple(word))
 
 
 def symmetrize(c: StructureConstants, p: Polynomial) -> Element:
-    return dict(enveloping_algebra(c).sigma_polynomial(p))
+    return enveloping_algebra(c).sigma_polynomial(p)
 
 
 def inverse_symmetrize(c: StructureConstants, element: Mapping, order: int) -> EpsSeries:

@@ -571,8 +571,16 @@ class TestPlumbing:
             ["star", "--method", "uea", "--algebra", "heisenberg",
              "--f", "x1", "--g", "x2", "--order", "-1"],
             ["xny", "--n", "-1", "--method", "uea", "--algebra", "heisenberg"],
+            # deg f + deg g above pbw.MAX_STAR_DEGREE; n = 2000 overflowed
+            # the stack in sigma's recursion (exit 3)
+            ["xny", "--n", "40", "--method", "uea", "--algebra", "heisenberg"],
+            ["xny", "--n", "2000", "--method", "uea", "--algebra", "heisenberg",
+             "--order", "2"],
+            ["star", "--method", "uea", "--algebra", "strictly_upper(4)",
+             "--f", "(x1+x2+x3+x4)^20", "--g", "x1", "--order", "1"],
         ],
-        ids=["algebra-size", "symplectic-size", "parse", "series-order", "poly-power"],
+        ids=["algebra-size", "symplectic-size", "parse", "series-order", "poly-power",
+             "uea-xny-degree", "uea-xny-deep", "uea-dense-degree"],
     )
     def test_input_errors_exit_two(self, argv):
         code, out, err = run(argv)
@@ -597,12 +605,15 @@ class TestPlumbing:
             json.dumps({"dim": 2, "alpha": [[0, "1" * 3000 + "/" + "7" * 3000], [-1, 0]]}),
             "5",
             b"\xff\xfe",
+            '{"dim": 3.7, "brackets": []}',
+            '{"dim": 3, "brackets": [{"i": 1.9, "j": 2, "coeffs": {"3": "1"}}]}',
+            '{"dim": 2.0, "alpha": [[0, 1], [-1, 0]]}',
         ],
         ids=["truncated", "no-dim", "bad-rational", "alpha-zero-denominator",
              "bracket-zero-denominator", "coeffs-list", "bool-dim", "huge-dim",
              "infinite-alpha-dim", "bool-alpha-dim", "huge-alpha-dim",
              "exponent-coefficient", "exponent-alpha", "long-alpha", "not-an-object",
-             "not-utf8"],
+             "not-utf8", "float-dim", "float-index", "float-alpha-dim"],
     )
     def test_malformed_json_exits_two(self, tmp_path, text):
         path = tmp_path / "doc.json"

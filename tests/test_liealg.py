@@ -18,6 +18,7 @@ from dqw.liealg import (
     killing_matrix,
     linear_poisson,
     moyal_trick,
+    index_from_json,
     rational_from_json,
     solvable2,
     strictly_upper,
@@ -326,3 +327,30 @@ class TestSerialisation:
         doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": value}}]}
         with pytest.raises(LieAlgebraError, match="malformed structure document"):
             structure_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, 3), (-1, -1), ("12", 12), ("1" * MAX_DIGITS, int("1" * MAX_DIGITS))],
+        ids=["int", "negative-int", "digit-text", "longest"],
+    )
+    def test_index_reader(self, value, expected):
+        assert index_from_json(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.9, 3.0, float("inf"), "1.9", "-1", " 2", "\u00b2", "1" * (MAX_DIGITS + 1), True,
+         None, [1]],
+        ids=["float", "integral-float", "inf", "decimal-text", "signed-text", "space",
+             "superscript", "too-long", "bool", "null", "list"],
+    )
+    def test_index_reader_refuses(self, value):
+        # int() would read 1.9 as 1 and "\u00b2" would pass str.isdigit alone
+        with pytest.raises((TypeError, ValueError)):
+            index_from_json(value)
+        for doc in (
+            {"dim": value, "brackets": []},
+            {"dim": 3, "brackets": [{"i": value, "j": 2, "coeffs": {"3": "1"}}]},
+            {"dim": 3, "brackets": [{"i": 1, "j": value, "coeffs": {"3": "1"}}]},
+        ):
+            with pytest.raises(LieAlgebraError, match="malformed structure document"):
+                structure_from_json(doc)

@@ -4,21 +4,159 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dqw.liealg import heisenberg, solvable2, strictly_upper
+from dqw import pbw
+from dqw.liealg import StructureConstants, heisenberg, solvable2, strictly_upper
 from dqw.pbw import (
+    MAX_STAR_DEGREE,
+    EnvelopingAlgebra,
     PBWError,
     enveloping_algebra,
     inverse_symmetrize,
+    monomial_of_word,
     pbw_normal_form,
     symmetrize,
     uea_star,
     word_of_monomial,
 )
-from dqw.poly import Polynomial, parse_polynomial
+from dqw.poly import Polynomial, nonzero, parse_polynomial
 from dqw.series import EpsSeries
+from dqw.star import equivalence_pairs
 
 F = Fraction
+
+
+class ReferenceEnvelopingAlgebra:
+    """The `Fraction` bodies `EnvelopingAlgebra` replaced with its integer
+    kernel: straightening, sigma and its inverse on `Fraction` coefficients,
+    one cache entry per word.  Kept as the oracle for the kernel."""
+
+    def __init__(self, c: StructureConstants):
+        self.c = c
+        self.dim = c.dim
+        self._nf: dict = {}
+        self._sigma: dict = {}
+
+    def normal_form(self, word):
+        cached = self._nf.get(word)
+        if cached is not None:
+            return cached
+        descent = next(
+            (p for p in range(len(word) - 1) if word[p] > word[p + 1]), None
+        )
+        if descent is None:
+            result = {(word, 0): Fraction(1)}
+        else:
+            p = descent
+            swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
+            result = dict(self.normal_form(swapped))
+            for k, coeff in self.c.bracket_basis(word[p], word[p + 1]).items():
+                contracted = word[:p] + (k,) + word[p + 2 :]
+                for (w, m), value in self.normal_form(contracted).items():
+                    key = (w, m + 1)
+                    result[key] = result.get(key, 0) + coeff * value
+            result = nonzero(result)
+        self._nf[word] = result
+        return result
+
+    def mul(self, a, b, order):
+        out = {}
+        for (w1, m1), c1 in a.items():
+            if m1 > order:
+                continue
+            for (w2, m2), c2 in b.items():
+                base = m1 + m2
+                if base > order:
+                    continue
+                scale = c1 * c2
+                for (w, dm), value in self.normal_form(w1 + w2).items():
+                    m = base + dm
+                    if m <= order:
+                        key = (w, m)
+                        out[key] = out.get(key, 0) + scale * value
+        return nonzero(out)
+
+    def sigma_word(self, word):
+        cached = self._sigma.get(word)
+        if cached is not None:
+            return cached
+        n = len(word)
+        if n <= 1:
+            result = {(word, 0): Fraction(1)}
+        else:
+            result = {}
+            share = Fraction(1, n)
+            seen = set()
+            for p, letter in enumerate(word):
+                if letter in seen:
+                    continue
+                seen.add(letter)
+                multiplicity = word.count(letter)
+                rest = self.sigma_word(word[:p] + word[p + 1 :])
+                weight = share * multiplicity
+                for (w, m), value in rest.items():
+                    for (w2, dm), v2 in self.normal_form((letter,) + w).items():
+                        key = (w2, m + dm)
+                        result[key] = result.get(key, 0) + weight * value * v2
+            result = nonzero(result)
+        self._sigma[word] = result
+        return result
+
+    def sigma_polynomial(self, p):
+        if p.dim != self.dim:
+            raise PBWError("polynomial dimension mismatch")
+        out = {}
+        for exps, coeff in p.terms.items():
+            for key, value in self.sigma_word(word_of_monomial(exps)).items():
+                out[key] = out.get(key, 0) + coeff * value
+        return nonzero(out)
+
+    def sigma_series(self, s):
+        out = {}
+        for m, level in enumerate(s.coeffs):
+            if level.is_zero():
+                continue
+            for (w, dm), value in self.sigma_polynomial(level).items():
+                if m + dm <= s.order:
+                    key = (w, m + dm)
+                    out[key] = out.get(key, 0) + value
+        return nonzero(out)
+
+    def inverse_sigma(self, element, order):
+        work = {k: v for k, v in element.items() if k[1] <= order}
+        levels = []
+        for m in range(order + 1):
+            slice_terms = {
+                monomial_of_word(self.dim, w): coeff
+                for (w, mm), coeff in work.items()
+                if mm == m
+            }
+            p_m = Polynomial(self.dim, slice_terms)
+            levels.append(p_m)
+            if p_m.is_zero():
+                continue
+            for exps, coeff in p_m.terms.items():
+                for (w, dm), value in self.sigma_word(word_of_monomial(exps)).items():
+                    mm = m + dm
+                    if mm <= order:
+                        key = (w, mm)
+                        work[key] = work.get(key, 0) - coeff * value
+        if any(work.values()):
+            raise PBWError("symmetrization inverse left a remainder")
+        return EpsSeries(self.dim, order, levels)
+
+    def star(self, f, g, order):
+        return self.inverse_sigma(
+            self.mul(self._lift(f, order), self._lift(g, order), order), order
+        )
+
+    def _lift(self, f, order):
+        if isinstance(f, Polynomial):
+            return self.sigma_polynomial(f)
+        if f.order != order:
+            f = EpsSeries(f.dim, order, list(f.coeffs[: order + 1]))
+        return self.sigma_series(f)
 
 
 class TestNormalForm:
@@ -187,3 +325,151 @@ class TestStar:
     def test_word_of_monomial(self):
         assert word_of_monomial((2, 0, 1)) == (1, 1, 3)
         assert word_of_monomial((0, 0, 0)) == ()
+
+
+# sl2 with basis h, e, f: not nilpotent, so straightening can cancel
+SL2 = StructureConstants.from_brackets(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+# a nilpotent algebra whose structure constants have denominators 2 and 3
+RATIONAL = StructureConstants.from_brackets(4, {(1, 2): {3: F(1, 2)}, (1, 3): {4: F(2, 3)}})
+ALGEBRAS = {
+    "heisenberg": heisenberg(),
+    "solvable2": solvable2(),
+    "strictly_upper(3)": strictly_upper(3),
+    "strictly_upper(4)": strictly_upper(4),
+    "sl2": SL2,
+    "rational": RATIONAL,
+}
+
+
+def _c08_sample(dim: int, per_stratum: int, seed: int) -> list:
+    """A seeded sample of the C08 monomial pairs (order 5), from every (deg f, deg g)."""
+    strata: dict = {}
+    for f, g in equivalence_pairs(dim, 5):
+        strata.setdefault((f.total_degree(), g.total_degree()), []).append((f, g))
+    rng = random.Random(seed)
+    return [
+        pair
+        for key in sorted(strata)
+        for pair in rng.sample(strata[key], min(per_stratum, len(strata[key])))
+    ]
+
+
+def _random_series(rng: random.Random, dim: int, order: int) -> EpsSeries:
+    levels = []
+    for _ in range(order + 1):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(dim))
+            if sum(exps) <= 3:
+                terms[exps] = F(rng.randint(-5, 5), rng.randint(1, 6))
+        levels.append(Polynomial(dim, terms))
+    return EpsSeries(dim, order, levels)
+
+
+class TestKernel:
+    """The integer kernel against `ReferenceEnvelopingAlgebra`, at exact equality."""
+
+    def test_rational_algebra_has_a_common_denominator(self):
+        assert EnvelopingAlgebra(RATIONAL)._d == 6
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_c08_pairs_every_stratum(self, name):
+        c = ALGEBRAS[name]
+        alg, ref = EnvelopingAlgebra(c), ReferenceEnvelopingAlgebra(c)
+        sample = _c08_sample(c.dim, 4, seed=13)
+        assert {(f.total_degree(), g.total_degree()) for f, g in sample} == {
+            (a, b) for a in range(6) for b in range(6 - a)
+        }
+        for f, g in sample:
+            assert alg.star(f, g, 5) == ref.star(f, g, 5), (f, g)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_series_inputs(self, name):
+        c = ALGEBRAS[name]
+        alg, ref = EnvelopingAlgebra(c), ReferenceEnvelopingAlgebra(c)
+        rng = random.Random(5)
+        for _ in range(6):
+            fs, gs = _random_series(rng, c.dim, 3), _random_series(rng, c.dim, 3)
+            g = gs.coeffs[0]
+            for order in (3, 2):  # a series of higher order is truncated
+                assert alg.star(fs, gs, order) == ref.star(fs, gs, order)
+                assert alg.star(g, fs, order) == ref.star(g, fs, order)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_public_views(self, name):
+        c = ALGEBRAS[name]
+        alg, ref = EnvelopingAlgebra(c), ReferenceEnvelopingAlgebra(c)
+        rng = random.Random(7)
+        for _ in range(30):
+            word = tuple(rng.randint(1, c.dim) for _ in range(rng.randint(0, 4)))
+            assert alg.normal_form(word) == ref.normal_form(word)
+            assert alg.sigma_word(word) == ref.sigma_word(word)
+        s = _random_series(rng, c.dim, 3)
+        a, b = ref.sigma_series(s), ref.sigma_polynomial(s.coeffs[1])
+        assert alg.sigma_series(s) == a
+        assert alg.sigma_polynomial(s.coeffs[1]) == b
+        assert alg.mul(a, b, 3) == ref.mul(a, b, 3)
+        assert alg.inverse_sigma(ref.mul(a, b, 4), 4) == ref.inverse_sigma(ref.mul(a, b, 4), 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_polynomials(self, data):
+        c = ALGEBRAS[data.draw(st.sampled_from(sorted(ALGEBRAS)))]
+        exps = st.tuples(*[st.integers(0, 2)] * c.dim).filter(lambda e: sum(e) <= 4)
+        rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+        polys = st.dictionaries(exps, rationals, max_size=4).map(lambda t: Polynomial(c.dim, t))
+        f, g, order = data.draw(polys), data.draw(polys), data.draw(st.integers(0, 4))
+        assert EnvelopingAlgebra(c).star(f, g, order) == ReferenceEnvelopingAlgebra(c).star(
+            f, g, order
+        )
+
+    def test_peel_without_the_factorial_rescale_fails(self, monkeypatch):
+        # negative control: a level of length-3 words subtracts nothing
+        # unless it is first scaled by 3!, so the remainder check fires
+        f, g = parse_polynomial("x1*x2", dim=3), parse_polynomial("x2", dim=3)
+        assert uea_star(heisenberg(), f, g, 2) == ReferenceEnvelopingAlgebra(heisenberg()).star(
+            f, g, 2
+        )
+        monkeypatch.setattr(pbw, "_factorial_lcm", lambda lengths: 1)
+        with pytest.raises(PBWError, match="remainder"):
+            EnvelopingAlgebra(heisenberg()).star(f, g, 2)
+
+    def test_output_without_the_power_of_d_differs(self):
+        # negative control: the eps^1 numerators carry one factor D = 6
+        f, g = parse_polynomial("x1^2", dim=4), parse_polynomial("x2", dim=4)
+        expected = ReferenceEnvelopingAlgebra(RATIONAL).star(f, g, 3)
+        assert EnvelopingAlgebra(RATIONAL).star(f, g, 3) == expected
+        alg = EnvelopingAlgebra(RATIONAL)
+        alg._d = 1
+        assert alg.star(f, g, 3) != expected
+
+
+class TestStarInput:
+    def test_degree_limit_is_checked_before_straightening(self):
+        c = heisenberg()
+        x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+        alg = EnvelopingAlgebra(c)
+        assert alg.star(x1 ** (MAX_STAR_DEGREE - 1), x2, 2).coeffs[0] == x1 ** (
+            MAX_STAR_DEGREE - 1
+        ) * x2
+        alg = EnvelopingAlgebra(c)
+        with pytest.raises(PBWError, match=f"exceeds the limit {MAX_STAR_DEGREE}"):
+            alg.star(x1**MAX_STAR_DEGREE, x2, 2)
+        assert not alg._nf and not alg._sigma
+
+    def test_degree_limit_reads_a_series_largest_level(self):
+        c = heisenberg()
+        x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+        s = EpsSeries(3, 2, [x1, Polynomial.zero(3), x1**MAX_STAR_DEGREE])
+        with pytest.raises(PBWError, match="exceeds the limit"):
+            uea_star(c, s, x2, 2)
+        # a level beyond the truncation order is dropped, not measured
+        assert uea_star(c, s, x2, 1) == ReferenceEnvelopingAlgebra(c).star(s, x2, 1)
+
+    def test_truncated_series_refused(self):
+        # the eps^2 and eps^3 levels are unknown, not zero
+        x1, x2, x3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
+        with pytest.raises(PBWError, match="known to eps\\^1"):
+            uea_star(heisenberg(), EpsSeries(3, 1, [x1, x3]), x2, 3)
+        with pytest.raises(PBWError, match="known to eps\\^1"):
+            uea_star(heisenberg(), x2, EpsSeries(3, 1, [x1, x3]), 2)

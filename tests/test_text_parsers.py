@@ -88,17 +88,24 @@ alpha_docs = st.fixed_dictionaries(
     {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e99999999"}}]},
     {"dim": 2, "alpha": [[0, "1E999999"], [1e-05, 0]]},
 )
+@example(
+    {"dim": 3.7, "brackets": [{"i": 1.9, "j": 2.2, "coeffs": {"3": "1"}}]},
+    {"dim": 2.0, "alpha": [[0, 1], [-1, 0]]},
+)
 def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
-    # Both readers refuse a bool dim, which int() would read as 0 or 1, and
-    # a rational with an exponent, which Fraction would expand.
+    # Both readers refuse a bool or float dim, which int() would read as 0 or
+    # 1 or truncate, and a rational with an exponent, which Fraction would
+    # expand.
     try:
         algebra = structure_from_json(structure)
     except LieAlgebraError:
         pass
     else:
         assert isinstance(algebra, StructureConstants)
-        assert not isinstance(structure["dim"], bool)
         entries = structure.get("brackets", [])
+        indices = [structure["dim"]]
+        indices += [x for e in entries for x in (e["i"], e["j"], *e["coeffs"])]
+        assert all(_is_index(x) for x in indices)
         assert not any(_has_exponent(v) for e in entries for v in e["coeffs"].values())
     try:
         matrix = _alpha_matrix("doc.json", alpha)
@@ -106,8 +113,15 @@ def test_json_readers_return_a_value_or_a_domain_error(structure, alpha):
         pass
     else:
         assert isinstance(matrix, tuple) and all(isinstance(r, tuple) for r in matrix)
-        assert not isinstance(alpha["dim"], bool)
+        assert _is_index(alpha["dim"])
         assert not any(_has_exponent(v) for r in alpha["alpha"] for v in r)
+
+
+def _is_index(value) -> bool:
+    """Whether a JSON value is an int (not a bool) or text of ASCII digits."""
+    if isinstance(value, str):
+        return value.isascii() and value.isdigit()
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _has_exponent(value) -> bool:
