@@ -50,6 +50,7 @@ from .series import EpsSeries
 Word = tuple[int, ...]  # non-decreasing generator indices, 1-based
 Element = dict[tuple[Word, int], Fraction]
 Numerators = dict[tuple[Word, int], int]  # (word, m) -> numerator, scaled as above
+Term = tuple[int, Word, Fraction]  # c x^w eps^j as (j, w, c)
 
 __all__ = [
     "EnvelopingAlgebra",
@@ -170,7 +171,7 @@ class EnvelopingAlgebra:
         self._sigma[word] = result
         return result
 
-    def _terms(self, levels: list[Polynomial]) -> list[tuple[int, Word, Fraction]]:
+    def _terms(self, levels: list[Polynomial]) -> list[Term]:
         """(j, word, coefficient) for every term c x^w eps^j of sum_j levels[j] eps^j."""
         words = self._words
         out = []
@@ -184,7 +185,7 @@ class EnvelopingAlgebra:
                 out.append((j, word, coeff))
         return out
 
-    def _lift(self, terms: list[tuple[int, Word, Fraction]], order: int) -> tuple[Numerators, int]:
+    def _lift(self, terms: list[Term], order: int) -> tuple[Numerators, int]:
         """sigma of the terms, truncated at eps^order, as numerators over one
         denominator den (times D^m at eps^m)."""
         weights = [c.denominator * factorial(len(w)) for _, w, c in terms]
