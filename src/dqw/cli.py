@@ -162,8 +162,8 @@ _STAR_CACHE: dict = {}
 
 # Largest --order accepted where the graph assembly is built (`assemble`
 # and the kontsevich method of `star`, `verify assoc` and `verify equiv`):
-# at order 8 the build takes about 0.5 s on heisenberg and 1.9 s on
-# strictly_upper(4) on a 2-vCPU host, `assemble` spends about 2 s more on
+# at order 8 the build takes about 0.1 s on heisenberg and 1.2 s on
+# strictly_upper(4) on a 2-vCPU host, `assemble` spends about 0.02 s more on
 # the integral weights, and on strictly_upper(4) order 9 takes about twice
 # as long again and order 10 ten times.  It stays below
 # MAX_HAUSDORFF_DEGREE, since the order-k assembly reads the degree-(k + 1)
@@ -283,8 +283,9 @@ def cmd_bernoulli(args) -> int:
 
 
 # Largest `hausdorff --degree` accepted, for the full series and for
-# --linear-in-y: each takes about 10 s at its limit on a 2-vCPU host, and
-# the cost grows about x3 per degree for the full series.
+# --linear-in-y: on a 2-vCPU host the full series takes about 1.5 s at
+# degree 14 and --linear-in-y about 7 s at degree 38, and the cost of the
+# full series grows about x2.5 per degree.
 MAX_HAUSDORFF_DEGREE = 14
 MAX_LINEAR_IN_Y_DEGREE = 38
 

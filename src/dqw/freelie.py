@@ -6,6 +6,12 @@ X < Y < Z ...).  Arbitrary bracket expressions are rewritten into this basis
 by expanding in the word algebra and eliminating against the triangular
 system b(w) = w + (lexicographically larger words).
 
+The word expansion of b(w) has integer coefficients: b(u v) = b(u) b(v) -
+b(v) b(u) starts from single letters with coefficient 1.  `FreeLie` caches
+each expansion once, as ints, and `basis_bracket` and `hausdorff_series`
+eliminate on integers; the public `expansion` and every coordinate returned
+are `Fraction`s.
+
 The Hausdorff series H with exp(H) = exp(X) exp(Y) is computed in two steps
 (after Casas & Murua, J. Math. Phys. 50 (2009)).  First, the coefficient of
 a word in log(exp X exp Y) comes from a dynamic program over its prefixes:
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence, Union
 
 from .graphs import GROUND_X, GROUND_Y, AdmissibleGraph
@@ -76,6 +82,17 @@ def _lyndon_words(alphabet: tuple[str, ...], max_len: int) -> list[Word]:
     return sorted(words, key=lambda word: (len(word), word))
 
 
+def _commutator(p: dict[Word, int], q: dict[Word, int]) -> dict[Word, int]:
+    """pq - qp in the word algebra, zero coefficients dropped."""
+    result: dict[Word, int] = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            c = c1 * c2
+            result[w1 + w2] = result.get(w1 + w2, 0) + c
+            result[w2 + w1] = result.get(w2 + w1, 0) - c
+    return {key: c for key, c in result.items() if c}
+
+
 class FreeLie:
     """Lyndon-basis machinery over one ordered alphabet (letters sorted)."""
 
@@ -85,7 +102,7 @@ class FreeLie:
             raise LieError("alphabet must be strictly increasing letters")
         self.alphabet = alpha
         self._lyndon_cache: dict[int, list[Word]] = {}
-        self._expansion: dict[Word, dict[Word, Fraction]] = {}
+        self._expansion: dict[Word, dict[Word, int]] = {}
         self._tree: dict[Word, BracketTree] = {}
         self._pair: dict[tuple[Word, Word], LieDict] = {}
         self._nested: dict[Word, LieDict] = {}
@@ -125,23 +142,22 @@ class FreeLie:
         self._tree[word] = tree
         return tree
 
-    def expansion(self, word: Word) -> dict[Word, Fraction]:
-        """Word-algebra expansion of the basis element b(word)."""
-        if word in self._expansion:
-            return self._expansion[word]
+    def _integer_expansion(self, word: Word) -> dict[Word, int]:
+        """Word-algebra expansion of b(word); the cache every route reads."""
+        cached = self._expansion.get(word)
+        if cached is not None:
+            return cached
         if len(word) == 1:
-            result = {word: Fraction(1)}
+            result = {word: 1}
         else:
             u, v = self.standard_factorization(word)
-            pu, pv = self.expansion(u), self.expansion(v)
-            result = {}
-            for w1, c1 in pu.items():
-                for w2, c2 in pv.items():
-                    for key, coeff in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                        result[key] = result.get(key, 0) + coeff
-            result = nonzero(result)
+            result = _commutator(self._integer_expansion(u), self._integer_expansion(v))
         self._expansion[word] = result
         return result
+
+    def expansion(self, word: Word) -> dict[Word, Fraction]:
+        """Word-algebra expansion of the basis element b(word)."""
+        return {w: Fraction(c) for w, c in self._integer_expansion(word).items()}
 
     # -- rewriting into the basis ---------------------------------------------
 
@@ -165,7 +181,7 @@ class FreeLie:
                 if not coeff:
                     continue
                 coords[lw] = coeff
-                for word, c in self.expansion(lw).items():
+                for word, c in self._integer_expansion(lw).items():
                     residual[word] = residual.get(word, 0) - coeff * c
             if any(residual.values()):
                 raise LieError(f"not a Lie element (degree {degree} remainder)")
@@ -183,13 +199,10 @@ class FreeLie:
         if v < u:
             result = {w: -c for w, c in self.basis_bracket(v, u).items()}
         else:
-            pu, pv = self.expansion(u), self.expansion(v)
-            assoc: dict[Word, Fraction] = {}
-            for w1, c1 in pu.items():
-                for w2, c2 in pv.items():
-                    for word, coeff in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                        assoc[word] = assoc.get(word, 0) + coeff
-            result = self.lyndon_coordinates(assoc)
+            # integer coefficients in, integer coordinates out: the
+            # triangular system has ones on its diagonal
+            assoc = _commutator(self._integer_expansion(u), self._integer_expansion(v))
+            result = {w: Fraction(c) for w, c in self.lyndon_coordinates(assoc).items()}
         self._pair[key] = result
         return result
 
@@ -385,7 +398,8 @@ def hausdorff_series(order: int) -> LieSeries:
     b(u) = u + (larger words), so the coefficient of w in the word expansion
     of H involves only b(w) itself and the smaller Lyndon words u of its
     degree, and coord[w] = coeff(w) - sum_u coord[u] * b(u)[w], with coeff
-    the word coefficient of the logarithm.
+    the word coefficient of the logarithm.  The elimination runs on
+    numerators over the lcm of the degree's word-coefficient denominators.
     """
     if order < 1:
         raise LieError("order must be >= 1")
@@ -394,15 +408,17 @@ def hausdorff_series(order: int) -> LieSeries:
     total: LieDict = {}
     for degree in range(1, order + 1):
         words = fl.lyndon_words(degree)
-        residual = {w: _log_word_coefficient(w) for w in words}
+        coeffs = {w: _log_word_coefficient(w) for w in words}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        residual = {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
         for w in words:
-            coeff = residual.pop(w)
-            if not coeff:
+            num = residual.pop(w)
+            if not num:
                 continue
-            total[w] = coeff
-            for word, c in fl.expansion(w).items():
+            total[w] = Fraction(num, den)
+            for word, c in fl._integer_expansion(w).items():
                 if word in residual:
-                    residual[word] -= coeff * c
+                    residual[word] -= num * c
     return LieSeries(alpha, order, total)
 
 

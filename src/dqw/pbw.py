@@ -69,12 +69,19 @@ class PBWError(ValueError):
 
 
 # Largest deg f + deg g that `star` accepts (for a series, its largest level
-# degree).  sigma's insertion recursion is one call deep per letter, and the
-# words straightened multiply with the degree.  On a 2-vCPU host, on
+# degree), and the longest word the other entry points take.  sigma's
+# insertion recursion is one call deep per letter, and the words
+# straightened multiply with the degree.  On a 2-vCPU host, on
 # strictly_upper(4) at order 1, (x1+x2+x3+x4)^11 * x1 takes 0.5 s, and
 # (x1+x2+x3+x4)^6 * (x1+x2+x3+x4)^6 takes 4.7 s at 259 MB peak RSS, against
 # 19 s at 937 MB for the degree-14 product of two seventh powers.
 MAX_STAR_DEGREE = 12
+
+
+def _check_degree(degree: int, what: str) -> None:
+    """Refuse a word longer than MAX_STAR_DEGREE before any recursion."""
+    if degree > MAX_STAR_DEGREE:
+        raise PBWError(f"{what} of degree {degree} exceeds the limit {MAX_STAR_DEGREE}")
 
 
 def word_of_monomial(exps: tuple[int, ...]) -> Word:
@@ -239,6 +246,11 @@ class EnvelopingAlgebra:
             raise PBWError("symmetrization inverse left a remainder")
         return EpsSeries(self.dim, order, out)
 
+    def _sigma_view(self, levels: list[Polynomial], order: int) -> Element:
+        terms = self._terms(levels)
+        _check_degree(max((len(w) for _, w, _ in terms), default=0), "a symmetrized monomial")
+        return self._view(*self._lift(terms, order))
+
     def _view(self, nums: Numerators, den: int) -> Element:
         return {(w, m): Fraction(v, den * self._d**m) for (w, m), v in nums.items()}
 
@@ -246,10 +258,16 @@ class EnvelopingAlgebra:
 
     def normal_form(self, word: Word) -> Element:
         """Rewrite an arbitrary word into the ordered basis (untruncated)."""
+        _check_degree(len(word), "a word")
         return self._view(self._straighten(word), 1)
 
     def mul(self, a: Element, b: Element, order: int) -> Element:
         """Product in the algebra, truncated at eps^order."""
+        _check_degree(
+            max((len(w) for w, m in a if m <= order), default=-1)
+            + max((len(w) for w, m in b if m <= order), default=-1),
+            "a product",
+        )
         out: Element = {}
         for (w1, m1), c1 in a.items():
             if m1 > order:
@@ -270,17 +288,19 @@ class EnvelopingAlgebra:
 
     def sigma_word(self, word: Word) -> Element:
         """Symmetrized product of the (sorted) word's letters."""
+        _check_degree(len(word), "a symmetrized word")
         return self._view(self._symmetrize(word), factorial(len(word)))
 
     def sigma_polynomial(self, p: Polynomial) -> Element:
-        return self._view(*self._lift(self._terms([p]), max(p.total_degree(), 0)))
+        return self._sigma_view([p], max(p.total_degree(), 0))
 
     def sigma_series(self, s: EpsSeries) -> Element:
-        return self._view(*self._lift(self._terms(list(s.coeffs)), s.order))
+        return self._sigma_view(list(s.coeffs), s.order)
 
     def inverse_sigma(self, element: Element, order: int) -> EpsSeries:
         """Peel eps levels: level-m leftovers form p_m, subtract sigma(p_m) eps^m."""
         kept = {key: Fraction(v) for key, v in element.items() if key[1] <= order}
+        _check_degree(max((len(w) for w, _ in kept), default=0), "a word")
         den = lcm(1, *(v.denominator for v in kept.values()))
         levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
         for (w, m), v in kept.items():
@@ -301,10 +321,7 @@ class EnvelopingAlgebra:
         degree = max((len(w) for _, w, _ in fl), default=-1) + max(
             (len(w) for _, w, _ in gl), default=-1
         )
-        if degree > MAX_STAR_DEGREE:
-            raise PBWError(
-                f"the UEA product of degree {degree} exceeds the limit {MAX_STAR_DEGREE}"
-            )
+        _check_degree(degree, "the UEA product")
         a, den_a = self._lift(fl, order)
         b, den_b = self._lift(gl, order)
         levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]

@@ -13,11 +13,19 @@ particular the chain with n vertices weighs Bhat_n / n!.
 Two conventions are reported side by side: `integral` is the raw iterated
 integral of the graph, `weight` divides it by n! (the coefficient the graph
 carries in the assembled product).
+
+`normalized_weight` reaches the other integrable graphs through the sign
+action: mirroring the grounds costs (-1)^n and flipping a vertex's edge pair
+costs -1.  Neither changes the aerial digraph, so neither removes a loop;
+they only move the grounds within the pairs, and a w-computable graph has X
+first in every pair.  For each mirror choice the flips are therefore
+forced: flip exactly the vertices whose second target is X.  Any other flip
+set leaves some pair without X in front, so there is at most one candidate
+per mirror choice, and `classify` decides whether it integrates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -137,18 +145,18 @@ def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
 
 
 def normalized_weight(g: AdmissibleGraph) -> Weight:
-    """Weight via the sign action: search mirror x edge flips for an
-    integrable representative; the integral transforms by the sign."""
+    """Weight via the sign action: the one integrable image per mirror
+    choice flips the vertices whose second target is X; the integral
+    transforms by the sign."""
     if g.n == 0:
         return Weight.of(0, Fraction(1))
     for use_mirror in (False, True):
         base, msign = mirror(g) if use_mirror else (g, 1)
-        for r in range(g.n + 1):
-            for subset in itertools.combinations(range(1, g.n + 1), r):
-                candidate, fsign = flip_edges(base, subset)
-                if classify(candidate).w_computable:
-                    integral = _peel_weight(candidate) * msign * fsign
-                    return Weight.of(g.n, integral)
+        forced = [k for k, pair in enumerate(base.edges, start=1) if pair[1] == GROUND_X]
+        candidate, fsign = flip_edges(base, forced)
+        if classify(candidate).w_computable:
+            integral = _peel_weight(candidate) * msign * fsign
+            return Weight.of(g.n, integral)
     raise WeightError("no mirror/flip image of the graph is w-computable")
 
 

@@ -69,6 +69,26 @@ def exp_weight(a, b):
     return F(1, factorial(a) * factorial(b))
 
 
+def reference_expansion(fl: FreeLie, word, memo: dict) -> dict:
+    """b(word) in the word algebra by the Fraction recursion the integer
+    cache replaced: b(u v) = b(u) b(v) - b(v) b(u)."""
+    if word in memo:
+        return memo[word]
+    if len(word) == 1:
+        result = {word: F(1)}
+    else:
+        u, v = fl.standard_factorization(word)
+        pu, pv = reference_expansion(fl, u, memo), reference_expansion(fl, v, memo)
+        result = {}
+        for w1, c1 in pu.items():
+            for w2, c2 in pv.items():
+                for key, coeff in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
+                    result[key] = result.get(key, 0) + coeff
+        result = {key: c for key, c in result.items() if c}
+    memo[word] = result
+    return result
+
+
 def oracle_mismatches(build, degrees) -> list[int]:
     return [n for n in degrees if build(n) != reference_hausdorff_series(n)]
 
@@ -116,6 +136,16 @@ class TestExpansionAndCoordinates:
                 assert exp[w] == 1
                 for word in exp:
                     assert word >= w and sorted(word) == sorted(w)
+
+    @pytest.mark.parametrize("alphabet, degree", [(XY, 10), (("X", "Y", "Z"), 6)])
+    def test_integer_cache_equals_fraction_recursion(self, alphabet, degree):
+        fl, memo = FreeLie(alphabet), {}
+        words = [w for d in range(1, degree + 1) for w in fl.lyndon_words(d)]
+        for w in words:
+            assert fl._integer_expansion(w) == reference_expansion(fl, w, memo), w
+            assert all(type(c) is int for c in fl._integer_expansion(w).values())
+            assert fl.expansion(w) == fl._integer_expansion(w)
+            assert all(type(c) is Fraction for c in fl.expansion(w).values())
 
     def test_coordinates_round_trip(self):
         fl = free_lie(XY)

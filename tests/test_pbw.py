@@ -444,6 +444,54 @@ class TestKernel:
         assert alg.star(f, g, 3) != expected
 
 
+def _word(n: int) -> tuple:
+    """A word of n letters, x2's before x1's: the most descents it can have."""
+    return (2,) * (n - n // 2) + (1,) * (n // 2)
+
+
+def _word_poly(n: int) -> Polynomial:
+    return Polynomial.variable(3, 1) ** (n // 2) * Polynomial.variable(3, 2) ** (n - n // 2)
+
+
+LONG_WORD_ENTRY_POINTS = {
+    "pbw_normal_form": lambda alg, n: pbw_normal_form(alg.c, _word(n)),
+    "symmetrize": lambda alg, n: symmetrize(alg.c, _word_poly(n)),
+    "inverse_symmetrize": lambda alg, n: inverse_symmetrize(
+        alg.c, {(tuple(sorted(_word(n))), 0): F(1)}, 1
+    ),
+    "normal_form": lambda alg, n: alg.normal_form(_word(n)),
+    "mul": lambda alg, n: alg.mul(
+        {(_word(n - n // 2), 0): F(1)}, {(_word(n // 2), 0): F(1)}, 1
+    ),
+    "sigma_word": lambda alg, n: alg.sigma_word(tuple(sorted(_word(n)))),
+    "sigma_polynomial": lambda alg, n: alg.sigma_polynomial(_word_poly(n)),
+    "sigma_series": lambda alg, n: alg.sigma_series(
+        EpsSeries(3, 1, [Polynomial.variable(3, 3), _word_poly(n)])
+    ),
+    "inverse_sigma": lambda alg, n: alg.inverse_sigma(
+        {(tuple(sorted(_word(n))), 0): F(1)}, 1
+    ),
+}
+
+
+class TestLongWordsRefused:
+    @pytest.mark.parametrize("entry", sorted(LONG_WORD_ENTRY_POINTS))
+    def test_refused_before_recursing(self, entry):
+        call = LONG_WORD_ENTRY_POINTS[entry]
+        assert call(EnvelopingAlgebra(heisenberg()), MAX_STAR_DEGREE)
+        alg = EnvelopingAlgebra(heisenberg())
+        for n in (MAX_STAR_DEGREE + 1, 1200):
+            with pytest.raises(PBWError, match=f"degree {n} exceeds the limit {MAX_STAR_DEGREE}"):
+                call(alg, n)
+        assert not alg._nf and not alg._sigma
+
+    def test_mul_measures_only_the_kept_levels(self):
+        # a long word beyond the truncation order is never straightened
+        alg = EnvelopingAlgebra(heisenberg())
+        long = {(_word(40), 2): F(1), ((1,), 0): F(1)}
+        assert alg.mul(long, {((2,), 0): F(1)}, 1) == {((1, 2), 0): F(1)}
+
+
 class TestStarInput:
     def test_degree_limit_is_checked_before_straightening(self):
         c = heisenberg()

@@ -1,6 +1,7 @@
 """Tests for the iterated-integral weight engine."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -9,18 +10,24 @@ import pytest
 from dqw.bernoulli import bernoulli_number, bernoulli_polynomial
 from dqw.freelie import lie_to_lgraph, parse_bracket
 from dqw.graphs import (
+    GROUND_X,
+    GROUND_Y,
     UNIT_GRAPH,
+    AdmissibleGraph,
     build_w_computable,
     chain_graph,
     classify,
     enumerate_graphs,
+    flip_edges,
     graph_product,
+    mirror,
     parse_graph,
 )
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.weights import (
     Weight,
     WeightError,
+    _peel_weight,
     ground_integral,
     iterated_integral_weight,
     normalized_weight,
@@ -31,6 +38,54 @@ from dqw.weights import (
 )
 
 F = Fraction
+
+
+def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
+    """The search normalized_weight replaced: the first w-computable image
+    over mirror x every subset of edge flips, smallest subsets first."""
+    if g.n == 0:
+        return Weight.of(0, F(1))
+    for use_mirror in (False, True):
+        base, msign = mirror(g) if use_mirror else (g, 1)
+        for r in range(g.n + 1):
+            for subset in itertools.combinations(range(1, g.n + 1), r):
+                candidate, fsign = flip_edges(base, subset)
+                if classify(candidate).w_computable:
+                    return Weight.of(g.n, _peel_weight(candidate) * msign * fsign)
+    raise WeightError("no mirror/flip image of the graph is w-computable")
+
+
+def outcome(weigh, g):
+    """The weight, or the WeightError's message, so that both compare at ==."""
+    try:
+        return weigh(g)
+    except WeightError as err:
+        return str(err)
+
+
+def random_graph(rng: random.Random, n: int) -> AdmissibleGraph:
+    edges = []
+    for k in range(1, n + 1):
+        targets = [GROUND_X, GROUND_Y] + [v for v in range(1, n + 1) if v != k]
+        edges.append(tuple(rng.sample(targets, 2)))
+    return AdmissibleGraph(tuple(edges))
+
+
+def random_integrable_image(rng: random.Random, n: int) -> AdmissibleGraph:
+    """A random mirror/flip image of a random w-computable graph."""
+    while True:
+        base = rng.randrange(1, n + 1)
+        g = AdmissibleGraph(tuple(
+            (GROUND_X, GROUND_Y) if k == base
+            else (GROUND_X, rng.choice([v for v in range(1, n + 1) if v != k]))
+            for k in range(1, n + 1)
+        ))
+        if classify(g).w_computable:
+            break
+    if rng.random() < 0.5:
+        g, _ = mirror(g)
+    flips = [k for k in range(1, n + 1) if rng.random() < 0.5]
+    return flip_edges(g, flips)[0]
 
 
 class TestTransform:
@@ -140,6 +195,31 @@ class TestNormalizedWeights:
     def test_consistency_with_direct(self):
         for m in (1, 2, 3):
             assert normalized_weight(chain_graph(m)) == weight_w_computable(chain_graph(m))
+
+
+def weighed_against_search(graphs) -> int:
+    """Assert normalized_weight == the search on every graph; count weights."""
+    weighed = 0
+    for g in graphs:
+        got = outcome(normalized_weight, g)
+        assert got == outcome(reference_normalized_weight, g), g
+        weighed += isinstance(got, Weight)
+    return weighed
+
+
+class TestForcedFlipOracle:
+    """normalized_weight against the mirror x flip search it replaced."""
+
+    def test_every_graph_through_three(self):
+        graphs = (g for n in range(4) for g in enumerate_graphs(n))
+        assert weighed_against_search(graphs) > 100
+
+    @pytest.mark.parametrize("n, count", [(4, 300), (5, 100)])
+    def test_seeded_samples(self, n, count):
+        rng = random.Random(n)
+        graphs = [random_graph(rng, n) for _ in range(count)]
+        graphs += [random_integrable_image(rng, n) for _ in range(count)]
+        assert weighed_against_search(graphs) >= count
 
 
 class TestMultiplicativity:
