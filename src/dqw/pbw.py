@@ -263,11 +263,10 @@ class EnvelopingAlgebra:
 
     def mul(self, a: Element, b: Element, order: int) -> Element:
         """Product in the algebra, truncated at eps^order."""
-        _check_degree(
-            max((len(w) for w, m in a if m <= order), default=-1)
-            + max((len(w) for w, m in b if m <= order), default=-1),
-            "a product",
-        )
+        lengths_a = [len(w) for w, m in a if m <= order]
+        lengths_b = [len(w) for w, m in b if m <= order]
+        if lengths_a and lengths_b:
+            _check_degree(max(lengths_a) + max(lengths_b), "a product")
         out: Element = {}
         for (w1, m1), c1 in a.items():
             if m1 > order:

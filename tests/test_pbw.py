@@ -490,6 +490,8 @@ class TestLongWordsRefused:
         alg = EnvelopingAlgebra(heisenberg())
         long = {(_word(40), 2): F(1), ((1,), 0): F(1)}
         assert alg.mul(long, {((2,), 0): F(1)}, 1) == {((1, 2), 0): F(1)}
+        # a product with an empty factor is empty, however long the other
+        assert alg.mul({}, {(_word(40), 0): F(1)}, 1) == {}
 
 
 class TestStarInput:
