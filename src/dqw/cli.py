@@ -284,7 +284,7 @@ def cmd_bernoulli(args) -> int:
 
 # Largest `hausdorff --degree` accepted, for the full series and for
 # --linear-in-y: on a 2-vCPU host the full series takes about 1.5 s at
-# degree 14 and --linear-in-y about 7 s at degree 38, and the cost of the
+# degree 14 and --linear-in-y about 1.8 s at degree 38, and the cost of the
 # full series grows about x2.5 per degree.
 MAX_HAUSDORFF_DEGREE = 14
 MAX_LINEAR_IN_Y_DEGREE = 38
@@ -424,8 +424,10 @@ def _classify_row(text: str) -> dict:
     }
 
 
-# Largest `graphs enumerate --n` accepted: n = 4 lists 160,000 graphs and
-# classifies them in about 16 s on a 2-vCPU host; n = 5 would be 24.3M.
+# Largest `graphs enumerate --n` and `verify loops --max-n` accepted: n = 4
+# lists 160,000 graphs and classifies them in about 16 s on a 2-vCPU host
+# (`verify loops --max-n 4` takes about 4 s on strictly_upper(4)); n = 5
+# would be 24.3M.
 MAX_ENUMERATE_N = 4
 
 
@@ -618,6 +620,10 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_verify_loops(args) -> int:
+    if args.max_n > MAX_ENUMERATE_N:
+        raise InputError(
+            f"verify loops --max-n {args.max_n} exceeds the limit {MAX_ENUMERATE_N}"
+        )
     c = _lie_algebra(args.algebra)
     report = loop_vanishing_report(c, args.max_n)
     doc = report.to_json()

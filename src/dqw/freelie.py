@@ -37,7 +37,7 @@ from math import comb, factorial, lcm
 from typing import Mapping, Sequence, Union
 
 from .graphs import GROUND_X, GROUND_Y, AdmissibleGraph
-from .poly import MAX_NESTING, Polynomial, nonzero
+from .poly import MAX_NESTING, nonzero
 
 Word = tuple[str, ...]
 BracketTree = Union[str, tuple]  # leaf letter or (left, right)
@@ -429,38 +429,45 @@ def hausdorff_linear_in_y(max_k: int) -> list[Fraction]:
     Y's.  An element there is a pair (P(a), Q(a, b)): P collects the pure
     powers X^a, Q the words X^a Y X^b (a tracked by x1, b by x2).  In this
     quotient the coefficient of ad_X^k(Y) in a Lie element equals the
-    coefficient of the word X^k Y, i.e. of the monomial x1^k in Q.
+    coefficient of the word X^k Y, i.e. of the monomial x1^k in Q.  P and Q
+    are {(a, b): coefficient} dicts, and a product never forms a term above
+    the degree it keeps.
     """
     if max_k < 1:
         raise LieError("max_k must be >= 1")
     order = max_k + 1
 
-    def _truncate(p: Polynomial, degree: int) -> Polynomial:
-        return Polynomial(2, {e: c for e, c in p.terms.items() if sum(e) <= degree})
+    def mul(f: dict, g: dict, degree: int, out: dict) -> dict:
+        # out += f * g, without the terms of total degree above `degree`
+        for (a1, b1), c1 in f.items():
+            room = degree - a1 - b1
+            for (a2, b2), c2 in g.items():
+                if a2 + b2 <= room:
+                    key = (a1 + a2, b1 + b2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
 
-    def q_mul(p1: Polynomial, q1: Polynomial, p2: Polynomial, q2: Polynomial):
+    def q_mul(p1: dict, q1: dict, p2: dict, q2: dict):
         # (p1, q1) * (p2, q2): pure parts multiply; a single Y survives either
         # from q1 (p2's X-power lands to the right of Y, tracked by x2) or
         # from q2 (p1's X-power lands on the left, tracked by x1).
-        p2_right = Polynomial(2, {(0, e[0]): c for e, c in p2.terms.items()})
-        p = _truncate(p1 * p2, order)
-        q = _truncate(q1 * p2_right + p1 * q2, order - 1)
-        return p, q
+        p2_right = {(0, a): c for (a, _), c in p2.items()}
+        q = mul(p1, q2, order - 1, mul(q1, p2_right, order - 1, {}))
+        return mul(p1, p2, order, {}), q
 
     # exp(X) exp(Y) = (E(x1), E(x1)) where E is the truncated exponential
-    E = Polynomial(2, {(a, 0): Fraction(1, factorial(a)) for a in range(order + 1)})
-    one = Polynomial.one(2)
-    u_p, u_q = _truncate(E - one, order), _truncate(E, order - 1)
-    log_p, log_q = Polynomial.zero(2), Polynomial.zero(2)
-    pow_p, pow_q = one, Polynomial.zero(2)
+    u_p = {(a, 0): Fraction(1, factorial(a)) for a in range(1, order + 1)}
+    u_q = {(a, 0): Fraction(1, factorial(a)) for a in range(order)}
+    log_q: dict = {}
+    pow_p, pow_q = {(0, 0): Fraction(1)}, {}
     for m in range(1, order + 1):
         pow_p, pow_q = q_mul(pow_p, pow_q, u_p, u_q)
         sign = Fraction(1, m) if m % 2 == 1 else Fraction(-1, m)
-        log_p = log_p + pow_p * sign
-        log_q = log_q + pow_q * sign
-        if pow_p.is_zero() and pow_q.is_zero():
+        for key, c in pow_q.items():
+            log_q[key] = log_q.get(key, 0) + c * sign
+        if not any(pow_p.values()) and not any(pow_q.values()):
             break
-    return [log_q.coefficient((k, 0)) for k in range(1, max_k + 1)]
+    return [Fraction(log_q.get((k, 0), 0)) for k in range(1, max_k + 1)]
 
 
 # -- bracket monomials <-> graphs and text ------------------------------------

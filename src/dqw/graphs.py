@@ -28,6 +28,7 @@ __all__ = [
     "GraphClass",
     "GraphError",
     "classify",
+    "has_directed_cycle",
     "enumerate_graphs",
     "graph_product",
     "factorize",
@@ -97,7 +98,9 @@ class GraphClass:
     w_computable: bool
 
 
-def _has_directed_cycle(g: AdmissibleGraph) -> bool:
+def has_directed_cycle(g: AdmissibleGraph) -> bool:
+    """Whether the aerial edges close a directed cycle: the `loop` field of
+    `classify`, without the rest of the classification."""
     color = {}  # 0 in progress, 1 done
 
     def visit(v: int) -> bool:
@@ -141,7 +144,7 @@ def _aerial_components(g: AdmissibleGraph) -> list[list[int]]:
 
 
 def classify(g: AdmissibleGraph) -> GraphClass:
-    loop = _has_directed_cycle(g)
+    loop = has_directed_cycle(g)
     prime = g.n >= 1 and len(_aerial_components(g)) == 1
     sym = (not loop) and all(g.in_degree(v) <= 1 for v in range(1, g.n + 1))
     base_pairs = [pair for pair in g.edges if pair == (GROUND_X, GROUND_Y)]
@@ -224,7 +227,7 @@ def factorize(g: AdmissibleGraph) -> list[AdmissibleGraph]:
 
 
 def _heights(g: AdmissibleGraph) -> dict[int, int]:
-    if _has_directed_cycle(g):
+    if has_directed_cycle(g):
         raise GraphError("loop graphs have no height function")
     memo: dict[int, int] = {}
 

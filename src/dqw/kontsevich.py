@@ -16,6 +16,17 @@ into a later vertex kills the branch at once when no entry is live under the
 grown pending multiset — on a linear structure a second incoming derivative
 ends the branch immediately.  Polynomials are multiplied only at a leaf.
 
+Two exact steps run before and around the search.  A vertex with more
+incoming edges than the structure's largest entry degree p carries a
+derivative of order above p, so such a graph is zero before any search (on
+a linear structure every aerial in-degree >= 2, on a constant one every
+aerial edge).  Otherwise the graph is split into its aerial components
+(`factorize`), and each component is searched alone: the colorings of
+different components are independent, so the sum over them factorises.
+The first component that compiles to zero ends the call; otherwise the
+components' tables combine into one operator, (L1, R1) -> P1 and
+(L2, R2) -> P2 giving (L1 + L2, R1 + R2) -> P1 * P2.
+
 For a linear structure with strictly increasing brackets the compilation
 sorts every graph into three bins: graphs with an aerial in-degree >= 2
 vanish by the derivative count, graphs with a directed aerial cycle vanish
@@ -35,9 +46,11 @@ linear argument, where only the chain types survive.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .bidiff import BiDiffOp
 from .freelie import free_lie, hausdorff_series, lie_to_lgraph
@@ -49,7 +62,9 @@ from .graphs import (
     chain_graph,
     classify,
     enumerate_graphs,
+    factorize,
     format_graph,
+    has_directed_cycle,
     symmetry_count,
 )
 from .liealg import PoissonStructure, StructureConstants, linear_poisson
@@ -105,7 +120,22 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
         return BiDiffOp.identity(d, order)
     if n > order:
         return BiDiffOp.zero(d, order)
-    edges = g.edges
+    in_degree = Counter(t for pair in g.edges for t in pair if t > 0)
+    if max(in_degree.values(), default=0) > pi.max_entry_degree:
+        return BiDiffOp.zero(d, order)
+    table = None
+    for component in factorize(g):
+        factor = _coloring_table(component.edges, pi)
+        if not factor:
+            return BiDiffOp.zero(d, order)
+        table = factor if table is None else _table_product(table, factor)
+    return BiDiffOp(d, order, {(n, left, right): p for (left, right), p in table.items()})
+
+
+def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
+    """{(L, R): coefficient} of the colorings of one aerial component, its
+    vertices labelled 1..len(edges); the zero coefficients are dropped."""
+    n = len(edges)
     live = pi.live_derivatives
     terms: dict = {}
 
@@ -116,7 +146,7 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
             for i, j, orders in factors:
                 poly = live(orders)[i, j]
                 total = poly if total is None else total * poly
-            key = (n, left, right)
+            key = (left, right)
             acc = terms.get(key)
             terms[key] = total if acc is None else acc + total
             return
@@ -145,9 +175,22 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
             else:
                 color(v + 1, new_factors, new_pending, new_left, new_right)
 
-    zero = (0,) * d
+    zero = (0,) * pi.dim
     color(1, [], ((),) * n, zero, zero)
-    return BiDiffOp(d, order, terms)
+    return {key: p for key, p in terms.items() if p.terms}
+
+
+def _table_product(a: dict, b: dict) -> dict:
+    """The coloring table of two components side by side: derivative
+    multi-indices add and coefficients multiply."""
+    out: dict = {}
+    for (l1, r1), p1 in a.items():
+        for (l2, r2), p2 in b.items():
+            key = (tuple(map(add, l1, l2)), tuple(map(add, r1, r2)))
+            p = p1 * p2
+            acc = out.get(key)
+            out[key] = p if acc is None else acc + p
+    return out
 
 
 # -- loop analysis ---------------------------------------------------------------
@@ -184,7 +227,7 @@ def loop_vanishing_report(c: StructureConstants, max_n: int) -> LoopReport:
     report = LoopReport(max_n)
     for n in range(2, max_n + 1):
         for g in enumerate_graphs(n):
-            if not classify(g).loop:
+            if not has_directed_cycle(g):
                 continue
             report.checked += 1
             if not graph_to_operator(g, pi, n).is_zero():
@@ -298,7 +341,7 @@ def _loop_type_rows(c: StructureConstants, order: int) -> list[TypeRow]:
     seen: set[AdmissibleGraph] = set()
     for n in range(2, min(order, 3) + 1):
         for g in enumerate_graphs(n):
-            if not classify(g).loop:
+            if not has_directed_cycle(g):
                 continue
             canon, _ = canonical_form(g)
             if canon in seen:

@@ -336,7 +336,8 @@ class PoissonStructure:
 
     A private table, filled on demand by `live_derivatives` and kept beside
     `entries`, caches the nonzero derivatives of the entries for graph
-    compilation; it takes no part in `==`, `hash` or `repr`.
+    compilation; it takes no part in `==`, `hash` or `repr`.  Neither does
+    the largest entry degree, kept beside it for `max_entry_degree`.
     """
 
     dim: int
@@ -345,6 +346,7 @@ class PoissonStructure:
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+    _max_degree: int = field(default=0, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         d = self.dim
@@ -366,9 +368,16 @@ class PoissonStructure:
                 f"a {self.kind} structure has entry monomials of degree "
                 f"{sorted(degrees - allowed)}"
             )
+        object.__setattr__(self, "_max_degree", max(degrees, default=0))
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i - 1][j - 1]
+
+    @property
+    def max_entry_degree(self) -> int:
+        """The largest total degree of an entry monomial (0 when every entry
+        is zero): every derivative of order above it vanishes."""
+        return self._max_degree
 
     def live_derivatives(self, orders: tuple[int, ...]) -> dict[tuple[int, int], Polynomial]:
         """{(i, j): d^orders alpha^{ij}} over the entries whose derivative is

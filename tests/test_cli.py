@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import dqw.cli
+import dqw.kontsevich
 from dqw.cli import (
     MAX_ASSEMBLY_ORDER,
     MAX_ENUMERATE_N,
@@ -686,6 +687,18 @@ class TestPlumbing:
         code, out, err = run(["graphs", "enumerate", "--n", str(n), "--classify"])
         assert (code, out) == (2, "")
         assert f"exceeds the limit {MAX_ENUMERATE_N}" in err
+
+    def test_verify_loops_above_limit_exits_two(self, monkeypatch):
+        # refused before a single graph is enumerated
+        def unreachable(n):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(dqw.kontsevich, "enumerate_graphs", unreachable)
+        code, out, err = run(
+            ["verify", "loops", "--algebra", "heisenberg", "--max-n", str(MAX_ENUMERATE_N + 1)]
+        )
+        assert (code, out) == (2, "")
+        assert f"verify loops --max-n {MAX_ENUMERATE_N + 1} exceeds the limit" in err
 
     @pytest.mark.parametrize(
         "argv",

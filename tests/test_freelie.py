@@ -23,7 +23,7 @@ from dqw.freelie import (
     _log_word_coefficient,
 )
 from dqw.graphs import classify, format_graph
-from dqw.poly import MAX_NESTING
+from dqw.poly import MAX_NESTING, Polynomial
 from dqw.series import NCSeries, nc_exp, nc_log
 
 F = Fraction
@@ -87,6 +87,36 @@ def reference_expansion(fl: FreeLie, word, memo: dict) -> dict:
         result = {key: c for key, c in result.items() if c}
     memo[word] = result
     return result
+
+
+def reference_hausdorff_linear_in_y(max_k: int) -> list[Fraction]:
+    """hausdorff_linear_in_y on whole Polynomials: every product is formed
+    in full and only then truncated.  Kept as the oracle of the truncating
+    product."""
+    order = max_k + 1
+
+    def _truncate(p: Polynomial, degree: int) -> Polynomial:
+        return Polynomial(2, {e: c for e, c in p.terms.items() if sum(e) <= degree})
+
+    def q_mul(p1: Polynomial, q1: Polynomial, p2: Polynomial, q2: Polynomial):
+        p2_right = Polynomial(2, {(0, e[0]): c for e, c in p2.terms.items()})
+        p = _truncate(p1 * p2, order)
+        q = _truncate(q1 * p2_right + p1 * q2, order - 1)
+        return p, q
+
+    E = Polynomial(2, {(a, 0): Fraction(1, factorial(a)) for a in range(order + 1)})
+    one = Polynomial.one(2)
+    u_p, u_q = _truncate(E - one, order), _truncate(E, order - 1)
+    log_p, log_q = Polynomial.zero(2), Polynomial.zero(2)
+    pow_p, pow_q = one, Polynomial.zero(2)
+    for m in range(1, order + 1):
+        pow_p, pow_q = q_mul(pow_p, pow_q, u_p, u_q)
+        sign = Fraction(1, m) if m % 2 == 1 else Fraction(-1, m)
+        log_p = log_p + pow_p * sign
+        log_q = log_q + pow_q * sign
+        if pow_p.is_zero() and pow_q.is_zero():
+            break
+    return [log_q.coefficient((k, 0)) for k in range(1, max_k + 1)]
 
 
 def oracle_mismatches(build, degrees) -> list[int]:
@@ -229,6 +259,12 @@ class TestHausdorff:
         ]
         assert got == want
         assert got[0] == F(1, 2) and got[1] == F(1, 12) and got[2] == 0
+
+    def test_linear_in_y_equals_reference_through_twenty(self):
+        for max_k in range(1, 21):
+            got = hausdorff_linear_in_y(max_k)
+            assert got == reference_hausdorff_linear_in_y(max_k), max_k
+            assert all(type(c) is Fraction for c in got)
 
     def test_linear_in_y_matches_full_series(self):
         H = hausdorff_series(6)

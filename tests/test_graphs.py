@@ -25,6 +25,7 @@ from dqw.graphs import (
     flip_edges,
     format_graph,
     graph_product,
+    has_directed_cycle,
     is_disjoint_binary_forest,
     mirror,
     parse_graph,
@@ -187,6 +188,26 @@ class TestClassification:
         for n in range(4):
             for g in enumerate_graphs(n):
                 assert classify(g).sym_admissible == is_disjoint_binary_forest(g), format_graph(g)
+
+
+    def test_cycle_test_against_peeling_the_sinks(self):
+        # independent check: a graph is acyclic iff repeatedly removing the
+        # vertices with no aerial target left empties it
+        def acyclic(g):
+            left = set(range(1, g.n + 1))
+            while True:
+                sinks = {v for v in left if not set(g.aerial_targets(v)) & left}
+                if not sinks:
+                    return not left
+                left -= sinks
+
+        counts = {}
+        for n in range(4):
+            for g in enumerate_graphs(n):
+                loop = has_directed_cycle(g)
+                assert loop == classify(g).loop == (not acyclic(g)), format_graph(g)
+                counts[n] = counts.get(n, 0) + loop
+        assert counts == {0: 0, 1: 0, 2: 16, 3: 1216}
 
 
 class TestProductsAndFactors:

@@ -6,12 +6,15 @@ import pytest
 
 from dqw.bernoulli import bernoulli_number
 from dqw.bidiff import BiDiffOp, wedge_operator
+import dqw.kontsevich
 from dqw.graphs import (
     GROUND_X,
     GROUND_Y,
     AdmissibleGraph,
     chain_graph,
     enumerate_graphs,
+    factorize,
+    graph_product,
     parse_graph,
     symmetry_count,
 )
@@ -193,6 +196,91 @@ class TestDerivativeTable:
                 assert set(live) <= set(table[orders[:-1]])
                 for ij, p in live.items():
                     assert p == table[orders[:-1]][ij].derive(orders[-1])
+
+
+def symplectic_alpha():
+    """The constant structure alpha^{12} = 1 on R^2."""
+    one, z = Polynomial.one(2), Polynomial.zero(2)
+    return PoissonStructure(2, "constant", ((z, one), (-one, z)))
+
+
+def multi_component_sample(seed, count, keep):
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng, 4)
+        if len(factorize(g)) > 1 and keep(g):
+            graphs.append(g)
+    return graphs
+
+
+class TestOutputSensitiveCompilation:
+    """graph_to_operator returns zero by the derivative count before any
+    search, and searches each aerial component alone; the reference
+    searches the whole graph."""
+
+    @pytest.mark.parametrize(
+        "make, count, keep",
+        [
+            (
+                lambda: half_poisson(strictly_upper(4)),
+                60,
+                lambda g: all(g.in_degree(v) <= 1 for v in range(1, 5)),
+            ),
+            (quadratic_alpha, 8, lambda g: True),
+        ],
+        ids=["strictly_upper4", "quadratic"],
+    )
+    def test_seeded_multi_component_samples(self, make, count, keep):
+        pi = make()
+        graphs = multi_component_sample(17, count, keep)
+        assert_matches_reference(graphs, pi)
+        live = [g for g in graphs if not graph_to_operator(g, pi, 4).is_zero()]
+        # the sample must hold nonzero products, or it tests nothing
+        assert len(live) >= 3
+
+    def test_constant_structure_kills_every_aerial_edge(self):
+        pi = symplectic_alpha()
+        graphs = [g for n in range(4) for g in enumerate_graphs(n)]
+        assert_matches_reference(graphs, pi)
+        for g in graphs:
+            edgeless = all(t < 0 for pair in g.edges for t in pair)
+            assert graph_to_operator(g, pi, 3).is_zero() != edgeless, g
+
+    def test_quadratic_in_degree_two_still_searches(self):
+        pi = quadratic_alpha()
+        g = parse_graph("1:(X,Y);2:(X,1);3:(Y,1)")
+        op = graph_to_operator(g, pi, 3)
+        assert not op.is_zero() and op == reference_graph_to_operator(g, pi, 3)
+        assert any(len(orders) == 2 for orders in pi._derivatives)
+
+    def test_quadratic_in_degree_three_is_cut(self):
+        pi = quadratic_alpha()
+        g = parse_graph("1:(X,Y);2:(X,1);3:(Y,1);4:(X,1)")
+        assert graph_to_operator(g, pi, 4).is_zero()
+        assert not pi._derivatives  # no search ran
+        assert reference_graph_to_operator(g, pi, 4).is_zero()
+
+    def test_max_entry_degree_stays_out_of_equality(self):
+        for make, degree in ((symplectic_alpha, 0), (quadratic_alpha, 2)):
+            pi = make()
+            assert pi.max_entry_degree == degree
+            assert "_max_degree" not in repr(pi)
+        assert half_poisson(strictly_upper(4)).max_entry_degree == 1
+        assert symplectic_alpha() == symplectic_alpha()
+
+    def test_components_compile_in_one_public_call(self, monkeypatch):
+        real = dqw.kontsevich.graph_to_operator
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dqw.kontsevich, "graph_to_operator", counted)
+        g = graph_product(chain_graph(1), chain_graph(2))
+        op = dqw.kontsevich.graph_to_operator(g, half_poisson(strictly_upper(4)), 3)
+        assert not op.is_zero() and len(calls) == 1
 
 
 class TestGraphToOperator:
