@@ -244,15 +244,17 @@ def fan_out_plan(items: int, jobs: int, cpus: int | None) -> tuple[int, int]:
     return min(jobs, chunks, cpus or 1), chunksize
 
 
-def _fan_out(fn, items: list, jobs: int):
-    """fn over items, yielded in input order.
+def _fan_out(fn, items, count: int, jobs: int):
+    """fn over the `count` items, yielded in input order.
 
     Serial when the plan has one worker (one job, one item or one CPU),
-    otherwise over a process pool.  `fn` and the items are pickled, so they
-    must be module-level functions (or partials of them) and plain data such
-    as text; `Polynomial` and `StarProduct` cannot cross.
+    otherwise over a process pool.  `items` may be a stream.  `fn` and the
+    items are pickled, so they must be module-level functions (or partials
+    of them) and values such as polynomials and graphs.  A `StarProduct`
+    does not cross: `fn` rebuilds it through `build_star`'s cache, which a
+    forked worker inherits.
     """
-    workers, chunksize = fan_out_plan(len(items), jobs, os.cpu_count())
+    workers, chunksize = fan_out_plan(count, jobs, os.cpu_count())
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -410,11 +412,10 @@ def cmd_xny(args) -> int:
     return 0
 
 
-def _classify_row(text: str) -> dict:
-    g = parse_graph(text)
+def _classify_row(g) -> dict:
     cls = classify(g)
     return {
-        "graph": text,
+        "graph": format_graph(g),
         "loop": cls.loop,
         "prime": cls.prime,
         "sym_admissible": cls.sym_admissible,
@@ -425,7 +426,7 @@ def _classify_row(text: str) -> dict:
 
 
 # Largest `graphs enumerate --n` and `verify loops --max-n` accepted: n = 4
-# lists 160,000 graphs and classifies them in about 16 s on a 2-vCPU host
+# lists 160,000 graphs and classifies them in about 11 s on a 2-vCPU host
 # (`verify loops --max-n 4` takes about 4 s on strictly_upper(4)); n = 5
 # would be 24.3M.
 MAX_ENUMERATE_N = 4
@@ -438,11 +439,11 @@ def cmd_graphs(args) -> int:
         for g in enumerate_graphs(args.n):
             print(to_dot(g))
         return 0
-    texts = [format_graph(g) for g in enumerate_graphs(args.n)]
     if args.classify:
-        rows = list(_fan_out(_classify_row, texts, _jobs(args)))
+        count = (args.n * (args.n + 1)) ** args.n
+        rows = list(_fan_out(_classify_row, enumerate_graphs(args.n), count, _jobs(args)))
     else:
-        rows = [{"graph": t} for t in texts]
+        rows = [{"graph": format_graph(g)} for g in enumerate_graphs(args.n)]
     doc = {"schema": 1, "command": "graphs", "n": args.n, "count": len(rows), "rows": rows}
     if args.classify:
         lines = [
@@ -530,24 +531,37 @@ def cmd_assemble(args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
+# Largest verification batch accepted: the triples of `verify assoc`
+# (--trials) and the pairs of `verify equiv` (--trials in random mode,
+# comb(degree + 2 dim, 2 dim) in monomial mode).  A batch is built whole
+# before its first check, so a larger one is refused before any item is
+# built.  Near the limit, with the cheapest product (moyal on symplectic(2),
+# order 1) on a 2-vCPU host, 91,390 monomial pairs (degree 36) take about
+# 10 s and 23 MB, 100,000 random pairs about 43 s and 138 MB, and 100,000
+# triples about 155 s and 181 MB; uea against cbh on strictly_upper(4) at
+# order 5 takes about 10 s for the 50,388 pairs of degree 7.
+MAX_BATCH_ITEMS = 100_000
+
+
+def _check_batch(command: str, items: int) -> None:
+    if items > MAX_BATCH_ITEMS:
+        raise InputError(f"{command} batch of {items} items exceeds the limit {MAX_BATCH_ITEMS}")
+
+
 def _associativity_failure(method: str, algebra: str, order: int, triple) -> dict | None:
-    star = build_star(method, algebra, order)
-    f, g, h = (parse_polynomial(t, dim=star.dim) for t in triple)
-    return associativity_failure(star, f, g, h)
+    return associativity_failure(build_star(method, algebra, order), *triple)
 
 
 def cmd_verify_assoc(args) -> int:
+    _check_batch("verify assoc", args.trials)
     star = build_star(args.method, args.algebra, args.order)
     polys = [
         random_polynomials(star.dim, args.trials, args.degree, args.seed + i)
         for i in range(3)
     ]
-    triples = [
-        (f.to_text(), g.to_text(), h.to_text()) for f, g, h in zip(*polys)
-    ]
     report = AssociativityReport(star.name, star.order)
     check = partial(_associativity_failure, args.method, args.algebra, args.order)
-    for failure in _fan_out(check, triples, _jobs(args)):
+    for failure in _fan_out(check, zip(*polys), args.trials, _jobs(args)):
         report.add(failure)
     doc = report.to_json()
     status = "ASSOCIATIVE" if report.ok else "FAILED"
@@ -557,21 +571,18 @@ def cmd_verify_assoc(args) -> int:
 
 def _equivalence_failure(a: str, b: str, algebra: str, order: int, pair) -> dict | None:
     sa = build_star(a, algebra, order)
-    sb = build_star(b, algebra, order)
-    f, g = (parse_polynomial(t, dim=sa.dim) for t in pair)
-    return equivalence_failure(sa, sb, f, g)
+    return equivalence_failure(sa, build_star(b, algebra, order), *pair)
 
 
 def cmd_verify_equiv(args) -> int:
     sa = build_star(args.a, args.algebra, args.order)
     build_star(args.b, args.algebra, args.order)
-    pairs = [
-        (f.to_text(), g.to_text())
-        for f, g in equivalence_pairs(sa.dim, args.degree, args.mode, args.seed, args.trials)
-    ]
+    monomial_pairs = comb(args.degree + 2 * sa.dim, 2 * sa.dim)
+    _check_batch("verify equiv", monomial_pairs if args.mode == "monomials" else args.trials)
+    pairs = equivalence_pairs(sa.dim, args.degree, args.mode, args.seed, args.trials)
     report = EquivalenceReport(args.a, args.b, args.order, args.mode)
     check = partial(_equivalence_failure, args.a, args.b, args.algebra, args.order)
-    for failure in _fan_out(check, pairs, _jobs(args)):
+    for failure in _fan_out(check, pairs, len(pairs), _jobs(args)):
         report.add(failure)
     doc = report.to_json()
     status = "EQUAL" if report.ok else "DIFFER"

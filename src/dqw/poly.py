@@ -108,6 +108,9 @@ class Polynomial:
     def __setattr__(self, name, value):  # keep instances effectively immutable
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # unpickling goes through the checking constructor
+        return Polynomial, (self.dim, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

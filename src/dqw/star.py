@@ -478,12 +478,12 @@ def equivalence_pairs(
     "random": `trials` seeded pairs from `random_polynomials`.
     """
     if mode == "monomials":
+        # sorted by degree, so the g for an f are a prefix: the degree <= k ones
         monos = _monomials_up_to(dim, degree_bound)
         return [
             (f, g)
             for f in monos
-            for g in monos
-            if f.total_degree() + g.total_degree() <= degree_bound
+            for g in monos[: comb(degree_bound - f.total_degree() + dim, dim)]
         ]
     if mode == "random":
         fs = random_polynomials(dim, trials, degree_bound, seed)

@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,6 +14,7 @@ import dqw.cli
 import dqw.kontsevich
 from dqw.cli import (
     MAX_ASSEMBLY_ORDER,
+    MAX_BATCH_ITEMS,
     MAX_ENUMERATE_N,
     MAX_HAUSDORFF_DEGREE,
     MAX_LINEAR_IN_Y_DEGREE,
@@ -265,6 +267,14 @@ class TestGraphs:
              "--jobs", "4"]
         )
         assert a == b
+
+    def test_streamed_graphs_fan_out_in_chunks(self, monkeypatch):
+        # 1728 graphs streamed into the pool; --jobs 2 splits them in two chunks
+        monkeypatch.delenv("DQW_JOBS", raising=False)
+        args = ["graphs", "enumerate", "--n", "3", "--classify", "--format", "json"]
+        code, serial, _ = run(args + ["--jobs", "1"])
+        assert code == 0 and json.loads(serial)["count"] == 1728
+        assert run(args + ["--jobs", "2"]) == (0, serial, "")
 
 
 class TestWeight:
@@ -718,6 +728,54 @@ class TestPlumbing:
         code, out, err = run(argv + ["--order", str(order)])
         assert (code, out) == (2, "")
         assert f"kontsevich --order {order} exceeds the limit {MAX_ASSEMBLY_ORDER}" in err
+
+    @pytest.mark.parametrize(
+        "argv,items,enumerator",
+        [
+            (["verify", "assoc", "--method", "cbh", "--algebra", "heisenberg",
+              "--trials", str(MAX_BATCH_ITEMS + 1)],
+             MAX_BATCH_ITEMS + 1, "random_polynomials"),
+            (["verify", "equiv", "--a", "uea", "--b", "cbh", "--algebra", "heisenberg",
+              "--order", "2", "--degree", "2", "--mode", "random",
+              "--trials", str(MAX_BATCH_ITEMS + 1)],
+             MAX_BATCH_ITEMS + 1, "equivalence_pairs"),
+            (["verify", "equiv", "--a", "uea", "--b", "cbh", "--algebra", "heisenberg",
+              "--order", "2", "--degree", "40"],
+             comb(40 + 6, 6), "equivalence_pairs"),
+        ],
+        ids=["assoc", "equiv-random", "equiv-monomials"],
+    )
+    def test_batch_above_limit_exits_two(self, monkeypatch, argv, items, enumerator):
+        # refused before a single item is built
+        def unreachable(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(dqw.cli, enumerator, unreachable)
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert f"batch of {items} items exceeds the limit {MAX_BATCH_ITEMS}" in err
+
+    @pytest.mark.parametrize("kind", ["assoc", "random", "monomials"])
+    def test_batch_at_limit_is_built(self, monkeypatch, kind):
+        # the largest accepted batch reaches its enumerator (one more is refused above)
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        if kind == "assoc":
+            monkeypatch.setattr(dqw.cli, "random_polynomials", reached)
+            argv = ["verify", "assoc", "--method", "cbh", "--algebra", "heisenberg",
+                    "--trials", str(MAX_BATCH_ITEMS)]
+        else:
+            monkeypatch.setattr(dqw.cli, "equivalence_pairs", reached)
+            degree = max(d for d in range(100) if comb(d + 6, 6) <= MAX_BATCH_ITEMS)
+            argv = ["verify", "equiv", "--a", "uea", "--b", "cbh", "--algebra",
+                    "heisenberg", "--order", "2", "--mode", kind,
+                    "--degree", str(degree), "--trials", str(MAX_BATCH_ITEMS)]
+        code, out, err = run(argv)
+        assert (code, out) == (3, "") and "Reached" in err
 
     def test_assembly_order_limit_below_hausdorff_limit(self):
         # the order-k assembly reads the degree-(k + 1) Hausdorff series

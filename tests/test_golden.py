@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import dqw.cli
 from dqw.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +99,19 @@ def test_readme_line_matches_golden(argv, fmt):
 @pytest.mark.parametrize("argv,fmt", FANNED_OUT)
 def test_jobs_two_matches_golden(argv, fmt):
     code, out = run(argv + ["--format", fmt, "--jobs", "2"])
+    assert code == 0
+    assert out == golden(argv, fmt)
+
+
+@pytest.mark.parametrize("argv,fmt", FANNED_OUT)
+def test_batches_never_reparse(monkeypatch, argv, fmt):
+    # a batch item crosses as the value it was built as, never as text
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch item re-parsed")
+
+    monkeypatch.setattr(dqw.cli, "parse_polynomial", refuse)
+    monkeypatch.setattr(dqw.cli, "parse_graph", refuse)
+    code, out = run(argv + ["--format", fmt, "--jobs", "1"])
     assert code == 0
     assert out == golden(argv, fmt)
 

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,27 @@ class TestBasics:
         p**20
         # 20 = 0b10100: four squarings and two products into the result
         assert len(calls) == 6
+
+
+class TestPickle:
+    def test_round_trip(self):
+        p = P("x1^2*x3 - 3/7*x2 + 5", dim=3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(p, protocol)) == p
+        assert pickle.loads(pickle.dumps(Polynomial.zero(0))) == Polynomial.zero(0)
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0)])
+    def test_bad_payload_is_refused(self, exps):
+        # negative control: the payload's callable is the checking constructor
+        build, (dim, _) = Polynomial.variable(2, 1).__reduce__()
+
+        class Forged:
+            def __reduce__(self):
+                return build, (dim, {exps: Fraction(1)})
+
+        payload = pickle.dumps(Forged())
+        with pytest.raises(PolyError, match="bad exponent tuple"):
+            pickle.loads(payload)
 
 
 class TestParsing:

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries
 from dqw.star import (
     AssociativityReport,
+    _monomials_up_to,
     StarError,
     bracket_monomial_operator,
     cbh_product,
@@ -36,6 +38,17 @@ from dqw.freelie import parse_bracket
 
 F = Fraction
 SYMPLECTIC2 = [[0, 1], [-1, 0]]
+
+
+def reference_equivalence_pairs(dim, degree_bound):
+    """Oracle: every pair of the monomials up to degree_bound, filtered."""
+    monos = _monomials_up_to(dim, degree_bound)
+    return [
+        (f, g)
+        for f in monos
+        for g in monos
+        if f.total_degree() + g.total_degree() <= degree_bound
+    ]
 
 
 class TestMoyal:
@@ -235,8 +248,6 @@ class TestClosedForm:
     def test_bernoulli_tail(self):
         # on solvable2 ad_x1^k(x2) = x2 for every k, so the eps^k level of
         # x1^6 * x2 is binom(6,k) Bhat_k x1^(6-k) x2 on the nose
-        from math import comb
-
         c = solvable2()
         out = xn_star_y(c, 6, 6)
         x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
@@ -268,6 +279,19 @@ class TestChecks:
             cbh_product(c, 3), uea_product(c, 3), 3, mode="random", seed=1, trials=5
         )
         assert rep.ok and rep.pairs == 5
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_monomial_pairs_equal_square_filter(self, dim):
+        for degree in range(7):
+            pairs = equivalence_pairs(dim, degree)
+            assert pairs == reference_equivalence_pairs(dim, degree)
+            assert len(pairs) == comb(degree + 2 * dim, 2 * dim)
+
+    def test_random_pairs_unchanged(self):
+        pairs = equivalence_pairs(3, 4, mode="random", seed=5, trials=7)
+        fs = random_polynomials(3, 7, 4, 5)
+        gs = random_polynomials(3, 7, 4, 6)
+        assert pairs == list(zip(fs, gs))
 
     def test_mode_validation(self):
         a = moyal_product(SYMPLECTIC2, 2)
