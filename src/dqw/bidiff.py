@@ -441,10 +441,9 @@ def wedge_operator(
     dim: int,
     order: int,
     coefficients: Mapping[tuple[int, int], Polynomial | Fraction | int],
-    eps_degree: int = 1,
     prefactor: Fraction = Fraction(1),
 ) -> BiDiffOp:
-    """sum_{i,j} prefactor * a^{ij} d_i tensor d_j at one eps level.
+    """sum_{i,j} prefactor * a^{ij} d_i tensor d_j at eps level 1.
 
     `coefficients` maps 1-based (i, j) to a^{ij}; both orientations should be
     supplied if the matrix is meant to be antisymmetric (nothing is filled in).
@@ -457,7 +456,7 @@ def wedge_operator(
             coeff = Polynomial.constant(dim, Fraction(coeff))
         left = tuple(1 if k == i else 0 for k in range(1, dim + 1))
         right = tuple(1 if k == j else 0 for k in range(1, dim + 1))
-        key = (eps_degree, left, right)
+        key = (1, left, right)
         add = coeff * prefactor
         acc = terms.get(key)
         terms[key] = add if acc is None else acc + add

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial
@@ -46,7 +45,9 @@ from .kontsevich import (
     assemble_linear_star,
     assemble_xn_star_y,
     integral_omega,
+    loop_types,
     loop_vanishing_report,
+    prime_type_table,
 )
 from .liealg import (
     LieAlgebraError,
@@ -160,14 +161,15 @@ def _lie_algebra(spec: str) -> StructureConstants:
 
 _STAR_CACHE: dict = {}
 
-# Largest --order accepted where the graph assembly is built (`assemble`
-# and the kontsevich method of `star`, `verify assoc` and `verify equiv`):
-# at order 8 the build takes about 0.1 s on heisenberg and 1.2 s on
-# strictly_upper(4) on a 2-vCPU host, `assemble` spends about 0.02 s more on
-# the integral weights, and on strictly_upper(4) order 9 takes about twice
-# as long again and order 10 ten times.  It stays below
-# MAX_HAUSDORFF_DEGREE, since the order-k assembly reads the degree-(k + 1)
-# Hausdorff series.
+# Largest --order accepted by `assemble` and wherever the graph assembly is
+# built (the kontsevich method of `star`, `verify assoc` and `verify
+# equiv`): at order 8 the build takes about 0.1 s on heisenberg and 1.2 s on
+# strictly_upper(4) on a 2-vCPU host, and on strictly_upper(4) order 9 takes
+# about twice as long again and order 10 ten times.  `assemble` reads the
+# prime-type table and the loop check without building the product, about
+# 0.2 s in a fresh process at order 8 on either algebra.  The limit stays
+# below MAX_HAUSDORFF_DEGREE, since the order-k table reads the
+# degree-(k + 1) Hausdorff series.
 MAX_ASSEMBLY_ORDER = 8
 
 
@@ -494,16 +496,25 @@ def cmd_weight(args) -> int:
 
 def cmd_assemble(args) -> int:
     _check_assembly_order("assemble", args.order)
-    asm = assemble_linear_star(_lie_algebra(args.algebra), args.order)
+    loops = loop_types(_lie_algebra(args.algebra), args.order)
     rows, uncovered, differ = [], [], []
-    for row in asm.rows:
-        integral = integral_omega(parse_graph(row.graph))
+    for graph, omega, words in prime_type_table(args.order):
+        text = format_graph(graph)
+        integral = integral_omega(graph)
         if integral is None:
-            uncovered.append(row.graph)
-        elif integral != row.omega:
-            differ.append(row.graph)
-        text = None if integral is None else str(integral)
-        rows.append({**asdict(row), "omega": str(row.omega), "integral": text})
+            uncovered.append(text)
+        elif integral != omega:
+            differ.append(text)
+        rows.append(
+            {
+                "graph": text,
+                "n": graph.n,
+                "omega": str(omega),
+                "symmetry": symmetry_count(graph),
+                "words": words,
+                "integral": None if integral is None else str(integral),
+            }
+        )
     doc = {
         "schema": 1,
         "command": "assemble",
@@ -512,7 +523,7 @@ def cmd_assemble(args) -> int:
         "rows": rows,
         "uncovered": uncovered,
         "differ": differ,
-        "loop_types_zero": len(asm.loop_rows),
+        "loop_types_zero": len(loops),
         "ok": not differ,
     }
     lines = [f"{'n':>2}  {'omega':>10}  {'integral':>10}  {'sym':>5}  graph  [words]"] + [
@@ -521,7 +532,7 @@ def cmd_assemble(args) -> int:
         for r in rows
     ]
     lines += [f"uncovered: {g}" for g in uncovered] + [f"differ: {g}" for g in differ]
-    lines.append(f"loop types verified zero: {len(asm.loop_rows)}")
+    lines.append(f"loop types verified zero: {len(loops)}")
     status = "DIFFER" if differ else "AGREE"
     lines.append(f"{status} covered={len(rows) - len(uncovered)} types={len(rows)}")
     _emit(args, doc, lines)
@@ -548,12 +559,33 @@ def _check_batch(command: str, items: int) -> None:
         raise InputError(f"{command} batch of {items} items exceeds the limit {MAX_BATCH_ITEMS}")
 
 
+# Largest --degree of the random items of `verify assoc` and
+# `verify equiv --mode random`.  `random_polynomials` draws every exponent
+# one unit at a time, so the degree alone sets the time to build one item
+# (one triple at degree 3,000,000 took 5 s), and it is refused before any
+# item is built.  100 is the exponent bound of polynomial text
+# (poly.MAX_EXPONENT), so a reported failure still parses.  At the limit,
+# on a 2-vCPU host, 100,000 polynomials in two variables build in about
+# 10 s and 131 MB (a MAX_BATCH_ITEMS triple batch builds three times as
+# many), and one triple is checked in about 4 ms with moyal on
+# symplectic(2) at order 1 and 30 ms at order 4.
+MAX_RANDOM_DEGREE = 100
+
+
+def _check_random_degree(command: str, degree: int) -> None:
+    if degree > MAX_RANDOM_DEGREE:
+        raise InputError(
+            f"{command} --degree {degree} exceeds the limit {MAX_RANDOM_DEGREE}"
+        )
+
+
 def _associativity_failure(method: str, algebra: str, order: int, triple) -> dict | None:
     return associativity_failure(build_star(method, algebra, order), *triple)
 
 
 def cmd_verify_assoc(args) -> int:
     _check_batch("verify assoc", args.trials)
+    _check_random_degree("verify assoc", args.degree)
     star = build_star(args.method, args.algebra, args.order)
     polys = [
         random_polynomials(star.dim, args.trials, args.degree, args.seed + i)
@@ -575,6 +607,8 @@ def _equivalence_failure(a: str, b: str, algebra: str, order: int, pair) -> dict
 
 
 def cmd_verify_equiv(args) -> int:
+    if args.mode == "random":
+        _check_random_degree("verify equiv --mode random", args.degree)
     sa = build_star(args.a, args.algebra, args.order)
     build_star(args.b, args.algebra, args.order)
     monomial_pairs = comb(args.degree + 2 * sa.dim, 2 * sa.dim)
@@ -729,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assemble", help="generator rows against the integral weights")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     _add_format(p)
     p.set_defaults(handler=cmd_assemble)
 

@@ -228,15 +228,6 @@ class FreeLie:
         self._nested[word] = result
         return result
 
-    def tree_coordinates(self, tree: BracketTree) -> LieDict:
-        """Rewrite an arbitrary bracket monomial into the basis."""
-        if isinstance(tree, str):
-            if tree not in self.alphabet:
-                raise LieError(f"letter {tree!r} not in alphabet")
-            return {(tree,): Fraction(1)}
-        left, right = tree
-        return self.bracket(self.tree_coordinates(left), self.tree_coordinates(right))
-
     def evaluate_tree(self, tree: BracketTree, assignment: Mapping[str, "LieSeries"], order: int) -> LieDict:
         if isinstance(tree, str):
             return dict(assignment[tree].terms)

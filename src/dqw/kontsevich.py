@@ -34,12 +34,17 @@ because every cyclic contraction of the structure constants is a trace of
 strictly triangular matrices, and the rest — disjoint unions of rooted
 binary trees — are exactly the graphs the symmetrized expansion generates.
 
-`assemble_linear_star` builds the product as the symbol exponential of a
-generator with one term per prime tree type, its coefficient read off the
-Hausdorff series (grouped by canonical graph type with flip signs).
-`integral_omega` gives the same coefficient from the integral weight engine
-(symmetry count times weight times the half-structure normalisation) where
-the engine covers the type; `dqw assemble` compares the two row by row.
+`prime_type_table` lists the prime tree types, each with its coefficient
+read off the Hausdorff series (grouped by canonical graph type with flip
+signs).  `assemble_linear_star` builds the product as the symbol
+exponential of the generator with one term per type.  `integral_omega`
+gives the same coefficient from the integral weight engine (symmetry count
+times weight times the half-structure normalisation) where the engine
+covers the type.  `loop_types` refuses an algebra without strictly
+increasing brackets and verifies that every canonical loop type with at
+most three vertices compiles to zero; the build runs it first.  `dqw
+assemble` compares the two coefficients row by row over the table and
+counts the loop types; it never builds the product.
 `assemble_xn_star_y` specialises to a power of a linear argument against a
 linear argument, where only the chain types survive.
 """
@@ -78,10 +83,10 @@ __all__ = [
     "graph_to_operator",
     "half_poisson",
     "loop_vanishing_report",
+    "loop_types",
     "LoopReport",
     "assemble_xn_star_y",
     "prime_type_table",
-    "TypeRow",
     "integral_omega",
     "AssembledStar",
     "assemble_linear_star",
@@ -280,15 +285,6 @@ def assemble_xn_star_y(
 # -- the assembled star product ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeRow:
-    graph: str
-    n: int
-    omega: Fraction
-    symmetry: int
-    words: tuple[str, ...] = ()
-
-
 @lru_cache(maxsize=None)
 def prime_type_table(order: int) -> tuple[tuple[AdmissibleGraph, Fraction, tuple], ...]:
     """Canonical prime tree types from the Hausdorff series up to eps^order.
@@ -328,63 +324,46 @@ def integral_omega(graph: AdmissibleGraph) -> Fraction | None:
 
 @dataclass
 class AssembledStar:
+    """The assembled product.  It holds only `.star`; it stays a wrapper
+    because the benchmark workloads read `assemble_linear_star(...).star`."""
+
     star: StarProduct
-    rows: list[TypeRow]
-    loop_rows: list[TypeRow]
 
 
-def _loop_type_rows(c: StructureConstants, order: int) -> list[TypeRow]:
+def loop_types(c: StructureConstants, order: int) -> list[AdmissibleGraph]:
     """Canonical loop types with up to min(order, 3) vertices, each verified
-    to compile to zero on the algebra's halved structure."""
+    to compile to zero on the algebra's halved structure.  The algebra must
+    have strictly increasing brackets."""
+    if not c.is_triangular_nilpotent():
+        raise KontsevichError("assembly needs strictly increasing brackets")
     pi = half_poisson(c)
-    rows: list[TypeRow] = []
-    seen: set[AdmissibleGraph] = set()
+    types: dict[AdmissibleGraph, None] = {}
     for n in range(2, min(order, 3) + 1):
         for g in enumerate_graphs(n):
             if not has_directed_cycle(g):
                 continue
             canon, _ = canonical_form(g)
-            if canon in seen:
+            if canon in types:
                 continue
-            seen.add(canon)
             if not graph_to_operator(canon, pi, n).is_zero():
                 raise KontsevichError(
                     f"loop type {format_graph(canon)} does not vanish on this algebra"
                 )
-            rows.append(
-                TypeRow(
-                    graph=format_graph(canon),
-                    n=n,
-                    omega=Fraction(0),
-                    symmetry=symmetry_count(canon),
-                )
-            )
-    return rows
+            types[canon] = None
+    return list(types)
 
 
 def assemble_linear_star(c: StructureConstants, order: int) -> AssembledStar:
     """Star product as exp of the prime-type generator, every coefficient
-    read off the Hausdorff series."""
-    if not c.is_triangular_nilpotent():
-        raise KontsevichError("assembly needs strictly increasing brackets")
+    read off the Hausdorff series.  The algebra passes `loop_types` first."""
+    loop_types(c, order)
     pi = linear_poisson(c)
-    rows: list[TypeRow] = []
     generator = BiDiffOp.zero(c.dim, order)
-    for graph, omega, contributing in prime_type_table(order):
-        rows.append(
-            TypeRow(
-                graph=format_graph(graph),
-                n=graph.n,
-                omega=omega,
-                symmetry=symmetry_count(graph),
-                words=contributing,
-            )
-        )
+    for graph, omega, _ in prime_type_table(order):
         if omega:
             generator = generator + graph_to_operator(graph, pi, order).scale(omega)
     op = generator.exp()
-    star = StarProduct("kontsevich", c.dim, order, op.apply, op)
-    return AssembledStar(star, rows, _loop_type_rows(c, order))
+    return AssembledStar(StarProduct("kontsevich", c.dim, order, op.apply, op))
 
 
 # -- the classification actually exhausts the graphs -------------------------------------

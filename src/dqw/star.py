@@ -9,7 +9,7 @@
 All three return a `StarProduct`, a bilinear map on polynomials extended
 eps-bilinearly to truncated series.  `xn_star_y` evaluates the closed form
 for x^n * y with x, y linear, where the coefficient ladder is binomial(n,k)
-times a Bernoulli number; its two variants walk the two sign conventions.
+times a modified Bernoulli number.
 
 `check_associativity` and `check_equivalence` produce small report objects
 the command-line front end prints as JSON.  They are built from per-item
@@ -264,23 +264,13 @@ def cbh_product(
 # -- closed form for x^n * y ------------------------------------------------------------
 
 
-def xn_star_y_coefficients(n: int, max_k: int, variant: str = "modified") -> list[Fraction]:
-    """[coefficient of eps^k (x)^{n-k} ad_x^k(y)] for k = 0..min(n, max_k).
-
-    variant "modified": binomial(n,k) * (-1)^k B_k for every k.
-    variant "standard": the same ladder written with plain Bernoulli numbers,
-    which only changes the k = 1 entry's bookkeeping (+n/2 either way).
-    """
-    out = []
-    for k in range(0, min(n, max_k) + 1):
-        if variant == "modified":
-            b = bernoulli_number(k, variant="modified")
-        elif variant == "standard":
-            b = -bernoulli_number(k) if k == 1 else bernoulli_number(k)
-        else:
-            raise StarError(f"unknown variant {variant!r}")
-        out.append(comb(n, k) * b)
-    return out
+def xn_star_y_coefficients(n: int, max_k: int) -> list[Fraction]:
+    """[coefficient of eps^k (x)^{n-k} ad_x^k(y)] for k = 0..min(n, max_k):
+    binomial(n,k) * (-1)^k B_k, the modified Bernoulli numbers."""
+    return [
+        comb(n, k) * bernoulli_number(k, variant="modified")
+        for k in range(0, min(n, max_k) + 1)
+    ]
 
 
 def _linear_vector(p: Polynomial) -> dict[int, Fraction]:
@@ -296,7 +286,6 @@ def xn_star_y(
     c: StructureConstants,
     n: int,
     order: int,
-    variant: str = "modified",
     x: Polynomial | None = None,
     y: Polynomial | None = None,
 ) -> EpsSeries:
@@ -310,7 +299,7 @@ def xn_star_y(
     y = Polynomial.variable(d, 2) if y is None else y
     if x.dim != d or y.dim != d:
         raise StarError("x, y dimension mismatch")
-    coeffs = xn_star_y_coefficients(n, order, variant)
+    coeffs = xn_star_y_coefficients(n, order)
     ad = _linear_vector(y)
     xvec = _linear_vector(x)
     levels: list[Polynomial] = []
@@ -419,9 +408,13 @@ def check_associativity(
     return report
 
 
+# An equivalence report counts every pair but lists at most this many failures.
+MAX_REPORTED_FAILURES = 5
+
+
 @dataclass
 class EquivalenceReport:
-    """Counts every pair and lists the first `max_failures` failures."""
+    """Counts every pair and lists the first MAX_REPORTED_FAILURES failures."""
 
     left: str
     right: str
@@ -429,7 +422,6 @@ class EquivalenceReport:
     mode: str
     pairs: int = 0
     failures: list[dict] = field(default_factory=list)
-    max_failures: int = 5
 
     @property
     def ok(self) -> bool:
@@ -438,7 +430,7 @@ class EquivalenceReport:
     def add(self, failure: dict | None) -> None:
         """Count one pair; `failure` is `equivalence_failure`'s result."""
         self.pairs += 1
-        if failure is not None and len(self.failures) < self.max_failures:
+        if failure is not None and len(self.failures) < MAX_REPORTED_FAILURES:
             self.failures.append(failure)
 
     def to_json(self) -> dict:
@@ -509,12 +501,11 @@ def check_equivalence(
     mode: str = "monomials",
     seed: int = 0,
     trials: int = 25,
-    max_failures: int = 5,
 ) -> EquivalenceReport:
     """Compare two products pairwise; exact equality of truncated series."""
     if a.dim != b.dim or a.order != b.order:
         raise StarError("products must share dim and truncation order")
-    report = EquivalenceReport(a.name, b.name, a.order, mode, max_failures=max_failures)
+    report = EquivalenceReport(a.name, b.name, a.order, mode)
     for f, g in equivalence_pairs(a.dim, degree_bound, mode, seed, trials):
         report.add(equivalence_failure(a, b, f, g))
     return report

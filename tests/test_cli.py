@@ -12,12 +12,14 @@ import pytest
 
 import dqw.cli
 import dqw.kontsevich
+import dqw.star
 from dqw.cli import (
     MAX_ASSEMBLY_ORDER,
     MAX_BATCH_ITEMS,
     MAX_ENUMERATE_N,
     MAX_HAUSDORFF_DEGREE,
     MAX_LINEAR_IN_Y_DEGREE,
+    MAX_RANDOM_DEGREE,
     fan_out_plan,
     main,
     resolve_algebra,
@@ -346,6 +348,10 @@ class TestAssemble:
     def test_non_nilpotent_algebra_exits_two(self):
         code, out, err = run(["assemble", "--algebra", "solvable2", "--order", "2"])
         assert (code, out) == (2, "") and "strictly increasing" in err
+
+    def test_negative_order_exits_two(self):
+        code, out, err = run(["assemble", "--algebra", "heisenberg", "--order", "-1"])
+        assert (code, out) == (2, "") and "must be >= 0, got -1" in err
 
 
 class TestVerify:
@@ -776,6 +782,39 @@ class TestPlumbing:
                     "--degree", str(degree), "--trials", str(MAX_BATCH_ITEMS)]
         code, out, err = run(argv)
         assert (code, out) == (3, "") and "Reached" in err
+
+    RANDOM_DEGREE_ARGV = [
+        pytest.param(
+            ["verify", "assoc", "--method", "cbh", "--algebra", "heisenberg"],
+            "verify assoc", "ASSOCIATIVE", id="assoc",
+        ),
+        pytest.param(
+            ["verify", "equiv", "--a", "cbh", "--b", "kontsevich", "--algebra", "heisenberg",
+             "--mode", "random"],
+            "verify equiv --mode random", "EQUAL", id="equiv-random",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,command,verdict", RANDOM_DEGREE_ARGV)
+    def test_random_degree_above_limit_exits_two(self, monkeypatch, argv, command, verdict):
+        # refused before a single polynomial is built
+        def unreachable(*args):
+            raise AssertionError("built")
+
+        for module, name in ((dqw.cli, "random_polynomials"), (dqw.cli, "equivalence_pairs"),
+                             (dqw.star, "random_polynomials")):
+            monkeypatch.setattr(module, name, unreachable)
+        degree = MAX_RANDOM_DEGREE + 1
+        code, out, err = run(argv + ["--order", "2", "--degree", str(degree)])
+        assert (code, out) == (2, "")
+        assert f"{command} --degree {degree} exceeds the limit {MAX_RANDOM_DEGREE}" in err
+
+    @pytest.mark.parametrize("argv,command,verdict", RANDOM_DEGREE_ARGV)
+    def test_random_degree_at_limit_runs(self, argv, command, verdict):
+        code, out, _ = run(
+            argv + ["--order", "2", "--degree", str(MAX_RANDOM_DEGREE), "--trials", "1"]
+        )
+        assert code == 0 and out.startswith(verdict)
 
     def test_assembly_order_limit_below_hausdorff_limit(self):
         # the order-k assembly reads the degree-(k + 1) Hausdorff series

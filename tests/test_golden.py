@@ -128,3 +128,17 @@ def test_batches_never_reparse(monkeypatch, argv, fmt):
 def test_flags_without_effect_are_usage_errors(argv):
     code, out = run(argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_assemble_never_builds_the_product(monkeypatch, fmt):
+    # the audit reads the prime-type table and the loop check, not the product
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble built the product or re-parsed a graph")
+
+    monkeypatch.setattr(dqw.cli, "assemble_linear_star", refuse)
+    monkeypatch.setattr(dqw.cli, "parse_graph", refuse)
+    argv = ["assemble", "--algebra", "heisenberg", "--order", "4"]
+    code, out = run(argv + ["--format", fmt])
+    assert code == 0
+    assert out == golden(argv, fmt)

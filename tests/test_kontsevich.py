@@ -11,10 +11,12 @@ from dqw.graphs import (
     GROUND_X,
     GROUND_Y,
     AdmissibleGraph,
+    canonical_form,
     chain_graph,
     enumerate_graphs,
     factorize,
     graph_product,
+    has_directed_cycle,
     parse_graph,
     symmetry_count,
 )
@@ -26,6 +28,7 @@ from dqw.kontsevich import (
     graph_to_operator,
     half_poisson,
     integral_omega,
+    loop_types,
     loop_vanishing_report,
     prime_type_table,
 )
@@ -460,11 +463,52 @@ class TestPrimeTypeTable:
             assert omega == integral, g
         assert covered == 5
 
+    def test_covered_types_agree_across_sources(self):
+        # the Hausdorff omega of every type equals the integral engine's,
+        # wherever the engine covers the type
+        covered = 0
+        for graph, omega, _ in prime_type_table(4):
+            integral = integral_omega(graph)
+            if integral is not None:
+                covered += 1
+                assert omega == integral, graph
+        assert covered == 5
+
 
 def format_graph_key(g):
     from dqw.graphs import format_graph
 
     return format_graph(g)
+
+
+class TestLoopTypes:
+    def test_loop_types_all_zero(self):
+        c = heisenberg()
+        pi = half_poisson(c)
+        types = loop_types(c, 4)
+        assert len(types) == 34
+        assert {g.n for g in types} == {2, 3}
+        for g in types:
+            assert has_directed_cycle(g) and canonical_form(g)[0] == g
+            assert graph_to_operator(g, pi, g.n).is_zero()
+
+    def test_order_caps_the_vertex_count(self):
+        assert {g.n for g in loop_types(heisenberg(), 2)} == {2}
+        assert loop_types(heisenberg(), 1) == []
+
+    def test_rejects_non_nilpotent(self):
+        with pytest.raises(KontsevichError, match="strictly increasing"):
+            loop_types(solvable2(), 3)
+
+    def test_surviving_loop_type_is_refused(self, monkeypatch):
+        # negative control: past the guard, solvable2's two-loop survives,
+        # and both the check and the build that runs it refuse the algebra
+        c = solvable2()
+        monkeypatch.setattr(type(c), "is_triangular_nilpotent", lambda self: True)
+        with pytest.raises(KontsevichError, match="does not vanish"):
+            loop_types(c, 3)
+        with pytest.raises(KontsevichError, match="does not vanish"):
+            assemble_linear_star(c, 3)
 
 
 class TestAssembledStar:
@@ -485,24 +529,6 @@ class TestAssembledStar:
         c = strictly_upper(3)
         asm = assemble_linear_star(c, 4)
         assert asm.star.operator == cbh_product(c, 4).operator
-
-    def test_covered_types_agree_across_sources(self):
-        # the Hausdorff omega of every row equals the integral engine's,
-        # wherever the engine covers the type
-        asm = assemble_linear_star(heisenberg(), 4)
-        covered = 0
-        for row in asm.rows:
-            integral = integral_omega(parse_graph(row.graph))
-            if integral is not None:
-                covered += 1
-                assert row.omega == integral, row.graph
-        assert covered == 5
-
-    def test_loop_rows_all_zeroed(self):
-        asm = assemble_linear_star(heisenberg(), 4)
-        assert asm.loop_rows
-        assert all(r.n <= 3 for r in asm.loop_rows)
-        assert all(r.omega == 0 for r in asm.loop_rows)
 
     def test_product_name_and_defining_properties(self):
         c = heisenberg()

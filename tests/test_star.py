@@ -218,9 +218,12 @@ class TestClosedForm:
         assert xn_star_y_coefficients(4, 4) == [F(1), F(2), F(1), F(0), F(-1, 30)]
         assert xn_star_y_coefficients(1, 5) == [F(1), F(1, 2)]
         for n in range(0, 7):
-            assert xn_star_y_coefficients(n, 6) == xn_star_y_coefficients(
-                n, 6, variant="standard"
-            )
+            # the same ladder in plain Bernoulli numbers: only B_1 changes sign
+            standard = [
+                comb(n, k) * (-bernoulli_number(k) if k == 1 else bernoulli_number(k))
+                for k in range(min(n, 6) + 1)
+            ]
+            assert xn_star_y_coefficients(n, 6) == standard
 
     def test_matches_uea_and_cbh(self):
         for c in (heisenberg(), strictly_upper(3)):
@@ -270,8 +273,6 @@ class TestChecks:
         assert rep.pairs == len(equivalence_pairs(2, 6)) == 210
         assert len(rep.failures) == 5
         assert all(set(entry) == {"f", "g", "difference"} for entry in rep.failures)
-        capped = check_equivalence(uea_product(c, 4), bad, 6, max_failures=2)
-        assert capped.pairs == 210 and capped.failures == rep.failures[:2]
 
     def test_equivalence_random_mode(self):
         c = heisenberg()
