@@ -43,7 +43,7 @@ from .graphs import (
     symmetry_count,
 )
 from .bidiff import BiDiffOp, wedge_operator
-from .pbw import enveloping_algebra, pbw_normal_form, symmetrize, uea_star
+from .pbw import enveloping_algebra, uea_star
 from .star import (
     StarProduct,
     cbh_product,
@@ -64,7 +64,6 @@ from .weights import (
 from .kontsevich import (
     assemble_linear_star,
     assemble_xn_star_y,
-    coverage_report,
     graph_to_operator,
     loop_vanishing_report,
     prime_type_table,

@@ -30,6 +30,8 @@ __all__ = [
     "classify",
     "has_directed_cycle",
     "enumerate_graphs",
+    "graph_types",
+    "graph_orbit",
     "graph_product",
     "factorize",
     "decompose_nonloop",
@@ -199,6 +201,50 @@ def enumerate_graphs(n: int) -> Iterator[AdmissibleGraph]:
         per_vertex.append(pairs)
     for combo in itertools.product(*per_vertex):
         yield AdmissibleGraph(tuple(combo))
+
+
+def graph_types(n: int) -> Iterator[tuple[AdmissibleGraph, int]]:
+    """Each type of graph with n aerial vertices once, as (canonical graph,
+    orbit size), in order of the canonical edge tuples.
+
+    The orbit of a type under relabellings and edge flips is its
+    `symmetry_count` labelled graphs.  Sorting the pairs of one of them
+    gives a graph of the same orbit with every pair increasing, and the 2^n
+    flips of that graph are distinct, so the orbit holds 2^n labelled graphs
+    for each of its increasing ones.  Only the (n(n+1)/2)^n increasing edge
+    tuples are canonicalised, 1/2^n of `enumerate_graphs(n)`.
+    """
+    if n < 0:
+        raise GraphError("n must be >= 0")
+    per_vertex = []
+    for k in range(1, n + 1):
+        targets = [GROUND_X, GROUND_Y] + [v for v in range(1, n + 1) if v != k]
+        per_vertex.append(list(itertools.combinations(targets, 2)))
+    counts: dict[AdmissibleGraph, int] = {}
+    for combo in itertools.product(*per_vertex):
+        canon, _ = canonical_form(AdmissibleGraph(combo))
+        counts[canon] = counts.get(canon, 0) + 1
+    for canon in sorted(counts, key=lambda g: g.edges):
+        yield canon, counts[canon] << n
+
+
+def graph_orbit(g: AdmissibleGraph) -> list[AdmissibleGraph]:
+    """Every labelled graph of g's type, each once: all relabellings of g
+    with every choice of edge flips, in `enumerate_graphs` order."""
+    n = g.n
+    relabelled = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        label = (0,) + perm
+        table: list = [None] * n
+        for old, pair in enumerate(g.edges, start=1):
+            table[label[old] - 1] = tuple(t if t < 0 else label[t] for t in pair)
+        relabelled.add(tuple(table))
+    orbit = {
+        tuple((b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips))
+        for edges in relabelled
+        for flips in itertools.product((False, True), repeat=n)
+    }
+    return [AdmissibleGraph(edges) for edges in sorted(orbit)]
 
 
 def graph_product(a: AdmissibleGraph, b: AdmissibleGraph) -> AdmissibleGraph:

@@ -23,16 +23,22 @@ a linear structure every aerial in-degree >= 2, on a constant one every
 aerial edge).  Otherwise the graph is split into its aerial components
 (`factorize`), and each component is searched alone: the colorings of
 different components are independent, so the sum over them factorises.
-The first component that compiles to zero ends the call; otherwise the
-components' tables combine into one operator, (L1, R1) -> P1 and
-(L2, R2) -> P2 giving (L1 + L2, R1 + R2) -> P1 * P2.
+The first component that compiles to zero ends the call; otherwise each
+component becomes an operator at eps degree its size, and `symbol_mul`
+combines them (derivative multi-indices add, coefficients multiply).
 
-For a linear structure with strictly increasing brackets the compilation
-sorts every graph into three bins: graphs with an aerial in-degree >= 2
-vanish by the derivative count, graphs with a directed aerial cycle vanish
-because every cyclic contraction of the structure constants is a trace of
-strictly triangular matrices, and the rest — disjoint unions of rooted
-binary trees — are exactly the graphs the symmetrized expansion generates.
+For a linear structure with strictly increasing brackets every graph falls
+in one of three bins: graphs with an aerial in-degree >= 2 vanish by the
+derivative count, graphs with a directed aerial cycle vanish because every
+cyclic contraction of the structure constants is a trace of strictly
+triangular matrices, and the rest — disjoint unions of rooted binary trees —
+are exactly the graphs the symmetrized expansion generates.
+`loop_vanishing_report` checks the loop bin on any algebra, one graph type
+at a time (`graph_types`): relabelling a graph keeps its operator and
+flipping a vertex's edge pair negates it, so a type's operator vanishes
+exactly when every labelled graph of its orbit does.  Each loop type is
+compiled once and counts its whole orbit as checked; a surviving type lists
+every labelled graph of its orbit (`graph_orbit`).
 
 `prime_type_table` lists the prime tree types, each with its coefficient
 read off the Hausdorff series (grouped by canonical graph type with flip
@@ -55,7 +61,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .bidiff import BiDiffOp
 from .freelie import free_lie, hausdorff_series, lie_to_lgraph
@@ -65,10 +70,11 @@ from .graphs import (
     AdmissibleGraph,
     canonical_form,
     chain_graph,
-    classify,
     enumerate_graphs,
     factorize,
     format_graph,
+    graph_orbit,
+    graph_types,
     has_directed_cycle,
     symmetry_count,
 )
@@ -90,8 +96,6 @@ __all__ = [
     "integral_omega",
     "AssembledStar",
     "assemble_linear_star",
-    "coverage_report",
-    "CoverageReport",
 ]
 
 
@@ -128,13 +132,15 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
     in_degree = Counter(t for pair in g.edges for t in pair if t > 0)
     if max(in_degree.values(), default=0) > pi.max_entry_degree:
         return BiDiffOp.zero(d, order)
-    table = None
+    op = None
     for component in factorize(g):
-        factor = _coloring_table(component.edges, pi)
-        if not factor:
+        table = _coloring_table(component.edges, pi)
+        if not table:
             return BiDiffOp.zero(d, order)
-        table = factor if table is None else _table_product(table, factor)
-    return BiDiffOp(d, order, {(n, left, right): p for (left, right), p in table.items()})
+        m = component.n
+        factor = BiDiffOp(d, order, {(m, left, right): p for (left, right), p in table.items()})
+        op = factor if op is None else op.symbol_mul(factor)
+    return op
 
 
 def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
@@ -185,19 +191,6 @@ def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
     return {key: p for key, p in terms.items() if p.terms}
 
 
-def _table_product(a: dict, b: dict) -> dict:
-    """The coloring table of two components side by side: derivative
-    multi-indices add and coefficients multiply."""
-    out: dict = {}
-    for (l1, r1), p1 in a.items():
-        for (l2, r2), p2 in b.items():
-            key = (tuple(map(add, l1, l2)), tuple(map(add, r1, r2)))
-            p = p1 * p2
-            acc = out.get(key)
-            out[key] = p if acc is None else acc + p
-    return out
-
-
 # -- loop analysis ---------------------------------------------------------------
 
 
@@ -223,20 +216,24 @@ class LoopReport:
 
 
 def loop_vanishing_report(c: StructureConstants, max_n: int) -> LoopReport:
-    """Compile every loop graph with up to max_n vertices against the halved
-    linear structure and record the ones that survive.  The first loop graphs
+    """Check every loop graph with up to max_n vertices against the halved
+    linear structure, compiling each loop type once, and record the labelled
+    graphs that survive in `enumerate_graphs` order.  The first loop graphs
     have two vertices, so max_n < 2 would check nothing and is refused."""
     if max_n < 2:
         raise KontsevichError(f"max_n must be >= 2, got {max_n}")
     pi = half_poisson(c)
     report = LoopReport(max_n)
     for n in range(2, max_n + 1):
-        for g in enumerate_graphs(n):
+        survivors: list[AdmissibleGraph] = []
+        for g, orbit in graph_types(n):
             if not has_directed_cycle(g):
                 continue
-            report.checked += 1
+            report.checked += orbit
             if not graph_to_operator(g, pi, n).is_zero():
-                report.nonzero.append(format_graph(g))
+                survivors.extend(graph_orbit(g))
+        survivors.sort(key=lambda g: g.edges)
+        report.nonzero.extend(format_graph(g) for g in survivors)
     return report
 
 
@@ -364,61 +361,3 @@ def assemble_linear_star(c: StructureConstants, order: int) -> AssembledStar:
             generator = generator + graph_to_operator(graph, pi, order).scale(omega)
     op = generator.exp()
     return AssembledStar(StarProduct("kontsevich", c.dim, order, op.apply, op))
-
-
-# -- the classification actually exhausts the graphs -------------------------------------
-
-
-@dataclass
-class CoverageReport:
-    n: int
-    total: int = 0
-    sym_admissible: int = 0
-    loop: int = 0
-    high_in_degree: int = 0
-    loops_vanish: bool = True
-    high_in_degree_vanishes: bool = True
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.total == self.sym_admissible + self.loop + self.high_in_degree
-            and self.loops_vanish
-            and self.high_in_degree_vanishes
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "check": "coverage",
-            "n": self.n,
-            "total": self.total,
-            "sym_admissible": self.sym_admissible,
-            "loop": self.loop,
-            "high_in_degree": self.high_in_degree,
-            "loops_vanish": self.loops_vanish,
-            "high_in_degree_vanishes": self.high_in_degree_vanishes,
-            "consistent": self.consistent,
-        }
-
-
-def coverage_report(c: StructureConstants, n: int) -> CoverageReport:
-    """Sort all graphs with n aerial vertices into the three bins and verify
-    that the two discarded bins compile to zero on the algebra."""
-    pi = half_poisson(c)
-    report = CoverageReport(n)
-    for g in enumerate_graphs(n):
-        report.total += 1
-        cls = classify(g)
-        if cls.sym_admissible:
-            report.sym_admissible += 1
-            continue
-        if cls.loop:
-            report.loop += 1
-            if not graph_to_operator(g, pi, n).is_zero():
-                report.loops_vanish = False
-            continue
-        report.high_in_degree += 1
-        if not graph_to_operator(g, pi, n).is_zero():
-            report.high_in_degree_vanishes = False
-    return report

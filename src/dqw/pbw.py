@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .liealg import StructureConstants
 from .poly import Polynomial, nonzero
@@ -55,12 +55,10 @@ Term = tuple[int, Word, Fraction]  # c x^w eps^j as (j, w, c)
 __all__ = [
     "EnvelopingAlgebra",
     "enveloping_algebra",
-    "pbw_normal_form",
-    "symmetrize",
-    "inverse_symmetrize",
     "uea_star",
     "PBWError",
     "MAX_STAR_DEGREE",
+    "MAX_STAR_PAIRS",
 ]
 
 
@@ -76,6 +74,15 @@ class PBWError(ValueError):
 # (x1+x2+x3+x4)^6 * (x1+x2+x3+x4)^6 takes 4.7 s at 259 MB peak RSS, against
 # 19 s at 937 MB for the degree-14 product of two seventh powers.
 MAX_STAR_DEGREE = 12
+
+# Largest number of lifted term pairs `star` straightens: the degree bound
+# above leaves wide factors unbounded, and each pair straightens a word of up
+# to MAX_STAR_DEGREE letters.  On a 2-vCPU host, on strictly_upper(4) at
+# order 1, (x1+x2+x3+x4)^6 lifts to 189 terms, and its square (35,721 pairs)
+# takes 2.3 s; 189 by 315 pairs (59,535) take 5.2 s and 315 by 315 (99,225)
+# take 10.4 s, about 0.1 ms a pair, while (x1+...+x6)^6 squared (658 by 658,
+# 432,964 pairs) did not finish in 60 s.
+MAX_STAR_PAIRS = 50_000
 
 
 def _check_degree(degree: int, what: str) -> None:
@@ -323,6 +330,11 @@ class EnvelopingAlgebra:
         _check_degree(degree, "the UEA product")
         a, den_a = self._lift(fl, order)
         b, den_b = self._lift(gl, order)
+        if len(a) * len(b) > MAX_STAR_PAIRS:
+            raise PBWError(
+                f"the UEA product of {len(a)} by {len(b)} lifted terms exceeds "
+                f"the limit of {MAX_STAR_PAIRS} pairs"
+            )
         levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
         nf = self._nf
         for (w1, m1), x in a.items():
@@ -357,19 +369,6 @@ class EnvelopingAlgebra:
 @lru_cache(maxsize=None)
 def enveloping_algebra(c: StructureConstants) -> EnvelopingAlgebra:
     return EnvelopingAlgebra(c)
-
-
-def pbw_normal_form(c: StructureConstants, word: Word) -> Element:
-    """Ordered-basis expansion of an arbitrary generator word."""
-    return enveloping_algebra(c).normal_form(tuple(word))
-
-
-def symmetrize(c: StructureConstants, p: Polynomial) -> Element:
-    return enveloping_algebra(c).sigma_polynomial(p)
-
-
-def inverse_symmetrize(c: StructureConstants, element: Mapping, order: int) -> EpsSeries:
-    return enveloping_algebra(c).inverse_sigma(dict(element), order)
 
 
 def uea_star(

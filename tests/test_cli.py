@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -445,6 +446,30 @@ class TestVerify:
         assert code == 1 and "NONZERO" in out
 
     @pytest.mark.parametrize(
+        "algebra, fmt, code, size, digest",
+        [
+            ("strictly_upper(4)", "text", 0, 22,
+             "489a4d068372e1905aeaad487932d4481ed824e83a7a52510dc6c5b9b32a90fc"),
+            ("strictly_upper(4)", "json", 0, 112,
+             "b05b369d1f1c6d638803dc83f723f8a3387a02550e7d50a60a82b384c0fbd002"),
+            ("solvable2", "text", 1, 173591,
+             "5975e185f05cf2910c0526159a7da48cc0ec982f339c74d5a572d85b78930fba"),
+            ("solvable2", "json", 1, 212099,
+             "52be3ee339c52bea58823a214bad1fd1d49b939fc1942d85f28b12117b2fb42d"),
+        ],
+        ids=["nilpotent-text", "nilpotent-json", "solvable-text", "solvable-json"],
+    )
+    def test_loops_output_pinned_at_four_vertices(self, algebra, fmt, code, size, digest):
+        # the output of the labelled walk over all 160,000 graphs with four
+        # vertices, which the pass over graph types must reproduce byte for byte
+        got, out, _ = run(
+            ["verify", "loops", "--algebra", algebra, "--max-n", "4", "--format", fmt]
+        )
+        data = out.encode()
+        assert (got, len(data)) == (code, size)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["equiv", "--a", "uea", "--b", "cbh", "--algebra", "heisenberg",
@@ -595,9 +620,14 @@ class TestPlumbing:
              "--order", "2"],
             ["star", "--method", "uea", "--algebra", "strictly_upper(4)",
              "--f", "(x1+x2+x3+x4)^20", "--g", "x1", "--order", "1"],
+            # degree 12, within pbw.MAX_STAR_DEGREE, but 658 * 658 lifted
+            # term pairs, above pbw.MAX_STAR_PAIRS; it ran for over 60 s
+            ["star", "--method", "uea", "--algebra", "strictly_upper(4)",
+             "--f", "(x1+x2+x3+x4+x5+x6)^6", "--g", "(x1+x2+x3+x4+x5+x6)^6",
+             "--order", "1"],
         ],
         ids=["algebra-size", "symplectic-size", "parse", "series-order", "poly-power",
-             "uea-xny-degree", "uea-xny-deep", "uea-dense-degree"],
+             "uea-xny-degree", "uea-xny-deep", "uea-dense-degree", "uea-wide-pairs"],
     )
     def test_input_errors_exit_two(self, argv):
         code, out, err = run(argv)
@@ -710,6 +740,7 @@ class TestPlumbing:
             raise AssertionError("enumerated")
 
         monkeypatch.setattr(dqw.kontsevich, "enumerate_graphs", unreachable)
+        monkeypatch.setattr(dqw.kontsevich, "graph_types", unreachable)
         code, out, err = run(
             ["verify", "loops", "--algebra", "heisenberg", "--max-n", str(MAX_ENUMERATE_N + 1)]
         )

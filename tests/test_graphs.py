@@ -24,7 +24,9 @@ from dqw.graphs import (
     factorize,
     flip_edges,
     format_graph,
+    graph_orbit,
     graph_product,
+    graph_types,
     has_directed_cycle,
     is_disjoint_binary_forest,
     mirror,
@@ -289,6 +291,73 @@ class TestSymmetryCount:
             for key, orbit in by_type.items():
                 assert orbit == symmetry_count(reps[key]), format_graph(key)
             assert sum(by_type.values()) == (n * (n + 1)) ** n
+
+
+def assert_orbits_cover(types, n):
+    """The orbits of the types yielded by types(n) count every labelled
+    graph with n aerial vertices once."""
+    assert sum(orbit for _, orbit in types(n)) == (n * (n + 1)) ** n
+
+
+class TestGraphTypes:
+    @pytest.mark.parametrize("n", range(5))
+    def test_orbits_sum_to_all_graphs(self, n):
+        assert_orbits_cover(graph_types, n)
+
+    def test_dropping_a_type_fails_the_orbit_sum(self):
+        # negative control: a pass that misses one type is caught
+        two_loop, _ = canonical_form(parse_graph("1:(X,2);2:(Y,1)"))
+        assert two_loop in {g for g, _ in graph_types(2)}
+
+        def short(n):
+            return ((g, orbit) for g, orbit in graph_types(n) if g != two_loop)
+
+        with pytest.raises(AssertionError):
+            assert_orbits_cover(short, 2)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_types_are_the_canonical_forms(self, n):
+        types = [g for g, _ in graph_types(n)]
+        assert len(types) == len(set(types))
+        assert set(types) == {canonical_form(g)[0] for g in enumerate_graphs(n)}
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_orbits_partition_the_enumeration(self, n):
+        everything = []
+        for g, orbit in graph_types(n):
+            expansion = graph_orbit(g)
+            assert len(expansion) == orbit == symmetry_count(g)
+            assert expansion == sorted(expansion, key=lambda h: h.edges)
+            assert all(canonical_form(h)[0] == g for h in expansion)
+            everything.extend(expansion)
+        assert sorted(everything, key=lambda h: h.edges) == list(enumerate_graphs(n))
+
+    def test_orbit_sizes_are_symmetry_counts_at_four_vertices(self):
+        for g, orbit in graph_types(4):
+            assert len(graph_orbit(g)) == orbit == symmetry_count(g), format_graph(g)
+
+    @pytest.mark.parametrize(
+        "n, counts",
+        [(1, (2, 2, 0, 0)), (2, (36, 20, 16, 0)), (3, (1728, 320, 1216, 192))],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_classification_counts(self, n, counts):
+        # (all, sym-admissible, loop, aerial in-degree >= 2 without a loop)
+        total = sym = loop = high = 0
+        for g, orbit in graph_types(n):
+            cls = classify(g)
+            total += orbit
+            if cls.sym_admissible:
+                sym += orbit
+            elif cls.loop:
+                loop += orbit
+            else:
+                high += orbit
+        assert (total, sym, loop, high) == counts
+
+    def test_negative_n_refused(self):
+        with pytest.raises(GraphError):
+            list(graph_types(-1))
 
 
 class TestCanonicalForm:

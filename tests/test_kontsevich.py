@@ -13,9 +13,12 @@ from dqw.graphs import (
     AdmissibleGraph,
     canonical_form,
     chain_graph,
+    classify,
     enumerate_graphs,
     factorize,
+    format_graph,
     graph_product,
+    graph_types,
     has_directed_cycle,
     parse_graph,
     symmetry_count,
@@ -24,10 +27,10 @@ from dqw.kontsevich import (
     KontsevichError,
     assemble_linear_star,
     assemble_xn_star_y,
-    coverage_report,
     graph_to_operator,
     half_poisson,
     integral_omega,
+    LoopReport,
     loop_types,
     loop_vanishing_report,
     prime_type_table,
@@ -385,6 +388,72 @@ class TestLoopGraphs:
         assert doc["schema"] == 1 and doc["all_vanish"] is True
 
 
+def reference_loop_vanishing_report(c, max_n):
+    """loop_vanishing_report before graph types: every labelled loop graph
+    is compiled on its own.  Kept as the oracle of the pass over types."""
+    pi = half_poisson(c)
+    report = LoopReport(max_n)
+    for n in range(2, max_n + 1):
+        for g in enumerate_graphs(n):
+            if not has_directed_cycle(g):
+                continue
+            report.checked += 1
+            if not graph_to_operator(g, pi, n).is_zero():
+                report.nonzero.append(format_graph(g))
+    return report
+
+
+def assert_report_matches_reference(c, max_n):
+    got = loop_vanishing_report(c, max_n)
+    want = reference_loop_vanishing_report(c, max_n)
+    assert got.checked == want.checked
+    assert got.nonzero == want.nonzero
+
+
+class TestLoopReportOverTypes:
+    @pytest.mark.parametrize("max_n", [2, 3])
+    @pytest.mark.parametrize(
+        "algebra", [strictly_upper(4), heisenberg(), solvable2()],
+        ids=["strictly_upper4", "heisenberg", "solvable2"],
+    )
+    def test_matches_labelled_walk(self, algebra, max_n):
+        assert_report_matches_reference(algebra, max_n)
+
+    def test_dropping_a_type_fails_the_reference(self, monkeypatch):
+        # negative control: a pass that misses one loop type is caught
+        two_loop, _ = canonical_form(parse_graph("1:(X,2);2:(Y,1)"))
+        assert two_loop in {g for g, _ in graph_types(2)}
+
+        def short(n):
+            return ((g, orbit) for g, orbit in graph_types(n) if g != two_loop)
+
+        monkeypatch.setattr(dqw.kontsevich, "graph_types", short)
+        with pytest.raises(AssertionError):
+            assert_report_matches_reference(solvable2(), 2)
+
+    def test_discarded_types_compile_to_zero(self):
+        # the loop bin and the aerial in-degree >= 2 bin both vanish on a
+        # strictly triangular algebra; the sym-admissible bin does not
+        pi = half_poisson(strictly_upper(3))
+        survivors = set()
+        for n in range(1, 4):
+            for g, _ in graph_types(n):
+                if not graph_to_operator(g, pi, n).is_zero():
+                    survivors.add(g)
+                    assert classify(g).sym_admissible, format_graph(g)
+        assert survivors
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_loop_types_are_the_loop_graph_types(self, order):
+        want = {
+            g
+            for n in range(2, min(order, 3) + 1)
+            for g, _ in graph_types(n)
+            if has_directed_cycle(g)
+        }
+        assert set(loop_types(strictly_upper(4), order)) == want
+
+
 class TestChainAssembly:
     def test_matches_closed_form_on_heisenberg(self):
         c = heisenberg()
@@ -545,27 +614,3 @@ class TestAssembledStar:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(KontsevichError):
             assemble_linear_star(solvable2(), 3)
-
-
-class TestCoverage:
-    def test_counts_partition_totals(self):
-        rep1 = coverage_report(heisenberg(), 1)
-        assert (rep1.total, rep1.sym_admissible, rep1.loop, rep1.high_in_degree) == (
-            2, 2, 0, 0,
-        )
-        rep2 = coverage_report(heisenberg(), 2)
-        assert (rep2.total, rep2.sym_admissible, rep2.loop, rep2.high_in_degree) == (
-            36, 20, 16, 0,
-        )
-
-    def test_three_vertex_trichotomy(self):
-        rep = coverage_report(strictly_upper(3), 3)
-        assert rep.total == 1728
-        assert rep.sym_admissible == 320
-        assert rep.loop == 1216
-        assert rep.high_in_degree == 192
-        assert rep.consistent
-
-    def test_json_shape(self):
-        doc = coverage_report(heisenberg(), 2).to_json()
-        assert doc["schema"] == 1 and doc["consistent"] is True

@@ -10,13 +10,11 @@ from dqw import pbw
 from dqw.liealg import StructureConstants, heisenberg, solvable2, strictly_upper
 from dqw.pbw import (
     MAX_STAR_DEGREE,
+    MAX_STAR_PAIRS,
     EnvelopingAlgebra,
     PBWError,
     enveloping_algebra,
-    inverse_symmetrize,
     monomial_of_word,
-    pbw_normal_form,
-    symmetrize,
     uea_star,
     word_of_monomial,
 )
@@ -162,24 +160,24 @@ class ReferenceEnvelopingAlgebra:
 class TestNormalForm:
     def test_sorted_words_fixed(self):
         c = heisenberg()
-        assert pbw_normal_form(c, (1, 2, 3)) == {((1, 2, 3), 0): F(1)}
-        assert pbw_normal_form(c, ()) == {((), 0): F(1)}
+        assert enveloping_algebra(c).normal_form((1, 2, 3)) == {((1, 2, 3), 0): F(1)}
+        assert enveloping_algebra(c).normal_form(()) == {((), 0): F(1)}
 
     def test_single_descent(self):
         c = heisenberg()
         # X^2 X^1 = X^1 X^2 + eps [X^2, X^1] = X^1 X^2 - eps X^3
-        assert pbw_normal_form(c, (2, 1)) == {((1, 2), 0): F(1), ((3,), 1): F(-1)}
+        assert enveloping_algebra(c).normal_form((2, 1)) == {((1, 2), 0): F(1), ((3,), 1): F(-1)}
 
     def test_longer_word(self):
         c = heisenberg()
-        assert pbw_normal_form(c, (2, 1, 1)) == {
+        assert enveloping_algebra(c).normal_form((2, 1, 1)) == {
             ((1, 1, 2), 0): F(1),
             ((1, 3), 1): F(-2),
         }
 
     def test_central_elements_commute_freely(self):
         c = heisenberg()
-        assert pbw_normal_form(c, (3, 2, 1)) == {
+        assert enveloping_algebra(c).normal_form((3, 2, 1)) == {
             ((1, 2, 3), 0): F(1),
             ((3, 3), 1): F(-1),
         }
@@ -187,7 +185,7 @@ class TestNormalForm:
     def test_solvable(self):
         c = solvable2()
         # X^2 X^1 = X^1 X^2 - eps X^2
-        assert pbw_normal_form(c, (2, 1)) == {((1, 2), 0): F(1), ((2,), 1): F(-1)}
+        assert enveloping_algebra(c).normal_form((2, 1)) == {((1, 2), 0): F(1), ((2,), 1): F(-1)}
 
     def test_order_independence_of_straightening(self):
         # straightening different presentations of the same product agrees:
@@ -204,25 +202,25 @@ class TestSymmetrize:
     def test_single_letters(self):
         c = heisenberg()
         x2 = Polynomial.variable(3, 2)
-        assert symmetrize(c, x2) == {((2,), 0): F(1)}
+        assert enveloping_algebra(c).sigma_polynomial(x2) == {((2,), 0): F(1)}
 
     def test_square_times_letter(self):
         c = heisenberg()
         p = parse_polynomial("x1^2*x2", dim=3)
-        assert symmetrize(c, p) == {((1, 1, 2), 0): F(1), ((1, 3), 1): F(-1)}
+        assert enveloping_algebra(c).sigma_polynomial(p) == {((1, 1, 2), 0): F(1), ((1, 3), 1): F(-1)}
 
     def test_two_letters(self):
         c = heisenberg()
         p = parse_polynomial("x1*x2", dim=3)
         # (X1 X2 + X2 X1)/2 = X1 X2 - (eps/2) X3
-        assert symmetrize(c, p) == {((1, 2), 0): F(1), ((3,), 1): F(-1, 2)}
+        assert enveloping_algebra(c).sigma_polynomial(p) == {((1, 2), 0): F(1), ((3,), 1): F(-1, 2)}
 
     def test_linearity(self):
         c = solvable2()
         p = parse_polynomial("x1*x2 - 3*x2^2", dim=2)
         q = parse_polynomial("2*x1", dim=2)
-        sp, sq = symmetrize(c, p), symmetrize(c, q)
-        combined = symmetrize(c, p + q)
+        sp, sq = enveloping_algebra(c).sigma_polynomial(p), enveloping_algebra(c).sigma_polynomial(q)
+        combined = enveloping_algebra(c).sigma_polynomial(p + q)
         manual = dict(sp)
         for k, v in sq.items():
             manual[k] = manual.get(k, F(0)) + v
@@ -239,7 +237,9 @@ class TestSymmetrize:
                     continue
                 terms[exps] = F(rng.randint(-6, 6), rng.randint(1, 4))
             p = Polynomial(3, terms)
-            back = inverse_symmetrize(c, symmetrize(c, p), order=6)
+            back = enveloping_algebra(c).inverse_sigma(
+                enveloping_algebra(c).sigma_polynomial(p), order=6
+            )
             assert back == EpsSeries.from_polynomial(p, 6)
 
     def test_inverse_round_trip_series(self):
@@ -261,7 +261,7 @@ class TestSymmetrize:
         c = heisenberg()
         with pytest.raises(PBWError):
             # (word, eps) content that no polynomial symmetrizes to
-            inverse_symmetrize(c, {((2, 1), 0): F(1)}, order=2)
+            enveloping_algebra(c).inverse_sigma({((2, 1), 0): F(1)}, order=2)
 
 
 class TestStar:
@@ -454,10 +454,11 @@ def _word_poly(n: int) -> Polynomial:
 
 
 LONG_WORD_ENTRY_POINTS = {
-    "pbw_normal_form": lambda alg, n: pbw_normal_form(alg.c, _word(n)),
-    "symmetrize": lambda alg, n: symmetrize(alg.c, _word_poly(n)),
-    "inverse_symmetrize": lambda alg, n: inverse_symmetrize(
-        alg.c, {(tuple(sorted(_word(n))), 0): F(1)}, 1
+    # the shared algebra of the module-level cache, as `uea_star` reaches it
+    "pbw_normal_form": lambda alg, n: enveloping_algebra(alg.c).normal_form(_word(n)),
+    "symmetrize": lambda alg, n: enveloping_algebra(alg.c).sigma_polynomial(_word_poly(n)),
+    "inverse_symmetrize": lambda alg, n: enveloping_algebra(alg.c).inverse_sigma(
+        {(tuple(sorted(_word(n))), 0): F(1)}, 1
     ),
     "normal_form": lambda alg, n: alg.normal_form(_word(n)),
     "mul": lambda alg, n: alg.mul(
@@ -506,6 +507,36 @@ class TestStarInput:
         with pytest.raises(PBWError, match=f"exceeds the limit {MAX_STAR_DEGREE}"):
             alg.star(x1**MAX_STAR_DEGREE, x2, 2)
         assert not alg._nf and not alg._sigma
+
+    def test_pair_limit_is_checked_before_straightening(self):
+        # two wide factors within the degree limit: 658 lifted terms each
+        c = strictly_upper(4)
+        wide = parse_polynomial("(x1+x2+x3+x4+x5+x6)^6", dim=c.dim)
+        alg = EnvelopingAlgebra(c)
+        with pytest.raises(PBWError, match=f"658 by 658 lifted terms exceeds the limit of {MAX_STAR_PAIRS} pairs"):
+            alg.star(wide, wide, 1)
+        # only the lifts' words of six letters were straightened, no product word
+        assert max(len(w) for w in alg._nf) <= 6
+
+    def test_pair_limit_bounds_the_lifted_pairs(self, monkeypatch):
+        # the limit is a bound on len(lift f) * len(lift g), inclusive
+        c = heisenberg()
+        f = parse_polynomial("x1*x2 + x3", dim=3)  # lifts to X1 X2, X3 and eps X3
+        g = parse_polynomial("x1 + x2", dim=3)
+        expected = ReferenceEnvelopingAlgebra(c).star(f, g, 2)
+        monkeypatch.setattr(pbw, "MAX_STAR_PAIRS", 6)
+        assert EnvelopingAlgebra(c).star(f, g, 2) == expected
+        monkeypatch.setattr(pbw, "MAX_STAR_PAIRS", 5)
+        with pytest.raises(PBWError, match="3 by 2 lifted terms exceeds the limit of 5 pairs"):
+            EnvelopingAlgebra(c).star(f, g, 2)
+
+    def test_pair_limit_admits_the_documented_product(self):
+        # (x1+x2+x3+x4)^6 squared on strictly_upper(4), the README's example
+        c = strictly_upper(4)
+        alg = EnvelopingAlgebra(c)
+        f = parse_polynomial("(x1+x2+x3+x4)^6", dim=c.dim)
+        lifted, _ = alg._lift(alg._terms([f]), 1)
+        assert len(lifted) == 189 and 189 * 189 <= MAX_STAR_PAIRS
 
     def test_degree_limit_reads_a_series_largest_level(self):
         c = heisenberg()

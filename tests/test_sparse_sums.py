@@ -14,7 +14,7 @@ from dqw.freelie import FreeLie, LieSeries
 from dqw.graphs import parse_graph
 from dqw.kontsevich import graph_to_operator, half_poisson
 from dqw.liealg import StructureConstants, heisenberg, solvable2, strictly_upper
-from dqw.pbw import EnvelopingAlgebra, pbw_normal_form, symmetrize
+from dqw.pbw import EnvelopingAlgebra, enveloping_algebra
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries, NCSeries
 from dqw.star import _contract_tree
@@ -99,10 +99,12 @@ CASES = {
     "freelie_expansion": lambda: FreeLie(XY).expansion(("X", "X", "Y", "Y")),
     "freelie_bracket": lambda: FreeLie(XY).bracket(X_PLUS_Y, X_PLUS_Y),
     "bracket_vectors": lambda: heisenberg().bracket_vectors({1: F(1), 2: F(1)}, {1: F(1), 2: F(1)}),
-    "pbw_normal_form": lambda: pbw_normal_form(strictly_upper(4), (3, 2, 1)),
+    "pbw_normal_form": lambda: enveloping_algebra(strictly_upper(4)).normal_form((3, 2, 1)),
     "pbw_mul": _uea_mul_cancel,
     "sigma_word": lambda: EnvelopingAlgebra(SL2).sigma_word((1, 2, 3)),
-    "symmetrize": lambda: symmetrize(strictly_upper(4), P("x1^2*x5 + 2*x1*x3*x4", 6)),
+    "symmetrize": lambda: enveloping_algebra(strictly_upper(4)).sigma_polynomial(
+        P("x1^2*x5 + 2*x1*x3*x4", 6)
+    ),
     "sigma_series": _sigma_series_cancel,
     "contract_tree": lambda: _contract_tree(strictly_upper(5), (XY, XY)),
     "bidiff_add": _bidiff_cancel,
