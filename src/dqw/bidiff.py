@@ -405,7 +405,7 @@ class BiDiffOp:
         f_den, f_rows = _numerators(f)
         g_den, g_rows = _numerators(g)
         g_box = _Box(g)
-        levels: list[dict] = [{} for _ in range(self.order + 1)]
+        levels: dict[int, dict] = {}  # only the eps levels this pair reaches
         right_cache: dict[Multi, dict] = {}
         for left, by_right in _Box(f).within(self._apply_plan()):
             df = None
@@ -420,11 +420,17 @@ class BiDiffOp:
                 if not df:
                     break
                 for m, coeff in entries:
-                    _accumulate(levels[m], coeff, df, dg)
+                    acc = levels.get(m)
+                    if acc is None:
+                        acc = levels[m] = {}
+                    _accumulate(acc, coeff, df, dg)
         den = f_den * g_den
-        if den != 1:
-            levels = [{e: c / den for e, c in acc.items()} for acc in levels]
-        return EpsSeries(self.dim, self.order, [Polynomial(self.dim, acc) for acc in levels])
+        coeffs = [Polynomial.zero(self.dim)] * (self.order + 1)
+        for m, acc in levels.items():
+            if den != 1:
+                acc = {e: c / den for e, c in acc.items()}
+            coeffs[m] = Polynomial(self.dim, acc)
+        return EpsSeries(self.dim, self.order, coeffs)
 
     def sorted_terms(self) -> list[tuple[Key, Polynomial]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])

@@ -293,13 +293,20 @@ def decompose_nonloop(g: AdmissibleGraph) -> list[tuple[int, EdgePair]]:
     kept; ties broken by smallest label).  Replaying the list in reverse via
     `rebuild_from_peel` reconstructs the graph."""
     heights = _heights(g)
-    remaining = {v: g.edges[v - 1] for v in range(1, g.n + 1)}
-    order = sorted(remaining, key=lambda v: (-heights[v], v))
+    references = [0] * (g.n + 1)  # edges into each vertex from the unpeeled ones
+    for pair in g.edges:
+        for t in pair:
+            if t > 0:
+                references[t] += 1
     peel = []
-    for v in order:
-        if any(t == v for pair in remaining.values() for t in pair):
+    for v in sorted(range(1, g.n + 1), key=lambda v: (-heights[v], v)):
+        if references[v]:
             raise GraphError(f"internal: vertex {v} peeled while still referenced")
-        peel.append((v, remaining.pop(v)))
+        pair = g.edges[v - 1]
+        for t in pair:
+            if t > 0:
+                references[t] -= 1
+        peel.append((v, pair))
     return peel
 
 

@@ -6,6 +6,16 @@ transform T[g](u) = int_0^1 G(s) ds - G(u), where G is the antiderivative of
 g pinned by G(0) = 0.  A base vertex (feet (X, Y)) terminates its component;
 its contribution is the ground value int_0^1 G(s) ds of its accumulator.
 
+The peel runs on one integer kernel.  An accumulator in u is a list of int
+numerators over one int denominator, divided by their gcd after every
+update; without that reduction the denominators grow as products of
+lcm(1..k) along a chain.  T and the ground value are each one pass over the
+list, scaled by lcm(1..k + 2) for a degree-k accumulator, which every
+(j + 1)(j + 2) with j <= k divides.  A product of accumulators is one int
+convolution, and each base value is a single Fraction.  T exists only there:
+`wedge_transform`, `ground_integral` and `pn_polynomial` convert a
+`Polynomial` to the kernel and back.
+
 Iterating T on the constant 1 produces, at step n, the degree-n polynomial
 whose value matches the reflected Bernoulli polynomial over n factorial; in
 particular the chain with n vertices weighs Bhat_n / n!.
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .graphs import (
     GROUND_X,
@@ -59,36 +69,89 @@ class WeightError(ValueError):
     pass
 
 
-def _antiderivative(g: Polynomial) -> Polynomial:
+# An accumulator in u is (numerators, denominator): the polynomial
+# sum_k numerators[k] / denominator * u^k, kept reduced (gcd 1, positive
+# denominator, no trailing zero numerator).  The zero polynomial is ([], 1).
+_Acc = tuple[list[int], int]
+_ONE: _Acc = ([1], 1)
+
+
+def _reduced(nums: list[int], den: int) -> _Acc:
+    while nums and not nums[-1]:
+        nums.pop()
+    common = gcd(*nums, den)
+    if common > 1:
+        nums = [a // common for a in nums]
+        den //= common
+    return nums, den
+
+
+def _ground_sum(nums: list[int], scale: int) -> int:
+    """scale * sum_k a_k / ((k + 1)(k + 2)), the numerator of int_0^1 G(s) ds
+    over scale * denominator; scale = lcm(1..len(nums) + 1), which every
+    (k + 1)(k + 2) divides."""
+    return sum(a * (scale // ((k + 1) * (k + 2))) for k, a in enumerate(nums))
+
+
+def _ground(nums: list[int], den: int) -> Fraction:
+    """int_0^1 G(s) ds with G the antiderivative of the accumulator."""
+    scale = lcm(*range(1, len(nums) + 2))
+    return Fraction(_ground_sum(nums, scale), den * scale)
+
+
+def _transform(nums: list[int], den: int) -> _Acc:
+    """T[g](u) = int_0^1 G(s) ds - G(u), with G(u) = sum_k a_k u^(k+1) / (k + 1)."""
+    scale = lcm(*range(1, len(nums) + 2))
+    out = [_ground_sum(nums, scale)]
+    out += [-a * (scale // (k + 1)) for k, a in enumerate(nums)]
+    return _reduced(out, den * scale)
+
+
+def _times(left: _Acc, right: _Acc) -> _Acc:
+    (lnums, lden), (rnums, rden) = left, right
+    if not lnums or not rnums:
+        return [], 1
+    out = [0] * (len(lnums) + len(rnums) - 1)
+    for i, a in enumerate(lnums):
+        if a:
+            for j, b in enumerate(rnums):
+                out[i + j] += a * b
+    return _reduced(out, lden * rden)
+
+
+def _from_polynomial(g: Polynomial) -> _Acc:
     if g.dim != 1:
         raise WeightError("weight integrands live in one variable")
-    return Polynomial(
-        1, {(k + 1,): coeff / (k + 1) for (k,), coeff in g.terms.items()}
-    )
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    nums = [0] * (1 + max((k for (k,) in g.terms), default=-1))
+    for (k,), coeff in g.terms.items():
+        nums[k] = coeff.numerator * (den // coeff.denominator)
+    return nums, den
+
+
+def _to_polynomial(acc: _Acc) -> Polynomial:
+    nums, den = acc
+    return Polynomial(1, {(k,): Fraction(a, den) for k, a in enumerate(nums) if a})
 
 
 def ground_integral(g: Polynomial) -> Fraction:
     """int_0^1 G(s) ds with G the antiderivative of g, G(0) = 0."""
-    total = Fraction(0)
-    for (k,), coeff in g.terms.items():
-        total += coeff / ((k + 1) * (k + 2))
-    return total
+    return _ground(*_from_polynomial(g))
 
 
 def wedge_transform(g: Polynomial) -> Polynomial:
     """T[g](u) = int_0^1 G(s) ds - G(u)."""
-    G = _antiderivative(g)
-    return Polynomial.constant(1, ground_integral(g)) - G
+    return _to_polynomial(_transform(*_from_polynomial(g)))
 
 
 def pn_polynomial(n: int) -> Polynomial:
     """T iterated n times on the constant 1."""
     if n < 0:
         raise WeightError("n must be >= 0")
-    p = Polynomial.one(1)
+    acc = _ONE
     for _ in range(n):
-        p = wedge_transform(p)
-    return p
+        acc = _transform(*acc)
+    return _to_polynomial(acc)
 
 
 @dataclass(frozen=True)
@@ -104,20 +167,23 @@ class Weight:
 
 def _peel_weight(g: AdmissibleGraph) -> Fraction:
     """Fold every (X, aerial) vertex into its target; multiply base values."""
-    acc: dict[int, Polynomial] = {v: Polynomial.one(1) for v in range(1, g.n + 1)}
-    bases: list[int] = []
+    acc: dict[int, _Acc] = {}
+    has_base = False
     total = Fraction(1)
     for v, pair in decompose_nonloop(g):
+        mine = acc.pop(v, _ONE)
         if pair == (GROUND_X, GROUND_Y):
-            bases.append(v)
-            total *= ground_integral(acc[v])
+            has_base = True
+            total *= _ground(*mine)
             continue
         if pair[0] != GROUND_X or pair[1] < 1:
             raise WeightError(
                 f"vertex {v} has feet {pair}; only (X, Y) or (X, aerial) integrate"
             )
-        acc[pair[1]] = acc[pair[1]] * wedge_transform(acc[v])
-    if not bases and g.n:
+        folded = _transform(*mine)
+        target = pair[1]
+        acc[target] = _times(acc[target], folded) if target in acc else folded
+    if not has_base and g.n:
         raise WeightError("no base vertex with feet (X, Y)")
     return total
 
@@ -135,7 +201,8 @@ def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
     """Peel a disjoint union of integrable components in one pass.
 
     Independent of `product_weight`, which factorizes first and multiplies
-    the factor integrals; the two must agree.
+    the factor integrals; the two must agree.  It is kept as that deliberate
+    oracle (the C10 check) and has no caller in the library.
     """
     if g.n == 0:
         return Weight.of(0, Fraction(1))

@@ -96,6 +96,37 @@ def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
     return EpsSeries(op.dim, op.order, levels)
 
 
+def reference_all_levels_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
+    """The planned `apply` before it kept only the eps levels a pair
+    reaches: one accumulator and one Polynomial for each of the order + 1
+    levels.  Kept as the oracle for the sparse levels."""
+    if f.is_zero() or g.is_zero():
+        return EpsSeries.zero(op.dim, op.order)
+    f_den, f_rows = bidiff._numerators(f)
+    g_den, g_rows = bidiff._numerators(g)
+    g_box = bidiff._Box(g)
+    levels = [{} for _ in range(op.order + 1)]
+    right_cache = {}
+    for left, by_right in bidiff._Box(f).within(op._apply_plan()):
+        df = None
+        for right, entries in g_box.within(by_right):
+            dg = right_cache.get(right)
+            if dg is None:
+                dg = right_cache[right] = bidiff._derivative(g_rows, right)
+            if not dg:
+                continue
+            if df is None:
+                df = bidiff._derivative(f_rows, left)
+            if not df:
+                break
+            for m, coeff in entries:
+                bidiff._accumulate(levels[m], coeff, df, dg)
+    den = f_den * g_den
+    if den != 1:
+        levels = [{e: c / den for e, c in acc.items()} for acc in levels]
+    return EpsSeries(op.dim, op.order, [Polynomial(op.dim, acc) for acc in levels])
+
+
 def _vars(dim):
     return [Polynomial.variable(dim, i) for i in range(1, dim + 1)]
 
@@ -445,6 +476,39 @@ def applications(draw):
     dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     op = draw(_operators(dim, order, 0))
     return op, draw(_polynomials(dim)), draw(_polynomials(dim))
+
+
+class TestSparseLevels:
+    """`apply` against the all-levels body it replaced, at exact equality."""
+
+    @pytest.mark.parametrize("route", ["cbh", "kontsevich"])
+    def test_seeded_monomial_pairs(self, upper4_operators, route):
+        op = upper4_operators[route]
+        for f, g in _stratified_c08_sample(op.dim, 10, seed=22):
+            assert op.apply(f, g) == reference_all_levels_apply(op, f, g), (f, g)
+
+    @pytest.mark.parametrize("route", ["cbh", "kontsevich"])
+    def test_dense_pairs(self, upper4_operators, route):
+        op = upper4_operators[route]
+        fs = random_polynomials(op.dim, 8, 5, 221, terms=6)
+        gs = random_polynomials(op.dim, 8, 5, 222, terms=6)
+        for f, g in zip(fs, gs):
+            assert op.apply(f, g) == reference_all_levels_apply(op, f, g), (f, g)
+
+    def test_generic_moyal_order_6(self):
+        op = moyal_product(GENERIC_ALPHA, 6).operator
+        fs = random_polynomials(4, 12, 4, 223, terms=5)
+        gs = random_polynomials(4, 12, 4, 224, terms=5)
+        for f, g in zip(fs, gs):
+            assert op.apply(f, g) == reference_all_levels_apply(op, f, g), (f, g)
+
+    def test_unreached_levels_share_one_zero(self, upper4_operators):
+        op = upper4_operators["cbh"]
+        x = _vars(op.dim)
+        out = op.apply(x[0], x[1])
+        empty = [p for p in out.coeffs if p.is_zero()]
+        assert len(empty) == op.order - 1
+        assert all(p is empty[0] for p in empty)
 
 
 class TestApplyRandom:

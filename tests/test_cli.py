@@ -21,6 +21,7 @@ from dqw.cli import (
     MAX_HAUSDORFF_DEGREE,
     MAX_LINEAR_IN_Y_DEGREE,
     MAX_RANDOM_DEGREE,
+    MAX_WEIGHT_N,
     fan_out_plan,
     main,
     resolve_algebra,
@@ -746,6 +747,30 @@ class TestPlumbing:
         )
         assert (code, out) == (2, "")
         assert f"verify loops --max-n {MAX_ENUMERATE_N + 1} exceeds the limit" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1:(X,Y);" + ";".join(f"{k}:(X,1)" for k in range(2, MAX_WEIGHT_N + 2)),
+            "1:(X,Y);" + ";".join(f"{k}:(X,{k - 1})" for k in range(2, MAX_WEIGHT_N + 2)),
+        ],
+        ids=["star", "chain"],
+    )
+    def test_weight_above_limit_exits_two(self, monkeypatch, text):
+        # refused before the weight engine or the labelling search runs
+        def unreachable(g):
+            raise AssertionError("weighed")
+
+        for name in ("classify", "symmetry_count", "weight_w_computable", "product_weight"):
+            monkeypatch.setattr(dqw.cli, name, unreachable)
+        code, out, err = run(["weight", "--graph", text])
+        assert (code, out) == (2, "")
+        assert f"{MAX_WEIGHT_N + 1} vertices exceeds the limit {MAX_WEIGHT_N}" in err
+
+    def test_weight_at_limit_still_runs(self):
+        text = "1:(X,Y);" + ";".join(f"{k}:(X,{k - 1})" for k in range(2, MAX_WEIGHT_N + 1))
+        code, out, _ = run(["weight", "--graph", text, "--format", "json"])
+        assert code == 0 and json.loads(out)["route"] == "direct"
 
     @pytest.mark.parametrize(
         "argv",

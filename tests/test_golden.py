@@ -7,6 +7,7 @@ same bytes as the serial run.
 """
 
 import argparse
+import hashlib
 import io
 import re
 import shlex
@@ -142,3 +143,40 @@ def test_assemble_never_builds_the_product(monkeypatch, fmt):
     code, out = run(argv + ["--format", fmt])
     assert code == 0
     assert out == golden(argv, fmt)
+
+
+# sha256 of stdout for the commands whose output reads the weight engine,
+# with their exit codes.  The weight graph is a mirror/flip image of
+# build_w_computable([1, 1, 2, 3, 3]), so it takes the normalized route.
+WEIGHT_READERS = {
+    ("assemble", "--algebra", "heisenberg", "--order", "8"): {
+        "text": "50def4c5c234a0232579e53df3c3745a5ee17ef7b6288f43d02771f694844d5d",
+        "json": "45912374b5e18bf0fcbc9f4de9415b01b9866b445d9a6619bb333ccdb7723d1b",
+    },
+    ("assemble", "--algebra", "strictly_upper(4)", "--order", "8"): {
+        "text": "50def4c5c234a0232579e53df3c3745a5ee17ef7b6288f43d02771f694844d5d",
+        "json": "ea54e7bbd918e0762d49a1f8ec781b59a592108302e65dad69321389a3b5590e",
+    },
+    ("verify", "identities", "--max", "8"): {
+        "text": "c53941563ff60504e7a8fed5fcb738454b56d566bc3ec16dca948d7992324cc1",
+        "json": "0d8f159017a4a3254afc4b6810b0d26ee57ba8b44e322a7486677aea73103be7",
+    },
+    ("weight", "--graph", "1:(Y,X);2:(1,Y);3:(Y,1);4:(2,Y);5:(Y,3);6:(Y,3)"): {
+        "text": "b8143aaa4eb4e6072464e9516dc085cae46c4713d1e98a7816864567ca7edfe4",
+        "json": "b8c5b89d352f131b121f06825b57435d8e7245cc22c79932bc482c33511a6d39",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv,fmt",
+    [
+        pytest.param(list(argv), fmt, id=f"{slug(list(argv))}.{fmt}")
+        for argv in WEIGHT_READERS
+        for fmt in ("text", "json")
+    ],
+)
+def test_weight_readers_match_pinned_hash(argv, fmt):
+    code, out = run(argv + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WEIGHT_READERS[tuple(argv)][fmt]

@@ -247,6 +247,27 @@ class TestProductsAndFactors:
                 assert parts == [g]
 
 
+def reference_decompose_nonloop(g):
+    """The scan `decompose_nonloop` replaced: before each peel, look for a
+    reference to the vertex among all unpeeled pairs."""
+    heights = dqw.graphs._heights(g)
+    remaining = {v: g.edges[v - 1] for v in range(1, g.n + 1)}
+    order = sorted(remaining, key=lambda v: (-heights[v], v))
+    peel = []
+    for v in order:
+        if any(t == v for pair in remaining.values() for t in pair):
+            raise GraphError(f"internal: vertex {v} peeled while still referenced")
+        peel.append((v, remaining.pop(v)))
+    return peel
+
+
+def peel_outcome(decompose, g):
+    try:
+        return decompose(g)
+    except GraphError as err:
+        return str(err)
+
+
 class TestPeeling:
     def test_chain_three_order(self):
         peel = decompose_nonloop(chain_graph(3))
@@ -262,6 +283,25 @@ class TestPeeling:
     def test_loop_rejected(self):
         with pytest.raises(GraphError):
             decompose_nonloop(parse_graph("1:(X,2);2:(Y,1)"))
+
+    def test_reference_counts_match_the_scan(self):
+        graphs = [g for n in range(4) for g in enumerate_graphs(n) if not classify(g).loop]
+        for n in (1, 2, 5, 40):
+            graphs.append(chain_graph(n))
+            graphs.append(parse_graph(";".join(
+                ["1:(X,Y)"] + [f"{k}:(X,1)" for k in range(2, n + 1)]
+            )))
+        for g in graphs:
+            assert decompose_nonloop(g) == reference_decompose_nonloop(g), g
+        assert len(graphs) == 535 + 8
+
+    def test_wrong_heights_raise_the_same_error(self, monkeypatch):
+        # equal heights peel by label, so vertex 1 goes while 2 still points at it
+        monkeypatch.setattr(dqw.graphs, "_heights", lambda g: dict.fromkeys(range(1, g.n + 1), 1))
+        for g in (chain_graph(3), parse_graph("1:(X,Y);2:(X,1);3:(1,2)")):
+            got = peel_outcome(decompose_nonloop, g)
+            assert got == peel_outcome(reference_decompose_nonloop, g)
+            assert got == "internal: vertex 1 peeled while still referenced"
 
     def test_build_w_computable(self):
         g = build_w_computable([1, 2])

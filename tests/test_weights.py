@@ -3,9 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+
+import dqw.weights
+import test_acceptance
 
 from dqw.bernoulli import bernoulli_number, bernoulli_polynomial
 from dqw.freelie import lie_to_lgraph, parse_bracket
@@ -17,9 +20,11 @@ from dqw.graphs import (
     build_w_computable,
     chain_graph,
     classify,
+    decompose_nonloop,
     enumerate_graphs,
     flip_edges,
     graph_product,
+    graph_types,
     mirror,
     parse_graph,
 )
@@ -38,6 +43,55 @@ from dqw.weights import (
 )
 
 F = Fraction
+
+
+# The Polynomial bodies the integer kernel replaced, kept as oracles.
+
+
+def reference_antiderivative(g: Polynomial) -> Polynomial:
+    if g.dim != 1:
+        raise WeightError("weight integrands live in one variable")
+    return Polynomial(
+        1, {(k + 1,): coeff / (k + 1) for (k,), coeff in g.terms.items()}
+    )
+
+
+def reference_ground_integral(g: Polynomial) -> Fraction:
+    total = Fraction(0)
+    for (k,), coeff in g.terms.items():
+        total += coeff / ((k + 1) * (k + 2))
+    return total
+
+
+def reference_wedge_transform(g: Polynomial) -> Polynomial:
+    G = reference_antiderivative(g)
+    return Polynomial.constant(1, reference_ground_integral(g)) - G
+
+
+def reference_pn_polynomial(n: int) -> Polynomial:
+    p = Polynomial.one(1)
+    for _ in range(n):
+        p = reference_wedge_transform(p)
+    return p
+
+
+def reference_peel_weight(g: AdmissibleGraph) -> Fraction:
+    acc = {v: Polynomial.one(1) for v in range(1, g.n + 1)}
+    bases = []
+    total = Fraction(1)
+    for v, pair in decompose_nonloop(g):
+        if pair == (GROUND_X, GROUND_Y):
+            bases.append(v)
+            total *= reference_ground_integral(acc[v])
+            continue
+        if pair[0] != GROUND_X or pair[1] < 1:
+            raise WeightError(
+                f"vertex {v} has feet {pair}; only (X, Y) or (X, aerial) integrate"
+            )
+        acc[pair[1]] = acc[pair[1]] * reference_wedge_transform(acc[v])
+    if not bases and g.n:
+        raise WeightError("no base vertex with feet (X, Y)")
+    return total
 
 
 def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
@@ -251,3 +305,84 @@ class TestMultiplicativity:
     def test_product_weight_handles_flipped_factors(self):
         g = graph_product(parse_graph("1:(Y,X)"), chain_graph(2))
         assert product_weight(g).integral == F(-1, 2) * F(1, 12)
+
+
+def concatenation_sequences(n: int):
+    """Every valid argument of build_w_computable with n vertices."""
+    return itertools.product(*(range(1, i) for i in range(2, n + 1)))
+
+
+def kernel_cases() -> list[AdmissibleGraph]:
+    graphs = [build_w_computable(s) for n in range(1, 8) for s in concatenation_sequences(n)]
+    graphs += [g for n in range(1, 5) for g, _ in graph_types(n) if classify(g).w_computable]
+    return graphs + [chain_graph(60), chain_graph(150)]
+
+
+def peel_matches_reference(graphs) -> int:
+    for g in graphs:
+        assert outcome(_peel_weight, g) == outcome(reference_peel_weight, g), g
+    return len(graphs)
+
+
+def seeded_polynomials(count: int, top: int) -> list[Polynomial]:
+    rng = random.Random(top)
+    return [
+        Polynomial(1, {
+            (k,): F(rng.randint(-30, 30), rng.randint(1, 40))
+            for k in rng.sample(range(top + 1), rng.randint(0, top + 1))
+        })
+        for _ in range(count)
+    ]
+
+
+class TestIntegerKernel:
+    """The integer accumulators against the Polynomial bodies they replaced."""
+
+    def test_peel_matches_reference(self):
+        assert peel_matches_reference(kernel_cases()) == 874 + 8 + 2
+
+    def test_ladder_matches_reference(self):
+        for n in range(21):
+            assert pn_polynomial(n) == reference_pn_polynomial(n), n
+
+    def test_transform_and_ground_match_reference(self):
+        polys = [reference_pn_polynomial(n) for n in range(21)]
+        polys += seeded_polynomials(40, 20) + [Polynomial.zero(1)]
+        for g in polys:
+            assert wedge_transform(g) == reference_wedge_transform(g), g
+            assert ground_integral(g) == reference_ground_integral(g), g
+
+    def test_ground_integral_guards_the_dimension(self):
+        with pytest.raises(WeightError):
+            ground_integral(Polynomial.one(2))
+
+    def test_every_accumulator_is_reduced(self, monkeypatch):
+        # numerators and denominator share no factor after every update
+        seen = []
+
+        def checked(kernel):
+            def run(*args):
+                nums, den = kernel(*args)
+                assert den > 0 and gcd(*nums, den) == 1
+                assert not nums or nums[-1]
+                seen.append(len(nums))
+                return nums, den
+            return run
+
+        monkeypatch.setattr(dqw.weights, "_transform", checked(dqw.weights._transform))
+        monkeypatch.setattr(dqw.weights, "_times", checked(dqw.weights._times))
+        graphs = [build_w_computable(s) for s in concatenation_sequences(6)]
+        graphs += [chain_graph(60), parse_graph("1:(X,Y);2:(X,1);3:(X,1);4:(X,3);5:(X,3)")]
+        peel_matches_reference(graphs)
+        assert len(seen) > 500 and max(seen) == 60
+
+    def test_wrong_ground_integral_is_caught(self, monkeypatch):
+        # negative control: divide by (k + 1) where the kernel divides by (k + 2)
+        def wrong(nums, scale):
+            return sum(a * (scale // ((k + 1) * (k + 1))) for k, a in enumerate(nums))
+
+        monkeypatch.setattr(dqw.weights, "_ground_sum", wrong)
+        with pytest.raises(AssertionError):
+            peel_matches_reference(kernel_cases())
+        with pytest.raises(AssertionError):
+            test_acceptance.test_c10_product_weights()
