@@ -428,7 +428,7 @@ def _classify_row(g) -> dict:
 
 
 # Largest `graphs enumerate --n` and `verify loops --max-n` accepted: n = 4
-# lists 160,000 graphs and classifies them in about 11 s on a 2-vCPU host
+# lists 160,000 graphs and classifies them in about 5.5 s on a 2-vCPU host
 # (`verify loops --max-n 4` compiles each of the graph types once and takes
 # about 0.4 s on strictly_upper(4)); n = 5 would be 24.3M graphs, and the
 # types alone take about 25 s to find.

@@ -100,74 +100,101 @@ class GraphClass:
     w_computable: bool
 
 
+def _shape(g: AdmissibleGraph) -> tuple[list[int], list[int], list[int] | None]:
+    """One iterative pass over the aerial edges: (in_degree, component,
+    heights), three lists indexed by vertex (index 0 unused).
+
+    It counts in-degrees, joins the two ends of every edge by union-find
+    (component[v] is the least vertex of v's aerial component), and counts
+    out-degrees down from the sinks: a vertex is done once every vertex it
+    points at is done, and its height is then one more than the largest of
+    theirs (a sink has height 1).  A countdown that stalls before every
+    vertex is done leaves a directed cycle, and heights is then None.
+    """
+    n = g.n
+    in_degree = [0] * (n + 1)
+    out_degree = [0] * (n + 1)
+    parent = list(range(n + 1))
+    sources: list[list[int]] = [[] for _ in range(n + 1)]
+    for v, pair in enumerate(g.edges, start=1):
+        for t in pair:
+            if t > 0:
+                in_degree[t] += 1
+                out_degree[v] += 1
+                sources[t].append(v)
+                # union by least label with path halving, so every root is
+                # the least vertex of its component
+                a, b = v, t
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+    for v in range(1, n + 1):  # parent[v] < v is already a root
+        parent[v] = parent[parent[v]]
+    heights = [1] * (n + 1)
+    done = [v for v in range(1, n + 1) if not out_degree[v]]
+    for t in done:  # the list grows as the countdown frees vertices
+        above = heights[t] + 1
+        for v in sources[t]:
+            if heights[v] < above:
+                heights[v] = above
+            out_degree[v] -= 1
+            if not out_degree[v]:
+                done.append(v)
+    return in_degree, parent, heights if len(done) == n else None
+
+
 def has_directed_cycle(g: AdmissibleGraph) -> bool:
     """Whether the aerial edges close a directed cycle: the `loop` field of
     `classify`, without the rest of the classification."""
-    color = {}  # 0 in progress, 1 done
+    return _shape(g)[2] is None
 
-    def visit(v: int) -> bool:
-        state = color.get(v)
-        if state == 0:
-            return True
-        if state == 1:
+
+def _w_feet(g: AdmissibleGraph) -> bool:
+    """Whether g's feet make it integrable, whatever its aerial digraph: at
+    least one vertex, exactly one pair (X, Y), every other pair (X, aerial)."""
+    base = 0
+    for a, b in g.edges:
+        if a != GROUND_X:
             return False
-        color[v] = 0
-        for t in g.aerial_targets(v):
-            if visit(t):
-                return True
-        color[v] = 1
-        return False
-
-    return any(visit(v) for v in range(1, g.n + 1))
-
-
-def _aerial_components(g: AdmissibleGraph) -> list[list[int]]:
-    adjacency = {v: set() for v in range(1, g.n + 1)}
-    for v in range(1, g.n + 1):
-        for t in g.aerial_targets(v):
-            adjacency[v].add(t)
-            adjacency[t].add(v)
-    seen: set[int] = set()
-    components = []
-    for v in range(1, g.n + 1):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
+        if b == GROUND_Y:
+            base += 1
+        elif b < 1:
+            return False
+    return base == 1
 
 
 def classify(g: AdmissibleGraph) -> GraphClass:
-    loop = has_directed_cycle(g)
-    prime = g.n >= 1 and len(_aerial_components(g)) == 1
-    sym = (not loop) and all(g.in_degree(v) <= 1 for v in range(1, g.n + 1))
-    base_pairs = [pair for pair in g.edges if pair == (GROUND_X, GROUND_Y)]
-    others_ok = all(
-        pair == (GROUND_X, GROUND_Y) or (pair[0] == GROUND_X and pair[1] >= 1)
-        for pair in g.edges
-    )
-    w_comp = g.n >= 1 and not loop and len(base_pairs) == 1 and others_ok
+    """The classification, read off one pass over the aerial edges
+    (`_shape`): a loop is a stalled countdown from the sinks, a prime graph
+    has one aerial component, a symmetric-admissible one has no loop and no
+    aerial in-degree above 1, and a w-computable one has no loop and the
+    integrable feet of `_w_feet`."""
+    in_degree, component, heights = _shape(g)
+    loop = heights is None
+    prime = max(component) == 1  # every vertex joined to vertex 1
+    sym = not loop and max(in_degree) <= 1
     return GraphClass(
         loop=loop,
         prime=prime,
         sym_admissible=sym,
         lie_admissible=sym and prime,
-        w_computable=w_comp,
+        w_computable=not loop and _w_feet(g),
     )
 
 
 def is_disjoint_binary_forest(g: AdmissibleGraph) -> bool:
     """Independent structural check: after splitting the grounds into one leaf
     per incoming edge, the aerial vertices must form a disjoint union of binary
-    trees (each vertex reachable exactly once from the in-degree-0 roots)."""
+    trees (each vertex reachable exactly once from the in-degree-0 roots).
+
+    The deliberate oracle of `classify(g).sym_admissible`, which reads
+    in-degrees and the loop test off one pass instead of walking from the
+    roots; the tests compare the two, and no library code calls this."""
     roots = [v for v in range(1, g.n + 1) if g.in_degree(v) == 0]
     visits = {v: 0 for v in range(1, g.n + 1)}
     stack = list(roots)
@@ -261,8 +288,11 @@ def graph_product(a: AdmissibleGraph, b: AdmissibleGraph) -> AdmissibleGraph:
 def factorize(g: AdmissibleGraph) -> list[AdmissibleGraph]:
     """Prime components (aerial connectivity classes with their ground feet),
     ordered by smallest original vertex label and relabeled 1..k each."""
+    components: dict[int, list[int]] = {}  # least vertex -> the sorted component
+    for v, root in enumerate(_shape(g)[1][1:], start=1):
+        components.setdefault(root, []).append(v)
     factors = []
-    for comp in _aerial_components(g):
+    for comp in components.values():
         relabel = {old: new for new, old in enumerate(comp, start=1)}
         edges = tuple(
             tuple(relabel[t] if t >= 1 else t for t in g.edges[old - 1])
@@ -272,26 +302,23 @@ def factorize(g: AdmissibleGraph) -> list[AdmissibleGraph]:
     return factors
 
 
-def _heights(g: AdmissibleGraph) -> dict[int, int]:
-    if has_directed_cycle(g):
+def _heights(g: AdmissibleGraph) -> list[int]:
+    """Each vertex's height (index 0 unused), from the countdown of `_shape`."""
+    heights = _shape(g)[2]
+    if heights is None:
         raise GraphError("loop graphs have no height function")
-    memo: dict[int, int] = {}
-
-    def height(v: int) -> int:
-        if v in memo:
-            return memo[v]
-        memo[v] = 1 + max((height(t) for t in g.aerial_targets(v)), default=0)
-        return memo[v]
-
-    for v in range(1, g.n + 1):
-        height(v)
-    return memo
+    return heights
 
 
 def decompose_nonloop(g: AdmissibleGraph) -> list[tuple[int, EdgePair]]:
     """Peel free aerial vertices in order of decreasing height (original labels
     kept; ties broken by smallest label).  Replaying the list in reverse via
-    `rebuild_from_peel` reconstructs the graph."""
+    `rebuild_from_peel` reconstructs the graph.
+
+    The heights come from the one pass of `_shape`, whose stalled countdown
+    is also the loop test, so a loop graph raises `GraphError` without a
+    separate cycle search.  Reference counts confirm that no vertex is
+    peeled while an unpeeled one still points at it."""
     heights = _heights(g)
     references = [0] * (g.n + 1)  # edges into each vertex from the unpeeled ones
     for pair in g.edges:

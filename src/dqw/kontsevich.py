@@ -9,12 +9,19 @@ arguments.  The search never differentiates a polynomial itself: it reads
 the derivatives off the structure's table (`PoissonStructure.live_derivatives`,
 filled once per multiset of derivative indices and kept for every later
 graph).  A vertex factor is a key (i, j, I), meaning d^I alpha^{ij} with I
-the sorted multiset of colors of its incoming edges.  A vertex iterates only
-the entries live under the derivatives already pending on it; an edge into
-an earlier vertex extends that vertex's I by one table lookup, and an edge
-into a later vertex kills the branch at once when no entry is live under the
-grown pending multiset — on a linear structure a second incoming derivative
-ends the branch immediately.  Polynomials are multiplied only at a leaf.
+the sorted multiset of colors of its incoming edges.  A vertex looks its
+entries up instead of filtering them.  It reads the entries live under its
+pending I by first index (`live_rows`).  An edge into an already colored
+vertex t with key (i', j', I') may only take the colors k under which
+(i', j') stays live, read off `keeps_live(I', (i', j'))`; an edge into a
+later vertex only the colors that leave some entry live under its grown
+pending I (`grows_live`).  Both tables also give the grown multiset, so
+nothing is sorted during the search, and on a linear structure a second
+incoming derivative offers no color at all.  Polynomials are multiplied only
+at a leaf.  The pair (L, R) travels as one int in `bidiff`'s digit layout,
+L's digits above R's, each as wide as the component size needs, so an edge
+into a ground adds a power of two and no digit can carry; each component
+decodes its keys once, at the end.
 
 Two exact steps run before and around the search.  A vertex with more
 incoming edges than the structure's largest entry degree p carries a
@@ -62,7 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bidiff import BiDiffOp
+from .bidiff import BiDiffOp, _MultiIndices
 from .freelie import free_lie, hausdorff_series, lie_to_lgraph
 from .graphs import (
     GROUND_X,
@@ -113,11 +120,6 @@ def half_poisson(c: StructureConstants) -> PoissonStructure:
     return PoissonStructure(pi.dim, "linear", entries)
 
 
-def _bump(multi: tuple, idx: int) -> tuple:
-    """The multi-index with its idx-th (1-based) exponent raised by one."""
-    return multi[: idx - 1] + (multi[idx - 1] + 1,) + multi[idx:]
-
-
 def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> BiDiffOp:
     """Sum over edge colorings of the graph, contracted against `pi`.
 
@@ -146,49 +148,73 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
 def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
     """{(L, R): coefficient} of the colorings of one aerial component, its
     vertices labelled 1..len(edges); the zero coefficients are dropped."""
-    n = len(edges)
-    live = pi.live_derivatives
+    n, d = len(edges), pi.dim
+    # (L, R) packed in bidiff's digit layout: L's digits above R's, coordinate
+    # 1 highest, each digit `width` bits wide.  A digit counts edges into one
+    # ground, at most one per vertex, so it never exceeds n and never carries.
+    width = n.bit_length()
+    span = d * width
+    bump = {
+        GROUND_X: [0] + [1 << (span + (d - idx) * width) for idx in range(1, d + 1)],
+        GROUND_Y: [0] + [1 << ((d - idx) * width) for idx in range(1, d + 1)],
+    }
+    live, rows_of = pi.live_derivatives, pi.live_rows
+    keeps, grows = pi.keeps_live, pi.grows_live
+    keys: list = [None] * (n + 1)  # (i, j) of each colored vertex
+    orders: list = [()] * (n + 1)  # each vertex's I, pending until it is colored
     terms: dict = {}
 
-    def color(v: int, factors: list, pending: tuple, left: tuple, right: tuple):
-        # factors[k - 1] = (i, j, I): vertex k carries d^I alpha^{ij}
+    def allowed(target: int, v: int):
+        """The colors an edge of vertex v may take into `target`, each with
+        the target's grown I, or None for a ground (any color)."""
+        if target < 0:
+            return None
+        if target < v:
+            return keeps(orders[target], keys[target])
+        return grows(orders[target])
+
+    def color(v: int, packed: int):
         if v > n:
             total = None
-            for i, j, orders in factors:
-                poly = live(orders)[i, j]
+            for k in range(1, n + 1):
+                poly = live(orders[k])[keys[k]]
                 total = poly if total is None else total * poly
-            key = (left, right)
-            acc = terms.get(key)
-            terms[key] = total if acc is None else acc + total
+            acc = terms.get(packed)
+            terms[packed] = total if acc is None else acc + total
             return
-        orders = pending[v - 1]
-        for i, j in live(orders):
-            new_factors = factors + [(i, j, orders)]
-            new_pending, new_left, new_right = pending, left, right
-            for target, idx in zip(edges[v - 1], (i, j)):
-                if target == GROUND_X:
-                    new_left = _bump(new_left, idx)
-                elif target == GROUND_Y:
-                    new_right = _bump(new_right, idx)
-                elif target < v:
-                    ti, tj, t_orders = new_factors[target - 1]
-                    t_orders = tuple(sorted(t_orders + (idx,)))
-                    if (ti, tj) not in live(t_orders):
-                        break
-                    new_factors[target - 1] = (ti, tj, t_orders)
-                else:
-                    t_orders = tuple(sorted(new_pending[target - 1] + (idx,)))
-                    if not live(t_orders):
-                        break
-                    new_pending = (
-                        new_pending[: target - 1] + (t_orders,) + new_pending[target:]
-                    )
+        first, second = edges[v - 1]
+        rows = rows_of(orders[v])
+        firsts, seconds = allowed(first, v), allowed(second, v)
+        for i in rows if firsts is None else firsts:
+            row = rows.get(i)
+            if row is None:
+                continue
+            if firsts is None:
+                packed_i = packed + bump[first][i]
             else:
-                color(v + 1, new_factors, new_pending, new_left, new_right)
+                packed_i, saved_first = packed, orders[first]
+                orders[first] = firsts[i]
+            for j in row if seconds is None else seconds:
+                if j not in row:
+                    continue
+                if seconds is None:
+                    packed_ij = packed_i + bump[second][j]
+                else:
+                    packed_ij, saved_second = packed_i, orders[second]
+                    orders[second] = seconds[j]
+                keys[v] = (i, j)
+                color(v + 1, packed_ij)
+                if seconds is not None:
+                    orders[second] = saved_second
+            if firsts is not None:
+                orders[first] = saved_first
 
-    zero = (0,) * pi.dim
-    color(1, [], ((),) * n, zero, zero)
-    return {key: p for key, p in terms.items() if p.terms}
+    color(1, 0)
+    multi = _MultiIndices(d, width)
+    mask = (1 << span) - 1
+    return {
+        (multi[key >> span], multi[key & mask]): p for key, p in terms.items() if p.terms
+    }
 
 
 # -- loop analysis ---------------------------------------------------------------

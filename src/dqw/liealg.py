@@ -336,8 +336,11 @@ class PoissonStructure:
 
     A private table, filled on demand by `live_derivatives` and kept beside
     `entries`, caches the nonzero derivatives of the entries for graph
-    compilation; it takes no part in `==`, `hash` or `repr`.  Neither does
-    the largest entry degree, kept beside it for `max_entry_degree`.
+    compilation.  Three index tables over it, filled the same way, let the
+    colouring look entries up instead of filtering them: `live_rows`,
+    `keeps_live` and `grows_live`.  None of them takes part in `==`, `hash`
+    or `repr`.  Neither does the largest entry degree, kept beside them for
+    `max_entry_degree`.
     """
 
     dim: int
@@ -346,6 +349,9 @@ class PoissonStructure:
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _keeps: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _grows: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
     _max_degree: int = field(default=0, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -408,6 +414,44 @@ class PoissonStructure:
                 }
             table[orders] = live
         return live
+
+    def live_rows(self, orders: tuple[int, ...]) -> dict[int, dict[int, Polynomial]]:
+        """`live_derivatives(orders)` indexed by first index: {i: {j: d^orders
+        alpha^{ij}}}, both levels in ascending order.  Shared; do not mutate."""
+        rows = self._rows.get(orders)
+        if rows is None:
+            rows = {}
+            for (i, j), p in self.live_derivatives(orders).items():
+                rows.setdefault(i, {})[j] = p
+            self._rows[orders] = rows
+        return rows
+
+    def keeps_live(self, orders: tuple[int, ...], ij: tuple[int, int]) -> dict[int, tuple]:
+        """{k: orders + (k,), sorted} over the indices k, ascending, for which
+        entry ij stays live: d^(orders + k) alpha^{ij} is not zero.  Shared;
+        do not mutate."""
+        key = (orders, ij)
+        keep = self._keeps.get(key)
+        if keep is None:
+            keep = {}
+            for k, grown in self._grown(orders):
+                if ij in self.live_derivatives(grown):
+                    keep[k] = grown
+            self._keeps[key] = keep
+        return keep
+
+    def grows_live(self, orders: tuple[int, ...]) -> dict[int, tuple]:
+        """{k: orders + (k,), sorted} over the indices k, ascending, that leave
+        some entry live.  Shared; do not mutate."""
+        grow = self._grows.get(orders)
+        if grow is None:
+            grow = {k: grown for k, grown in self._grown(orders) if self.live_derivatives(grown)}
+            self._grows[orders] = grow
+        return grow
+
+    def _grown(self, orders: tuple[int, ...]) -> list[tuple[int, tuple]]:
+        """(k, orders + (k,) sorted) for every coordinate index k."""
+        return [(k, tuple(sorted(orders + (k,)))) for k in range(1, self.dim + 1)]
 
     def poisson_bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         total = Polynomial.zero(self.dim)

@@ -31,7 +31,15 @@ they only move the grounds within the pairs, and a w-computable graph has X
 first in every pair.  For each mirror choice the flips are therefore
 forced: flip exactly the vertices whose second target is X.  Any other flip
 set leaves some pair without X in front, so there is at most one candidate
-per mirror choice, and `classify` decides whether it integrates.
+per mirror choice.
+
+None of the entry points runs the full `classify`.  The feet shape is one
+predicate, the one `classify` reads for `w_computable`, and the loop verdict
+comes from the peel itself: `decompose_nonloop` reads its heights off one
+pass over the aerial edges, and that pass refuses a loop.  So a call looks
+at the graph's edges once for its feet and once for its peel.  In
+`normalized_weight` the first candidate with integrable feet settles the
+call, because a loop in it is a loop in every image.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from .graphs import (
     GROUND_X,
     GROUND_Y,
     AdmissibleGraph,
-    classify,
+    GraphError,
+    _w_feet,
     decompose_nonloop,
     factorize,
     flip_edges,
@@ -165,15 +174,20 @@ class Weight:
         return cls(n, integral, integral / factorial(n))
 
 
-def _peel_weight(g: AdmissibleGraph) -> Fraction:
-    """Fold every (X, aerial) vertex into its target; multiply base values."""
+def _peel_weight(g: AdmissibleGraph, loop_error: str) -> Fraction:
+    """Fold every (X, aerial) vertex into its target; multiply base values.
+    A loop graph raises `WeightError(loop_error)`.  A graph without loops
+    has a sink, whose pair holds both grounds, so a graph that passes the
+    feet check has a base vertex."""
+    try:
+        peel = decompose_nonloop(g)
+    except GraphError:
+        raise WeightError(loop_error) from None
     acc: dict[int, _Acc] = {}
-    has_base = False
     total = Fraction(1)
-    for v, pair in decompose_nonloop(g):
+    for v, pair in peel:
         mine = acc.pop(v, _ONE)
         if pair == (GROUND_X, GROUND_Y):
-            has_base = True
             total *= _ground(*mine)
             continue
         if pair[0] != GROUND_X or pair[1] < 1:
@@ -183,18 +197,20 @@ def _peel_weight(g: AdmissibleGraph) -> Fraction:
         folded = _transform(*mine)
         target = pair[1]
         acc[target] = _times(acc[target], folded) if target in acc else folded
-    if not has_base and g.n:
-        raise WeightError("no base vertex with feet (X, Y)")
     return total
+
+
+_NOT_W_COMPUTABLE = "graph is not w-computable; see normalized_weight"
+_NO_IMAGE = "no mirror/flip image of the graph is w-computable"
 
 
 def weight_w_computable(g: AdmissibleGraph) -> Weight:
     """Weight of a graph whose shape is directly integrable (strict)."""
     if g.n == 0:
         return Weight.of(0, Fraction(1))
-    if not classify(g).w_computable:
-        raise WeightError("graph is not w-computable; see normalized_weight")
-    return Weight.of(g.n, _peel_weight(g))
+    if not _w_feet(g):
+        raise WeightError(_NOT_W_COMPUTABLE)
+    return Weight.of(g.n, _peel_weight(g, _NOT_W_COMPUTABLE))
 
 
 def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
@@ -206,9 +222,7 @@ def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
     """
     if g.n == 0:
         return Weight.of(0, Fraction(1))
-    if classify(g).loop:
-        raise WeightError("loops carry no iterated integral here")
-    return Weight.of(g.n, _peel_weight(g))
+    return Weight.of(g.n, _peel_weight(g, "loops carry no iterated integral here"))
 
 
 def normalized_weight(g: AdmissibleGraph) -> Weight:
@@ -221,10 +235,10 @@ def normalized_weight(g: AdmissibleGraph) -> Weight:
         base, msign = mirror(g) if use_mirror else (g, 1)
         forced = [k for k, pair in enumerate(base.edges, start=1) if pair[1] == GROUND_X]
         candidate, fsign = flip_edges(base, forced)
-        if classify(candidate).w_computable:
-            integral = _peel_weight(candidate) * msign * fsign
+        if _w_feet(candidate):
+            integral = _peel_weight(candidate, _NO_IMAGE) * msign * fsign
             return Weight.of(g.n, integral)
-    raise WeightError("no mirror/flip image of the graph is w-computable")
+    raise WeightError(_NO_IMAGE)
 
 
 def product_weight(g: AdmissibleGraph) -> Weight:

@@ -13,6 +13,7 @@ from dqw.graphs import (
     GROUND_X,
     GROUND_Y,
     AdmissibleGraph,
+    GraphClass,
     GraphError,
     UNIT_GRAPH,
     build_w_computable,
@@ -106,6 +107,131 @@ def random_graph(n, rng):
     return AdmissibleGraph(tuple(edges))
 
 
+def reference_has_directed_cycle(g):
+    """The recursive depth-first cycle search `classify` replaced."""
+    color = {}  # 0 in progress, 1 done
+
+    def visit(v):
+        state = color.get(v)
+        if state == 0:
+            return True
+        if state == 1:
+            return False
+        color[v] = 0
+        for t in g.aerial_targets(v):
+            if visit(t):
+                return True
+        color[v] = 1
+        return False
+
+    return any(visit(v) for v in range(1, g.n + 1))
+
+
+def reference_components(g):
+    """The aerial components by a search over an undirected adjacency."""
+    adjacency = {v: set() for v in range(1, g.n + 1)}
+    for v in range(1, g.n + 1):
+        for t in g.aerial_targets(v):
+            adjacency[v].add(t)
+            adjacency[t].add(v)
+    seen, components = set(), []
+    for v in range(1, g.n + 1):
+        if v in seen:
+            continue
+        stack, comp = [v], []
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adjacency[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+def reference_classify(g):
+    """`classify` before the single pass: a cycle search, a component search
+    and an in-degree count per vertex, each over the whole graph."""
+    loop = reference_has_directed_cycle(g)
+    prime = g.n >= 1 and len(reference_components(g)) == 1
+    sym = (not loop) and all(g.in_degree(v) <= 1 for v in range(1, g.n + 1))
+    base_pairs = [pair for pair in g.edges if pair == (GROUND_X, GROUND_Y)]
+    others_ok = all(
+        pair == (GROUND_X, GROUND_Y) or (pair[0] == GROUND_X and pair[1] >= 1)
+        for pair in g.edges
+    )
+    w_comp = g.n >= 1 and not loop and len(base_pairs) == 1 and others_ok
+    return GraphClass(
+        loop=loop,
+        prime=prime,
+        sym_admissible=sym,
+        lie_admissible=sym and prime,
+        w_computable=w_comp,
+    )
+
+
+def reference_heights(g):
+    """The recursive, memoised heights `_heights` replaced."""
+    if reference_has_directed_cycle(g):
+        raise GraphError("loop graphs have no height function")
+    memo = {}
+
+    def height(v):
+        if v not in memo:
+            memo[v] = 1 + max((height(t) for t in g.aerial_targets(v)), default=0)
+        return memo[v]
+
+    for v in range(1, g.n + 1):
+        height(v)
+    return memo
+
+
+def classify_cases():
+    """Every graph with n <= 3 and a seeded sample with n = 4."""
+    rng = random.Random(24)
+    graphs = [g for n in range(4) for g in enumerate_graphs(n)]
+    return graphs + [random_graph(4, rng) for _ in range(2000)]
+
+
+def assert_classify_matches_reference(graphs):
+    for g in graphs:
+        assert classify(g) == reference_classify(g), format_graph(g)
+        assert has_directed_cycle(g) == reference_has_directed_cycle(g), format_graph(g)
+        assert factorize(g) == [
+            AdmissibleGraph(tuple(
+                tuple(comp.index(t) + 1 if t >= 1 else t for t in g.edges[old - 1])
+                for old in comp
+            ))
+            for comp in reference_components(g)
+        ], format_graph(g)
+
+
+def assert_cycles_match_peeling():
+    """A graph is acyclic iff repeatedly removing the vertices with no aerial
+    target left empties it; checked on every graph with n <= 3."""
+    def acyclic(g):
+        left = set(range(1, g.n + 1))
+        while True:
+            sinks = {v for v in left if not set(g.aerial_targets(v)) & left}
+            if not sinks:
+                return not left
+            left -= sinks
+
+    counts = {}
+    for n in range(4):
+        for g in enumerate_graphs(n):
+            loop = has_directed_cycle(g)
+            assert loop == classify(g).loop == (not acyclic(g)), format_graph(g)
+            counts[n] = counts.get(n, 0) + loop
+    assert counts == {0: 0, 1: 0, 2: 16, 3: 1216}
+
+
+def root_last_chain(n):
+    """The n-vertex chain labelled from the top: k:(X,k+1), then n:(X,Y)."""
+    return AdmissibleGraph(tuple((GROUND_X, k + 1) for k in range(1, n)) + ((GROUND_X, GROUND_Y),))
+
+
 def assert_matches_brute_force(g):
     assert canonical_form(g) == reference_canonical_form(g), format_graph(g)
     assert symmetry_count(g) == reference_symmetry_count(g), format_graph(g)
@@ -187,29 +313,35 @@ class TestClassification:
         assert c.sym_admissible and not c.prime and not c.loop and not c.w_computable
 
     def test_sym_equals_disjoint_binary_forest(self):
-        for n in range(4):
-            for g in enumerate_graphs(n):
-                assert classify(g).sym_admissible == is_disjoint_binary_forest(g), format_graph(g)
-
+        for g in classify_cases():
+            assert classify(g).sym_admissible == is_disjoint_binary_forest(g), format_graph(g)
 
     def test_cycle_test_against_peeling_the_sinks(self):
-        # independent check: a graph is acyclic iff repeatedly removing the
-        # vertices with no aerial target left empties it
-        def acyclic(g):
-            left = set(range(1, g.n + 1))
-            while True:
-                sinks = {v for v in left if not set(g.aerial_targets(v)) & left}
-                if not sinks:
-                    return not left
-                left -= sinks
+        assert_cycles_match_peeling()
 
-        counts = {}
-        for n in range(4):
-            for g in enumerate_graphs(n):
-                loop = has_directed_cycle(g)
-                assert loop == classify(g).loop == (not acyclic(g)), format_graph(g)
-                counts[n] = counts.get(n, 0) + loop
-        assert counts == {0: 0, 1: 0, 2: 16, 3: 1216}
+    def test_single_pass_matches_reference(self):
+        assert_classify_matches_reference(classify_cases())
+
+    def test_a_pass_that_never_flags_a_cycle_is_caught(self, monkeypatch):
+        # negative control: heights reported for every graph, loops included
+        real = dqw.graphs._shape
+
+        def blind(g):
+            in_degree, component, heights = real(g)
+            return in_degree, component, heights or [1] * (g.n + 1)
+
+        monkeypatch.setattr(dqw.graphs, "_shape", blind)
+        with pytest.raises(AssertionError):
+            assert_classify_matches_reference(classify_cases())
+        with pytest.raises(AssertionError):
+            assert_cycles_match_peeling()
+
+    def test_root_last_chain_has_no_recursion_limit(self):
+        g = root_last_chain(3000)
+        assert not has_directed_cycle(g)
+        assert classify(g).w_computable and classify(g).prime
+        assert [v for v, _ in decompose_nonloop(g)] == list(range(1, 3001))
+        assert factorize(g) == [g]
 
 
 class TestProductsAndFactors:
@@ -247,10 +379,10 @@ class TestProductsAndFactors:
                 assert parts == [g]
 
 
-def reference_decompose_nonloop(g):
+def reference_decompose_nonloop(g, heights_of=reference_heights):
     """The scan `decompose_nonloop` replaced: before each peel, look for a
     reference to the vertex among all unpeeled pairs."""
-    heights = dqw.graphs._heights(g)
+    heights = heights_of(g)
     remaining = {v: g.edges[v - 1] for v in range(1, g.n + 1)}
     order = sorted(remaining, key=lambda v: (-heights[v], v))
     peel = []
@@ -297,11 +429,22 @@ class TestPeeling:
 
     def test_wrong_heights_raise_the_same_error(self, monkeypatch):
         # equal heights peel by label, so vertex 1 goes while 2 still points at it
-        monkeypatch.setattr(dqw.graphs, "_heights", lambda g: dict.fromkeys(range(1, g.n + 1), 1))
+        def flat(g):
+            return dict.fromkeys(range(1, g.n + 1), 1)
+
+        monkeypatch.setattr(dqw.graphs, "_heights", flat)
         for g in (chain_graph(3), parse_graph("1:(X,Y);2:(X,1);3:(1,2)")):
             got = peel_outcome(decompose_nonloop, g)
-            assert got == peel_outcome(reference_decompose_nonloop, g)
+            assert got == peel_outcome(lambda g: reference_decompose_nonloop(g, flat), g)
             assert got == "internal: vertex 1 peeled while still referenced"
+
+    def test_heights_match_the_recursive_reference(self):
+        for g in classify_cases():
+            want = peel_outcome(reference_heights, g)
+            got = peel_outcome(dqw.graphs._heights, g)
+            if isinstance(want, dict):
+                got = dict(enumerate(got[1:], start=1))
+            assert got == want, format_graph(g)
 
     def test_build_w_computable(self):
         g = build_w_computable([1, 2])

@@ -176,11 +176,13 @@ class TestDerivativeTable:
         assert_matches_reference(graphs, half_poisson(strictly_upper(5)))
 
     def test_table_stays_out_of_equality(self):
+        tables = ("_derivatives", "_rows", "_keeps", "_grows")
         for make in (lambda: half_poisson(strictly_upper(4)), quadratic_alpha):
             used, fresh = make(), make()
             for g in enumerate_graphs(2):
                 graph_to_operator(g, used, 2)
-            assert used._derivatives and not fresh._derivatives
+            for name in tables:
+                assert getattr(used, name) and not getattr(fresh, name), name
             assert used == fresh and hash(used) == hash(fresh)
             assert repr(used) == repr(fresh)
 
@@ -202,6 +204,115 @@ class TestDerivativeTable:
                 assert set(live) <= set(table[orders[:-1]])
                 for ij, p in live.items():
                     assert p == table[orders[:-1]][ij].derive(orders[-1])
+
+
+def _bump(multi, idx):
+    """The multi-index with its idx-th (1-based) exponent raised by one."""
+    return multi[: idx - 1] + (multi[idx - 1] + 1,) + multi[idx:]
+
+
+def reference_coloring_table(edges, pi):
+    """`_coloring_table` before the index tables: each vertex scans every
+    entry live under its pending multiset and rejects those an edge into a
+    colored or pending vertex kills, carrying (L, R) as tuples."""
+    n = len(edges)
+    live = pi.live_derivatives
+    terms = {}
+
+    def color(v, factors, pending, left, right):
+        if v > n:
+            total = None
+            for i, j, orders in factors:
+                poly = live(orders)[i, j]
+                total = poly if total is None else total * poly
+            key = (left, right)
+            acc = terms.get(key)
+            terms[key] = total if acc is None else acc + total
+            return
+        orders = pending[v - 1]
+        for i, j in live(orders):
+            new_factors = factors + [(i, j, orders)]
+            new_pending, new_left, new_right = pending, left, right
+            for target, idx in zip(edges[v - 1], (i, j)):
+                if target == GROUND_X:
+                    new_left = _bump(new_left, idx)
+                elif target == GROUND_Y:
+                    new_right = _bump(new_right, idx)
+                elif target < v:
+                    ti, tj, t_orders = new_factors[target - 1]
+                    t_orders = tuple(sorted(t_orders + (idx,)))
+                    if (ti, tj) not in live(t_orders):
+                        break
+                    new_factors[target - 1] = (ti, tj, t_orders)
+                else:
+                    t_orders = tuple(sorted(new_pending[target - 1] + (idx,)))
+                    if not live(t_orders):
+                        break
+                    new_pending = (
+                        new_pending[: target - 1] + (t_orders,) + new_pending[target:]
+                    )
+            else:
+                color(v + 1, new_factors, new_pending, new_left, new_right)
+
+    zero = (0,) * pi.dim
+    color(1, [], ((),) * n, zero, zero)
+    return {key: p for key, p in terms.items() if p.terms}
+
+
+def assert_coloring_matches_reference(graphs, make_pi, order=None):
+    """graph_to_operator with the indexed colouring equals it with the
+    reference colouring, each on a fresh structure; returns the count of
+    nonzero operators."""
+    pi, reference_pi = make_pi(), make_pi()
+    real = dqw.kontsevich._coloring_table
+    live = 0
+    for g in graphs:
+        m = g.n if order is None else order
+        got = graph_to_operator(g, pi, m)
+        dqw.kontsevich._coloring_table = reference_coloring_table
+        try:
+            want = graph_to_operator(g, reference_pi, m)
+        finally:
+            dqw.kontsevich._coloring_table = real
+        assert got == want, format_graph(g)
+        assert repr(got) == repr(want), format_graph(g)
+        live += not got.is_zero()
+    return live
+
+
+def every_graph_up_to_three():
+    return [g for n in range(4) for g in enumerate_graphs(n)]
+
+
+class TestIndexedColoring:
+    """`_coloring_table` looks each vertex's entries up in the structure's
+    index tables; the reference scans and filters them."""
+
+    def test_census_structure(self):
+        make = lambda: half_poisson(strictly_upper(5))
+        assert assert_coloring_matches_reference(every_graph_up_to_three(), make) > 100
+
+    def test_quadratic_structure(self):
+        # every n = 3 graph would take about 12 s, nearly all of it in the
+        # leaf polynomial products both sides compute; a seeded 400 of them
+        graphs = [g for n in range(3) for g in enumerate_graphs(n)]
+        graphs += random.Random(24).sample(list(enumerate_graphs(3)), 400)
+        assert assert_coloring_matches_reference(graphs, quadratic_alpha) > 100
+
+    def test_solvable_structure_where_loops_survive(self):
+        make = lambda: half_poisson(solvable2())
+        graphs = every_graph_up_to_three()
+        assert assert_coloring_matches_reference(graphs, make) > 100
+        loops = [g for g in graphs if has_directed_cycle(g)]
+        assert assert_coloring_matches_reference(loops, make) > 0
+
+    def test_order_eight_prime_types(self):
+        graphs = [graph for graph, _, _ in prime_type_table(8)]
+        assert max(g.n for g in graphs) == 8
+        # strictly_upper(4) is 3-step nilpotent: only the three types with
+        # at most two vertices survive, the rest must compile to zero alike
+        make = lambda: linear_poisson(strictly_upper(4))
+        assert assert_coloring_matches_reference(graphs, make, order=8) == 3
 
 
 def symplectic_alpha():

@@ -9,6 +9,7 @@ import pytest
 
 import dqw.weights
 import test_acceptance
+import test_graphs
 
 from dqw.bernoulli import bernoulli_number, bernoulli_polynomial
 from dqw.freelie import lie_to_lgraph, parse_bracket
@@ -94,6 +95,29 @@ def reference_peel_weight(g: AdmissibleGraph) -> Fraction:
     return total
 
 
+def peel_weight(g: AdmissibleGraph) -> Fraction:
+    return _peel_weight(g, "loop")
+
+
+def reference_weight_w_computable(g: AdmissibleGraph) -> Weight:
+    """`weight_w_computable` before it read the feet and the loop verdict
+    apart: one full `classify` decides."""
+    if g.n == 0:
+        return Weight.of(0, F(1))
+    if not classify(g).w_computable:
+        raise WeightError("graph is not w-computable; see normalized_weight")
+    return Weight.of(g.n, peel_weight(g))
+
+
+def reference_iterated_integral_weight(g: AdmissibleGraph) -> Weight:
+    """`iterated_integral_weight` before the peel gave the loop verdict."""
+    if g.n == 0:
+        return Weight.of(0, F(1))
+    if classify(g).loop:
+        raise WeightError("loops carry no iterated integral here")
+    return Weight.of(g.n, peel_weight(g))
+
+
 def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
     """The search normalized_weight replaced: the first w-computable image
     over mirror x every subset of edge flips, smallest subsets first."""
@@ -105,7 +129,7 @@ def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
             for subset in itertools.combinations(range(1, g.n + 1), r):
                 candidate, fsign = flip_edges(base, subset)
                 if classify(candidate).w_computable:
-                    return Weight.of(g.n, _peel_weight(candidate) * msign * fsign)
+                    return Weight.of(g.n, peel_weight(candidate) * msign * fsign)
     raise WeightError("no mirror/flip image of the graph is w-computable")
 
 
@@ -217,6 +241,12 @@ class TestDirectWeights:
         with pytest.raises(WeightError):
             weight_w_computable(graph_product(chain_graph(1), chain_graph(1)))
 
+    def test_root_last_chain_weighs_as_the_chain(self):
+        g = test_graphs.root_last_chain(60)
+        want = weight_w_computable(chain_graph(60))
+        assert want.integral
+        assert weight_w_computable(g) == iterated_integral_weight(g) == want
+
     def test_builder_route(self):
         g = build_w_computable([1, 1, 2])
         assert weight_w_computable(g).n == 4
@@ -276,6 +306,37 @@ class TestForcedFlipOracle:
         assert weighed_against_search(graphs) >= count
 
 
+class TestWithoutClassify:
+    """`weight_w_computable` and `iterated_integral_weight` read the feet and
+    the peel's loop verdict instead of `classify`; the classify-based bodies
+    are the oracles, error texts included."""
+
+    def test_every_graph_through_three_and_a_seeded_sample(self):
+        rng = random.Random(24)
+        graphs = [g for n in range(4) for g in enumerate_graphs(n)]
+        graphs += [random_graph(rng, 4) for _ in range(300)]
+        graphs += [random_integrable_image(rng, 4) for _ in range(100)]
+        errors = set()
+        for g in graphs:
+            for weigh, reference in (
+                (weight_w_computable, reference_weight_w_computable),
+                (iterated_integral_weight, reference_iterated_integral_weight),
+            ):
+                got = outcome(weigh, g)
+                assert got == outcome(reference, g), g
+                if isinstance(got, str):
+                    errors.add(got.split(" has feet ")[0][:6])
+        # every error path is reached: not w-computable, loop, bad feet
+        assert errors == {"graph ", "loops ", "vertex"}
+
+    def test_loop_with_integrable_feet(self):
+        g = parse_graph("1:(X,Y);2:(X,3);3:(X,2)")
+        assert outcome(weight_w_computable, g) == "graph is not w-computable; see normalized_weight"
+        assert outcome(iterated_integral_weight, g) == "loops carry no iterated integral here"
+        image = flip_edges(mirror(g)[0], [2])[0]
+        assert outcome(normalized_weight, image) == "no mirror/flip image of the graph is w-computable"
+
+
 class TestMultiplicativity:
     def test_pair_of_singletons(self):
         g = graph_product(chain_graph(1), chain_graph(1))
@@ -320,7 +381,7 @@ def kernel_cases() -> list[AdmissibleGraph]:
 
 def peel_matches_reference(graphs) -> int:
     for g in graphs:
-        assert outcome(_peel_weight, g) == outcome(reference_peel_weight, g), g
+        assert outcome(peel_weight, g) == outcome(reference_peel_weight, g), g
     return len(graphs)
 
 
