@@ -30,28 +30,52 @@ and none of its digits can carry.  A product with m > order has a key at or
 above the limit whether or not a digit carried, because a carry only raises
 a key, so it is dropped either way.
 
-`apply` runs over an application plan built on its first call and kept
-beside `terms` (it takes no part in `==` or `repr`): the terms indexed by
-left multi-index L, then by right multi-index R, sharing the coefficient
-dicts with `terms`.  d^L f is zero unless L <= top(f), f's componentwise
-largest exponents, and |L| <= deg f, so a call only needs the L in that box.
-It looks the box's points up in the index, or, when the box has more points
-than the index has keys (a dense or high-degree f), scans the keys through
-the same test, so a call visits at most min(box points, keys) keys.  R is
-found the same way in each L's entries, against g.  Derivatives are taken
-only for keys that hit, in one pass per key on integer numerators over the
-argument's common denominator (x^e -> prod e_i! / (e_i - k_i)! x^(e - k)),
-with d^R g kept for the rest of the call.  Each eps level accumulates in
-one exponent dict and is divided by the two denominators once per
-coefficient at the end.
+`apply` runs on one application plan per operator, built from `terms` on
+the first call and kept in the private `_plan` slot (it takes no part in
+`==` or `repr`).  Every multi-index and every coefficient monomial is one
+packed int in the digit layout above, `width` bits per digit, the top bit
+of each digit a guard bit that a packed value leaves clear; each distinct
+tuple is packed once.  A coefficient monomial x^e at eps^m becomes the row
+key (m << dim * width) + packed e, with an integer numerator over the
+operator's common denominator.  The plan maps packed L to (L, |L|, L's
+nonzero digits, entries), the entries sorted by |R|, each one (|R|,
+packed R, R's nonzero digits, flat rows key, numerator, key, numerator, ...).
+
+d^L f is zero unless L <= top(f), f's componentwise largest exponents, and
+|L| <= deg f.  A call looks the points of that box up among the L keys, or
+scans the keys when the box has more points than the plan has L keys, so it
+visits at most min(box points, keys) keys.  For each L it finds, it reads
+the entries until |R| > deg g, and tests R <= top(g) with one masked
+subtraction: in (top(g) | guard) - R, a digit with r <= t leaves guard +
+(t - r) and one with r > t leaves guard - (r - t), below the guard bit but
+above zero because r < guard, so no digit borrows from its neighbour and
+every guard bit survives exactly when R <= top(g).  The same subtraction on
+an argument row, (e | guard) - L, tells whether x^e survives d^L and, with
+the guard bits cleared, gives e - L; the numerator takes the falling
+factorials e_i! / (e_i - l_i)! over L's nonzero digits.  d^R g is kept for
+the rest of the call.  The hits accumulate as out[k1 + k2 + k3] += c1 * c2
+* c3 on ints, and each output key is decoded once, into its eps level and
+exponent tuple, with one Fraction over the three denominators.  Levels
+that no term reaches share one zero polynomial.
+
+Why nothing carries: the plan's width is the least whole number of bytes,
+at least MIN_PLAN_WIDTH, whose digit cap 2^(width - 1) - 1 holds top +
+max(f) + max(g), where top is the plan's largest digit over every L, R and
+coefficient monomial and max(f), max(g) are the arguments' largest
+exponents.  A call whose arguments need more rebuilds the plan wider and
+replaces it, so an operator keeps one plan, which never narrows.  Every
+digit of L, R, f and g is then at most the cap, below the guard bit, so the
+tests above are exact.  An output digit is a coefficient digit plus (f's
+digit - l) plus (g's digit - r), at most top + max(f) + max(g), so adding
+three keys never carries out of a digit or into a guard bit, and m, above
+every digit, reads back intact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import factorial, lcm, perm, prod
-from operator import add, le, sub
+from operator import itemgetter
 from typing import Mapping
 
 from .poly import Polynomial
@@ -61,6 +85,10 @@ Multi = tuple[int, ...]
 Key = tuple[int, Multi, Multi]
 
 __all__ = ["BiDiffOp", "BiDiffError", "wedge_operator"]
+
+# The least bits per digit of an application plan: seven for the digit and
+# one guard bit, enough for every operator and argument the checks build.
+MIN_PLAN_WIDTH = 8
 
 
 class BiDiffError(ValueError):
@@ -142,6 +170,9 @@ class _MultiIndices(dict):
         self.dim, self.width, self.mask = dim, width, (1 << width) - 1
 
     def __missing__(self, packed: int) -> Multi:
+        if self.width == 8:
+            self[packed] = value = tuple(packed.to_bytes(self.dim, "big"))
+            return value
         bits, digits = packed, []
         for _ in range(self.dim):
             digits.append(bits & self.mask)
@@ -166,84 +197,72 @@ def _unpack(dim: int, order: int, packed: Mapping[int, int], den: int, width: in
     return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
 
 
-class _Box:
-    """The multi-indices K with K <= top componentwise and |K| <= deg, for the
-    componentwise largest exponents `top` and the degree `deg` of a nonzero
-    polynomial: every other derivative d^K of it is zero."""
-
-    __slots__ = ("top", "deg", "size", "_points")
-
-    def __init__(self, p: Polynomial):
-        self.top = tuple(map(max, zip(*p.terms)))
-        self.deg = p.total_degree()
-        self.size = prod(t + 1 for t in self.top)
-        self._points = None
-
-    def points(self) -> list[Multi]:
-        """The multi-indices themselves.  Unless deg covers the whole box, a
-        prefix is extended only while its sum stays within deg, so no more
-        are built than are returned."""
-        if self._points is None:
-            if self.deg >= sum(self.top):
-                points = list(product(*[range(t + 1) for t in self.top]))
-            else:
-                grown = [((), 0)]
-                for t in self.top:
-                    grown = [
-                        (prefix + (k,), s + k)
-                        for prefix, s in grown
-                        for k in range(min(t, self.deg - s) + 1)
-                    ]
-                points = [prefix for prefix, _ in grown]
-            self._points = points
-        return self._points
-
-    def within(self, index: Mapping) -> list[tuple]:
-        """The (key, value) items of index whose key is in the box.  The box
-        is looked up point by point unless it has more points than index has
-        keys; then the keys are scanned instead."""
-        if self.size <= len(index):
-            get = index.get
-            return [(k, v) for k in self.points() if (v := get(k)) is not None]
-        top, deg = self.top, self.deg
-        return [(k, v) for k, v in index.items() if sum(k) <= deg and all(map(le, k, top))]
+def _pack(digits: Multi, width: int) -> int:
+    """The digits packed `width` bits each, the first digit highest."""
+    if width == 8:
+        return int.from_bytes(bytes(digits), "big")
+    key = 0
+    for d in digits:
+        key = (key << width) | d
+    return key
 
 
-def _numerators(p: Polynomial) -> tuple[int, list]:
-    """(den, rows): p's terms as (exponents, integer numerator) over den, the
-    lcm of p's coefficient denominators."""
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+def _nonzero_digits(multi: Multi) -> tuple[tuple[int, int], ...]:
+    """(position, digit) for every nonzero digit of a multi-index."""
+    return tuple((i, d) for i, d in enumerate(multi) if d)
 
 
-def _derivative(rows: list, orders: Multi) -> dict[Multi, int]:
-    """d^orders of the polynomial with these (exponents, numerator) rows, in
-    one pass: x^e goes to prod_i e_i! / (e_i - k_i)! * x^(e - k), or to zero
-    when some e_i < k_i.  Distinct e give distinct e - k, so nothing adds."""
-    out = {}
-    for exps, num in rows:
-        for e, k in zip(exps, orders):
-            if k:
-                if e < k:
-                    break
-                num *= perm(e, k)
-        else:
-            out[tuple(map(sub, exps, orders))] = num
+def _plan_width(need: int) -> int:
+    """Bits per digit for digits up to `need` plus one guard bit, in whole
+    bytes and never below MIN_PLAN_WIDTH."""
+    return max(MIN_PLAN_WIDTH, -(-(need.bit_length() + 1) // 8) * 8)
+
+
+def _box_points(top: Multi, deg: int, width: int) -> list[int]:
+    """The packed multi-indices K <= top componentwise with |K| <= deg: every
+    other derivative d^K of a polynomial with componentwise largest exponents
+    `top` and degree `deg` is zero.  Unless deg covers the whole box, a
+    prefix is extended only while its sum stays within deg."""
+    if deg >= sum(top):
+        points, shift = [0], width * len(top)
+        for t in top:
+            shift -= width
+            if t:
+                points = [p + (k << shift) for p in points for k in range(t + 1)]
+        return points
+    grown = [(0, 0)]
+    for t in top:
+        grown = [((p << width) | k, s + k) for p, s in grown for k in range(min(t, deg - s) + 1)]
+    return [p for p, _ in grown]
+
+
+def _argument(p: Polynomial, width: int, guard: int) -> tuple[int, list]:
+    """(den, rows): p's terms as (exponents, packed exponents | guard, integer
+    numerator) over den, the lcm of p's coefficient denominators."""
+    if len(p.terms) == 1:
+        ((e, c),) = p.terms.items()
+        return c.denominator, [(e, _pack(e, width) | guard, c.numerator)]
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return den, [
+        (e, _pack(e, width) | guard, c.numerator * (den // c.denominator))
+        for e, c in p.terms.items()
+    ]
+
+
+def _derive(rows: list, orders: int, digits: tuple, guard: int) -> list[tuple[int, int]]:
+    """d^orders of the argument with these rows, as (packed exponents,
+    numerator) pairs.  A row survives when every guard bit of its capped key
+    minus `orders` does, that is when e >= orders componentwise; x^e then
+    goes to prod e_i! / (e_i - k_i)! x^(e - k) over the nonzero `digits`
+    (i, k_i) of orders.  Distinct e give distinct e - k, so nothing adds."""
+    out = []
+    for exps, capped, num in rows:
+        rest = capped - orders
+        if rest & guard == guard:
+            for i, k in digits:
+                num *= perm(exps[i], k)
+            out.append((rest ^ guard, num))
     return out
-
-
-def _accumulate(acc: dict, coeff: dict, df: dict, dg: dict) -> None:
-    """acc += coeff * df * dg on exponent -> coefficient dicts; zeros are
-    left for the Polynomial constructor to drop."""
-    for e2, c2 in df.items():
-        for e3, c3 in dg.items():
-            e23 = tuple(map(add, e2, e3))
-            c23 = c2 * c3
-            for e1, c1 in coeff.items():
-                key = tuple(map(add, e1, e23))
-                acc[key] = acc.get(key, 0) + c1 * c23
 
 
 class BiDiffOp:
@@ -386,51 +405,115 @@ class BiDiffOp:
 
     # -- action on polynomial pairs ---------------------------------------------
 
-    def _apply_plan(self) -> dict:
-        """The terms indexed as L -> R -> [(m, coefficient terms)].  Built on
-        the first `apply`; it shares the coefficient dicts with `terms`."""
-        plan = self._plan
-        if plan is None:
-            plan = {}
-            for (m, left, right), poly in self.terms.items():
-                plan.setdefault(left, {}).setdefault(right, []).append((m, poly.terms))
-            object.__setattr__(self, "_plan", plan)
+    def _build_plan(self, reach: int) -> tuple:
+        """The application plan (width, guard, top, den, by_left), wide enough
+        for arguments whose largest digits sum to `reach`; it replaces any
+        narrower plan in `_plan`.  See the module docstring for the layout."""
+        terms = self.terms
+        coeffs = [poly.terms for poly in terms.values()]
+        den = lcm(*[c.denominator for coeff in coeffs for c in coeff.values()])
+        multis = set(map(itemgetter(1), terms)).union(map(itemgetter(2), terms))
+        top = max(map(max, multis.union(*coeffs)), default=0)
+        width = _plan_width(top + reach)
+        span = self.dim * width
+        # multi-index -> (|K|, packed K, nonzero digits)
+        index = {k: (sum(k), _pack(k, width), _nonzero_digits(k)) for k in multis}
+        packed: dict[Multi, int] = {}
+        grouped: dict[Multi, dict[Multi, list]] = {}
+        for (m, left, right), coeff in zip(terms, coeffs):
+            rows = grouped.setdefault(left, {}).setdefault(right, [])
+            for e, c in coeff.items():
+                key = packed.get(e)
+                if key is None:
+                    key = packed[e] = _pack(e, width)
+                key += m << span
+                rows += (key, c.numerator * (den // c.denominator))
+        shared: dict[tuple, tuple] = {}  # one tuple per distinct rows, shared between entries
+        by_left = {}
+        for left, by_right in grouped.items():
+            entries = []
+            for right, rows in by_right.items():
+                rows = tuple(rows)
+                entries.append((*index[right], shared.setdefault(rows, rows)))
+            size, key, digits = index[left]
+            by_left[key] = (key, size, digits, tuple(sorted(entries)))
+        guard = _pack((1 << (width - 1),) * self.dim, width)
+        plan = (width, guard, top, den, by_left)
+        object.__setattr__(self, "_plan", plan)
         return plan
 
     def apply(self, f: Polynomial, g: Polynomial) -> EpsSeries:
-        if f.dim != self.dim or g.dim != self.dim:
+        """The series sum eps^m * P * (d^L f) * (d^R g) over the terms
+        (m, L, R) -> P.
+
+        Runs on the packed plan built on the first call (module docstring):
+        only the terms with L in f's box and R in g's box are visited, and
+        only the eps levels the pair reaches get a polynomial of their own;
+        the others share one zero polynomial."""
+        dim, order = self.dim, self.order
+        if f.dim != dim or g.dim != dim:
             raise BiDiffError("argument dimension mismatch")
-        if f.is_zero() or g.is_zero():
-            return EpsSeries.zero(self.dim, self.order)
-        f_den, f_rows = _numerators(f)
-        g_den, g_rows = _numerators(g)
-        g_box = _Box(g)
-        levels: dict[int, dict] = {}  # only the eps levels this pair reaches
-        right_cache: dict[Multi, dict] = {}
-        for left, by_right in _Box(f).within(self._apply_plan()):
+        if not f.terms or not g.terms:
+            return EpsSeries.zero(dim, order)
+        f_top = tuple(map(max, zip(*f.terms)))
+        g_top = tuple(map(max, zip(*g.terms)))
+        reach = max(f_top) + max(g_top)
+        plan = self._plan
+        if plan is None or plan[2] + reach >= 1 << (plan[0] - 1):
+            plan = self._build_plan(reach)
+        width, guard, _, den, by_left = plan
+        f_den, f_rows = _argument(f, width, guard)
+        g_den, g_rows = _argument(g, width, guard)
+        f_deg = max(map(sum, f.terms))
+        g_deg = max(map(sum, g.terms))
+        if prod(t + 1 for t in f_top) <= len(by_left):
+            get = by_left.get
+            hits = [v for k in _box_points(f_top, f_deg, width) if (v := get(k)) is not None]
+        else:
+            f_cap = _pack(f_top, width) | guard
+            hits = [v for k, v in by_left.items() if v[1] <= f_deg and (f_cap - k) & guard == guard]
+        g_cap = _pack(g_top, width) | guard
+        acc: dict[int, int] = {}
+        get = acc.get
+        right_cache: dict[int, list] = {}
+        for left, _, left_digits, entries in hits:
             df = None
-            for right, entries in g_box.within(by_right):
+            for size, right, right_digits, rows in entries:
+                if size > g_deg:
+                    break
+                if (g_cap - right) & guard != guard:
+                    continue
                 dg = right_cache.get(right)
                 if dg is None:
-                    dg = right_cache[right] = _derivative(g_rows, right)
+                    dg = right_cache[right] = _derive(g_rows, right, right_digits, guard)
                 if not dg:
                     continue
                 if df is None:
-                    df = _derivative(f_rows, left)
-                if not df:
-                    break
-                for m, coeff in entries:
-                    acc = levels.get(m)
-                    if acc is None:
-                        acc = levels[m] = {}
-                    _accumulate(acc, coeff, df, dg)
-        den = f_den * g_den
-        coeffs = [Polynomial.zero(self.dim)] * (self.order + 1)
-        for m, acc in levels.items():
-            if den != 1:
-                acc = {e: c / den for e, c in acc.items()}
-            coeffs[m] = Polynomial(self.dim, acc)
-        return EpsSeries(self.dim, self.order, coeffs)
+                    df = _derive(f_rows, left, left_digits, guard)
+                    if not df:
+                        break
+                for k2, c2 in df:
+                    for k3, c3 in dg:
+                        k23, c23 = k2 + k3, c2 * c3
+                        it = iter(rows)
+                        for k1, c1 in zip(it, it):
+                            key = k1 + k23
+                            acc[key] = get(key, 0) + c1 * c23
+        den *= f_den * g_den
+        span = dim * width
+        mask = (1 << span) - 1
+        multi = _MultiIndices(dim, width)
+        levels: dict[int, dict] = {}
+        for key, c in acc.items():
+            if c:
+                level = levels.get(key >> span)
+                if level is None:
+                    level = levels[key >> span] = {}
+                level[multi[key & mask]] = Fraction(c, den)
+        coeffs = [Polynomial.zero(dim)] * (order + 1)
+        for m, level in levels.items():
+            coeffs[m] = Polynomial._unchecked(dim, level)
+        return EpsSeries._unchecked(dim, order, tuple(coeffs))
 
     def sorted_terms(self) -> list[tuple[Key, Polynomial]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])

@@ -74,6 +74,14 @@ class AdmissibleGraph:
             if a == b:
                 raise GraphError(f"vertex {k}: the two edge targets must differ")
 
+    @classmethod
+    def _unchecked(cls, edges: tuple[EdgePair, ...]) -> "AdmissibleGraph":
+        """The graph with these edges, not validated: only for edges that a
+        map known to keep a valid graph valid built from one."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def n(self) -> int:
         return len(self.edges)
@@ -472,14 +480,17 @@ def canonical_form(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
 
 
 def mirror(g: AdmissibleGraph) -> tuple[AdmissibleGraph, int]:
-    """Swap the two grounds; the weight picks up (-1)^n."""
+    """Swap the two grounds; the weight picks up (-1)^n.  Swapping keeps a
+    valid graph valid, so the result is built unchecked."""
     swap = {GROUND_X: GROUND_Y, GROUND_Y: GROUND_X}
     edges = tuple(tuple(swap.get(t, t) for t in pair) for pair in g.edges)
-    return AdmissibleGraph(edges), (-1) ** g.n
+    return AdmissibleGraph._unchecked(edges), (-1) ** g.n
 
 
 def flip_edges(g: AdmissibleGraph, vertices: Sequence[int]) -> tuple[AdmissibleGraph, int]:
-    """Swap the ordered edge pair at each listed vertex; each flip is a -1."""
+    """Swap the ordered edge pair at each listed vertex; each flip is a -1.
+    Reordering a pair keeps a valid graph valid, so only the listed vertices
+    are checked and the result is built unchecked."""
     chosen = set(vertices)
     for v in chosen:
         if not 1 <= v <= g.n:
@@ -488,7 +499,7 @@ def flip_edges(g: AdmissibleGraph, vertices: Sequence[int]) -> tuple[AdmissibleG
         (pair[1], pair[0]) if k in chosen else pair
         for k, pair in enumerate(g.edges, start=1)
     )
-    return AdmissibleGraph(edges), (-1) ** len(chosen)
+    return AdmissibleGraph._unchecked(edges), (-1) ** len(chosen)
 
 
 # -- text and dot forms ------------------------------------------------------

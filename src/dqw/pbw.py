@@ -217,7 +217,10 @@ class EnvelopingAlgebra:
 
     def _peel(self, levels: list[dict[Word, int]], den: int) -> EpsSeries:
         """sigma^{-1} of the element whose eps^m part is levels[m] over den * D^m.
-        The levels are consumed."""
+        The levels are consumed.  Their words are non-decreasing, one per
+        monomial, and only nonzero values are kept, so each level's
+        polynomial is built unchecked; the series is checked, since the
+        order comes from the caller."""
         order = len(levels) - 1
         sigma = self._sigma
         out: list[Polynomial] = []
@@ -234,7 +237,7 @@ class EnvelopingAlgebra:
                         later[w] *= rescale
             scale = den * self._d**m
             out.append(
-                Polynomial(
+                Polynomial._unchecked(
                     self.dim,
                     {
                         monomial_of_word(self.dim, w): Fraction(v * rescale, scale)

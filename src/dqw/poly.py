@@ -114,6 +114,16 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _unchecked(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """The polynomial with exactly these terms, kept as given: only for a
+        kernel that guarantees exponent tuples of length dim and nonzero
+        Fraction coefficients, which the checking constructor would keep."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, dim: int) -> "Polynomial":
         return cls(dim, {})
 

@@ -51,6 +51,17 @@ class EpsSeries:
         raise AttributeError("EpsSeries is immutable")
 
     @classmethod
+    def _unchecked(cls, dim: int, order: int, coeffs: tuple[Polynomial, ...]) -> "EpsSeries":
+        """The series with exactly these levels, kept as given: only for a
+        kernel that guarantees order >= 0 and order + 1 Polynomials of
+        dimension dim, which the checking constructor would keep."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "dim", dim)
+        object.__setattr__(s, "order", order)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
+
+    @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "EpsSeries":
         return cls(p.dim, order, [p])
 

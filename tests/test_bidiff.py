@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, lcm, perm, prod
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqw import bidiff
 from dqw.bidiff import BiDiffError, BiDiffOp, wedge_operator
-from dqw.kontsevich import assemble_linear_star
+from dqw.graphs import enumerate_graphs
+from dqw.kontsevich import assemble_linear_star, graph_to_operator
 from dqw.liealg import heisenberg, solvable2, strictly_upper
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries
@@ -19,7 +22,10 @@ from dqw.star import (
     equivalence_pairs,
     moyal_product,
     random_polynomials,
+    uea_product,
 )
+
+import test_kontsevich
 
 F = Fraction
 
@@ -96,35 +102,170 @@ def reference_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
     return EpsSeries(op.dim, op.order, levels)
 
 
+class _Box:
+    """The multi-indices K with K <= top componentwise and |K| <= deg, for the
+    componentwise largest exponents `top` and the degree `deg` of a nonzero
+    polynomial: every other derivative d^K of it is zero."""
+
+    __slots__ = ("top", "deg", "size", "_points")
+
+    def __init__(self, p: Polynomial):
+        self.top = tuple(map(max, zip(*p.terms)))
+        self.deg = p.total_degree()
+        self.size = prod(t + 1 for t in self.top)
+        self._points = None
+
+    def points(self) -> list:
+        """The multi-indices themselves.  Unless deg covers the whole box, a
+        prefix is extended only while its sum stays within deg, so no more
+        are built than are returned."""
+        if self._points is None:
+            if self.deg >= sum(self.top):
+                points = list(product(*[range(t + 1) for t in self.top]))
+            else:
+                grown = [((), 0)]
+                for t in self.top:
+                    grown = [
+                        (prefix + (k,), s + k)
+                        for prefix, s in grown
+                        for k in range(min(t, self.deg - s) + 1)
+                    ]
+                points = [prefix for prefix, _ in grown]
+            self._points = points
+        return self._points
+
+    def within(self, index) -> list:
+        """The (key, value) items of index whose key is in the box.  The box
+        is looked up point by point unless it has more points than index has
+        keys; then the keys are scanned instead."""
+        if self.size <= len(index):
+            get = index.get
+            return [(k, v) for k in self.points() if (v := get(k)) is not None]
+        top, deg = self.top, self.deg
+        return [(k, v) for k, v in index.items() if sum(k) <= deg and all(map(le, k, top))]
+
+
+def _numerators(p: Polynomial) -> tuple:
+    """(den, rows): p's terms as (exponents, integer numerator) over den, the
+    lcm of p's coefficient denominators."""
+    den = 1
+    for c in p.terms.values():
+        den = lcm(den, c.denominator)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+
+
+def _derivative(rows: list, orders) -> dict:
+    """d^orders of the polynomial with these (exponents, numerator) rows, in
+    one pass: x^e goes to prod_i e_i! / (e_i - k_i)! * x^(e - k), or to zero
+    when some e_i < k_i.  Distinct e give distinct e - k, so nothing adds."""
+    out = {}
+    for exps, num in rows:
+        for e, k in zip(exps, orders):
+            if k:
+                if e < k:
+                    break
+                num *= perm(e, k)
+        else:
+            out[tuple(map(sub, exps, orders))] = num
+    return out
+
+
+def _accumulate(acc: dict, coeff: dict, df: dict, dg: dict) -> None:
+    """acc += coeff * df * dg on exponent -> coefficient dicts; zeros are
+    left for the Polynomial constructor to drop."""
+    for e2, c2 in df.items():
+        for e3, c3 in dg.items():
+            e23 = tuple(map(add, e2, e3))
+            c23 = c2 * c3
+            for e1, c1 in coeff.items():
+                key = tuple(map(add, e1, e23))
+                acc[key] = acc.get(key, 0) + c1 * c23
+
+
+def reference_plan(op: BiDiffOp) -> dict:
+    """The tuple-keyed plan the packed plan replaced: the terms indexed as
+    L -> R -> [(m, coefficient terms)]."""
+    plan = {}
+    for (m, left, right), poly in op.terms.items():
+        plan.setdefault(left, {}).setdefault(right, []).append((m, poly.terms))
+    return plan
+
+
+def reference_box_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
+    """`apply` on the tuple-keyed plan, before the packed plan: L and R found
+    through `_Box.within`, derivatives as exponent dicts, and one Fraction
+    accumulator per reached eps level.  Kept as the oracle for the packed
+    plan."""
+    if f.dim != op.dim or g.dim != op.dim:
+        raise BiDiffError("argument dimension mismatch")
+    if f.is_zero() or g.is_zero():
+        return EpsSeries.zero(op.dim, op.order)
+    f_den, f_rows = _numerators(f)
+    g_den, g_rows = _numerators(g)
+    g_box = _Box(g)
+    levels: dict = {}
+    right_cache: dict = {}
+    for left, by_right in _Box(f).within(reference_plan(op)):
+        df = None
+        for right, entries in g_box.within(by_right):
+            dg = right_cache.get(right)
+            if dg is None:
+                dg = right_cache[right] = _derivative(g_rows, right)
+            if not dg:
+                continue
+            if df is None:
+                df = _derivative(f_rows, left)
+            if not df:
+                break
+            for m, coeff in entries:
+                _accumulate(levels.setdefault(m, {}), coeff, df, dg)
+    den = f_den * g_den
+    coeffs = [Polynomial.zero(op.dim)] * (op.order + 1)
+    for m, acc in levels.items():
+        if den != 1:
+            acc = {e: c / den for e, c in acc.items()}
+        coeffs[m] = Polynomial(op.dim, acc)
+    return EpsSeries(op.dim, op.order, coeffs)
+
+
 def reference_all_levels_apply(op: BiDiffOp, f: Polynomial, g: Polynomial) -> EpsSeries:
     """The planned `apply` before it kept only the eps levels a pair
     reaches: one accumulator and one Polynomial for each of the order + 1
     levels.  Kept as the oracle for the sparse levels."""
     if f.is_zero() or g.is_zero():
         return EpsSeries.zero(op.dim, op.order)
-    f_den, f_rows = bidiff._numerators(f)
-    g_den, g_rows = bidiff._numerators(g)
-    g_box = bidiff._Box(g)
+    f_den, f_rows = _numerators(f)
+    g_den, g_rows = _numerators(g)
+    g_box = _Box(g)
     levels = [{} for _ in range(op.order + 1)]
     right_cache = {}
-    for left, by_right in bidiff._Box(f).within(op._apply_plan()):
+    for left, by_right in _Box(f).within(reference_plan(op)):
         df = None
         for right, entries in g_box.within(by_right):
             dg = right_cache.get(right)
             if dg is None:
-                dg = right_cache[right] = bidiff._derivative(g_rows, right)
+                dg = right_cache[right] = _derivative(g_rows, right)
             if not dg:
                 continue
             if df is None:
-                df = bidiff._derivative(f_rows, left)
+                df = _derivative(f_rows, left)
             if not df:
                 break
             for m, coeff in entries:
-                bidiff._accumulate(levels[m], coeff, df, dg)
+                _accumulate(levels[m], coeff, df, dg)
     den = f_den * g_den
     if den != 1:
         levels = [{e: c / den for e, c in acc.items()} for acc in levels]
     return EpsSeries(op.dim, op.order, [Polynomial(op.dim, acc) for acc in levels])
+
+
+def assert_applies_as_oracles(op: BiDiffOp, pairs) -> None:
+    """`apply` equals `reference_apply` and `reference_box_apply` at `==` on
+    every pair."""
+    for f, g in pairs:
+        out = op.apply(f, g)
+        assert out == reference_apply(op, f, g), (f, g)
+        assert out == reference_box_apply(op, f, g), (f, g)
 
 
 def _vars(dim):
@@ -278,7 +419,8 @@ def _stratified_c08_sample(dim: int, per_stratum: int, seed: int) -> list:
 
 
 class TestApplyPlan:
-    """The planned `apply` against `reference_apply`, at exact equality."""
+    """The planned `apply` against `reference_apply` and
+    `reference_box_apply`, at exact equality."""
 
     @pytest.mark.parametrize("route", ["cbh", "kontsevich"])
     def test_c08_pairs_every_stratum(self, upper4_operators, route):
@@ -288,23 +430,20 @@ class TestApplyPlan:
         assert {(f.total_degree(), g.total_degree()) for f, g in sample} == {
             (a, b) for a in range(6) for b in range(6 - a)
         }
-        for f, g in sample:
-            assert op.apply(f, g) == reference_apply(op, f, g), (f, g)
+        assert_applies_as_oracles(op, sample)
 
     @pytest.mark.parametrize("route", ["cbh", "kontsevich"])
     def test_dense_pairs(self, upper4_operators, route):
         op = upper4_operators[route]
         fs = random_polynomials(op.dim, 8, 5, 31, terms=6)
         gs = random_polynomials(op.dim, 8, 5, 32, terms=6)
-        for f, g in zip(fs, gs):
-            assert op.apply(f, g) == reference_apply(op, f, g), (f, g)
+        assert_applies_as_oracles(op, zip(fs, gs))
 
     def test_generic_moyal_order_6(self):
         op = moyal_product(GENERIC_ALPHA, 6).operator
         fs = random_polynomials(4, 12, 4, 41, terms=5)
         gs = random_polynomials(4, 12, 4, 42, terms=5)
-        for f, g in zip(fs, gs):
-            assert op.apply(f, g) == reference_apply(op, f, g), (f, g)
+        assert_applies_as_oracles(op, zip(fs, gs))
 
     def test_edge_cases(self, upper4_operators):
         op = upper4_operators["cbh"]
@@ -322,8 +461,7 @@ class TestApplyPlan:
             (x[5], x[0] ** 2 * x[4] + x[1]),
             (x[0] ** 3 + x[1], x[3] * x[4] * x[5]),
         ]
-        for f, g in cases:
-            assert op.apply(f, g) == reference_apply(op, f, g), (f, g)
+        assert_applies_as_oracles(op, cases)
         assert op.apply(zero, x[0]).is_zero()
 
     def test_plan_is_invisible(self, upper4_operators):
@@ -353,41 +491,81 @@ class TestApplyPlan:
         )
         f = x1**2 * x2 * F(3, 4) + x1 * F(1, 6) + F(2, 9)
         g = x2 * x3**2 * F(-5, 8) + x2 * F(1, 10) + x1 * x3 * F(7, 3)
-        for a, b in [(f, g), (g, f), (f, f), (g * F(1, 13), f * F(4, 15))]:
-            assert op.apply(a, b) == reference_apply(op, a, b), (a, b)
+        assert_applies_as_oracles(op, [(f, g), (g, f), (f, f), (g * F(1, 13), f * F(4, 15))])
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_dense_f_box_exceeds_the_plan(self, order):
         # (x1+...+x5)^k has (k+1)^5 box points, more than the plan has L
-        # keys, so the call scans the keys; g's box exceeds every R index
+        # keys, so the call scans the keys; g's box exceeds every L's R
+        # entries
         op = cbh_product(strictly_upper(5), order).operator
         d = op.dim
         f = parse_polynomial(f"(x1 + x2 + x3 + 2/3*x4 + x5)^{order}", dim=d)
         g = parse_polynomial("(x1 + x5 - x8)^3 + 1/2*x9*x10", dim=d)
-        plan = op._apply_plan()
-        assert bidiff._Box(f).size > len(plan)
-        assert bidiff._Box(g).size > max(map(len, plan.values()))
-        for a, b in [(f, g), (g, f), (f, f)]:
-            assert op.apply(a, b) == reference_apply(op, a, b)
+        assert_applies_as_oracles(op, [(f, g), (g, f), (f, f)])
+        by_left = op._plan[-1]
+        assert _Box(f).size > len(by_left)
+        assert _Box(g).size > max(len(entries) for *_, entries in by_left.values())
 
-    def test_visits_at_most_min_box_and_keys(self, upper4_operators, lookups):
+    def test_visits_at_most_min_box_and_keys(self, upper4_operators):
         op = upper4_operators["kontsevich"]
         pairs = _stratified_c08_sample(op.dim, 2, seed=3)
         fs = random_polynomials(op.dim, 4, 5, 33, terms=6)
         pairs += list(zip(fs, [g for _, g in pairs[:4]]))
         dense = parse_polynomial("(x1 + x2 + x3 + x4)^5", dim=op.dim)
         pairs += [(dense, fs[0]), (fs[0], dense)]
+        rules, read_total, offered_total = set(), 0, 0
         for f, g in pairs:
-            op.apply(f, g)
-        assert {size <= keys for size, keys, _, _ in lookups} == {True, False}
-        for size, keys, points, looked in lookups:
-            assert looked <= min(size, keys)
-            assert looked == (points if size <= keys else keys)
+            out, looked, read = count_visits(op, f, g)
+            assert out == reference_box_apply(op, f, g), (f, g)
+            by_left = op._plan[-1]
+            box, keys = _Box(f), len(by_left)
+            rules.add(box.size <= keys)
+            assert looked <= min(box.size, keys)
+            assert looked == (len(box.points()) if box.size <= keys else keys)
+            for left, count in read.items():
+                entries = by_left[left][-1]
+                within = sum(1 for size, *_ in entries if size <= g.total_degree())
+                assert count <= within + (within < len(entries))
+                read_total += count
+                offered_total += len(entries)
+        assert rules == {True, False}
+        assert read_total < offered_total
 
-    def test_box_rule_at_equal_size(self, lookups):
+    def test_derived_rows_are_never_zero(self, upper4_operators, monkeypatch):
+        # the guard-bit test admits a row exactly when e >= K digit by digit,
+        # so every derived numerator is nonzero; a row admitted with some
+        # e_i < k_i would carry the falling factorial 0
+        real, numerators = bidiff._derive, []
+
+        def recording(rows, orders, digits, guard):
+            out = real(rows, orders, digits, guard)
+            numerators.extend(num for _, num in out)
+            return out
+
+        monkeypatch.setattr(bidiff, "_derive", recording)
+        fs = random_polynomials(6, 8, 5, 31, terms=6)
+        gs = random_polynomials(6, 8, 5, 32, terms=6)
+        pairs = _stratified_c08_sample(6, 3, seed=8) + list(zip(fs, gs))
+        for op in upper4_operators.values():
+            for f, g in pairs:
+                op.apply(f, g)
+        # x6 is central in strictly_upper(4), so its digit is never
+        # differentiated there; the generic Moyal operator differentiates
+        # every coordinate
+        moyal = moyal_product(GENERIC_ALPHA, 6).operator
+        fs = random_polynomials(4, 12, 4, 41, terms=5)
+        gs = random_polynomials(4, 12, 4, 42, terms=5)
+        for f, g in zip(fs, gs):
+            moyal.apply(f, g)
+        assert len(numerators) > 1000 and all(numerators)
+
+    def test_box_rule_at_equal_size(self):
         # f = x1^2 + x2 has a 3 x 2 box but degree 2, so 5 of its 6 points
-        # are derivatives that can be nonzero; with 6 L keys (and g's box the
-        # size of each R index) the call looks up 5 points, not 6 keys
+        # are derivatives that can be nonzero; with 6 L keys the call looks
+        # up 5 points, not 6 keys.  g has degree 2, so each hit L reads its
+        # 5 entries with |R| <= 2 and the one with |R| = 3 that ends the
+        # scan, except L = (1, 1): d^L f = 0 ends it at the first live R
         multis = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
         op = BiDiffOp(
             2,
@@ -396,29 +574,38 @@ class TestApplyPlan:
         )
         f = parse_polynomial("x1^2 + x2", dim=2)
         g = parse_polynomial("3/2*x1^2 - x2", dim=2)
-        assert op.apply(f, g) == reference_apply(op, f, g)
-        assert [looked for _, _, _, looked in lookups] == [5] * 6
+        out, looked, read = count_visits(op, f, g)
+        assert out == reference_apply(op, f, g) == reference_box_apply(op, f, g)
+        assert looked == 5
+        assert sorted(read.values()) == [1, 6, 6, 6, 6]
 
 
-@pytest.fixture
-def lookups(monkeypatch):
-    """(box points, index keys, box points within the degree, keys looked up
-    or scanned) for every `_Box.within` call `apply` makes."""
-    seen = []
-    real = bidiff._Box.within
-
-    def counting(box, index):
-        count = [0]
-        found = real(box, _CountingIndex(index, count))
-        seen.append((box.size, len(index), len(box.points()), count[0]))
-        return found
-
-    monkeypatch.setattr(bidiff._Box, "within", counting)
-    return seen
+def count_visits(op: BiDiffOp, f: Polynomial, g: Polynomial) -> tuple:
+    """(result, L keys looked up or scanned, {hit L: R entries read}) of one
+    `apply`, read through counting copies of op's plan.  A first call builds
+    the plan at the width the pair needs."""
+    op.apply(f, g)
+    plan = op._plan
+    *head, by_left = plan
+    looked = [0]
+    read: dict = {}
+    counted = _CountingIndex(
+        {
+            key: (*value[:-1], _CountingEntries(value[-1], read.setdefault(key, [0])))
+            for key, value in by_left.items()
+        },
+        looked,
+    )
+    object.__setattr__(op, "_plan", (*head, counted))
+    try:
+        out = op.apply(f, g)
+    finally:
+        object.__setattr__(op, "_plan", plan)
+    return out, looked[0], {key: n[0] for key, n in read.items() if n[0]}
 
 
 class _CountingIndex(dict):
-    """A copy of a plan index that counts the keys looked up or scanned."""
+    """A copy of a plan's L index that counts the keys looked up or scanned."""
 
     def __init__(self, data, count):
         super().__init__(data)
@@ -440,6 +627,21 @@ class _CountingIndex(dict):
         for item in super().items():
             self.count[0] += 1
             yield item
+
+
+class _CountingEntries(tuple):
+    """A copy of one L's R entries that counts the entries read."""
+
+    def __new__(cls, entries, count):
+        self = super().__new__(cls, entries)
+        self.count = count
+        return self
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.count[0] += 1
+            yield entry
+
 
 def _operators(dim: int, order: int, min_eps: int):
     multi = st.tuples(*[st.integers(0, 6)] * dim)
@@ -518,7 +720,7 @@ class TestApplyRandom:
     @given(applications())
     def test_random_application(self, case):
         op, f, g = case
-        assert op.apply(f, g) == reference_apply(op, f, g)
+        assert_applies_as_oracles(op, [(f, g)])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -529,17 +731,170 @@ class TestApplyRandom:
     def test_one_pass_derivative(self, case):
         # orders up to 6 against exponents up to 4, so many reach zero
         p, orders = case
-        den, rows = bidiff._numerators(p)
-        derived = bidiff._derivative(rows, orders)
+        den, rows = _numerators(p)
+        derived = _derivative(rows, orders)
         assert Polynomial(p.dim, {e: F(c, den) for e, c in derived.items()}) == derive_multi(p, orders)
 
     def test_derivative_reaching_zero(self):
         p = parse_polynomial("x1^2*x2 + 3/4*x2^3", dim=2)
-        den, rows = bidiff._numerators(p)
-        assert bidiff._derivative(rows, (3, 0)) == {}
-        assert bidiff._derivative(rows, (1, 3)) == {}
+        den, rows = _numerators(p)
+        assert _derivative(rows, (3, 0)) == {}
+        assert _derivative(rows, (1, 3)) == {}
         assert derive_multi(p, (3, 0)).is_zero() and derive_multi(p, (1, 3)).is_zero()
-        assert bidiff._derivative(rows, (0, 3)) == {(0, 0): 3 * 6 * den // 4}
+        assert _derivative(rows, (0, 3)) == {(0, 0): 3 * 6 * den // 4}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(_polynomials(d), st.tuples(*[st.integers(0, 6)] * d))
+        )
+    )
+    def test_packed_derivative(self, case):
+        # the guard-bit derivative of the packed plan against the exponent
+        # dict one, at the least plan width
+        p, orders = case
+        width = bidiff.MIN_PLAN_WIDTH
+        guard = bidiff._pack((1 << (width - 1),) * p.dim, width)
+        den, rows = bidiff._argument(p, width, guard)
+        packed = bidiff._derive(rows, bidiff._pack(orders, width), bidiff._nonzero_digits(orders), guard)
+        decode = bidiff._MultiIndices(p.dim, width)
+        assert (den, {decode[k]: c for k, c in packed}) == (
+            _numerators(p)[0] if p.terms else 1,
+            _derivative(_numerators(p)[1], orders),
+        )
+
+
+def _heisenberg_cbh(order: int) -> BiDiffOp:
+    return cbh_product(heisenberg(), order).operator
+
+
+class TestPlanWidth:
+    """The plan widens when an argument's digits could reach its guard bits,
+    and the wider plan gives the oracle's values."""
+
+    def test_least_width_at_the_digit_cap(self):
+        # largest plan digit 5 and argument digits 61 + 61: 127, the cap of
+        # an 8-bit digit; one more and the plan widens to 16 bits
+        x1, x2 = _vars(2)
+        op = BiDiffOp(
+            2,
+            2,
+            {
+                (1, (5, 0), (0, 1)): x2 * F(2, 3),
+                (1, (1, 0), (0, 1)): F(-1, 4),
+                (2, (0, 2), (3, 1)): x1**2 + x2 * F(1, 5),
+            },
+        )
+        f = x1**61 * x2**3 + x1**7 * F(5, 2)
+        for g, width in ((x1**4 * x2**61, 8), (x1**4 * x2**62, 16)):
+            fresh = BiDiffOp(op.dim, op.order, op.terms)
+            assert_applies_as_oracles(fresh, [(f, g)])
+            assert fresh._plan[0] == width
+
+    def test_large_argument_digits(self):
+        op = _heisenberg_cbh(3)
+        x1, x2, x3 = _vars(3)
+        pairs = [(x1**200, x2**300), (x1**200 * x3 + x2**5, x2**300 * F(3, 7) + x1 * x3**2)]
+        assert_applies_as_oracles(op, pairs)
+        assert op._plan[0] == 16
+
+    def test_large_coefficient_digit(self):
+        # a coefficient monomial with a 130 digit widens the plan however
+        # small the arguments are
+        x1, x2 = _vars(2)
+        op = BiDiffOp(
+            2,
+            2,
+            {
+                (1, (1, 0), (0, 1)): x1**130 * F(3, 7) - x2,
+                (2, (2, 0), (0, 2)): x2**3 + F(1, 2),
+            },
+        )
+        assert_applies_as_oracles(op, [(x1**3 + x2, x1 * x2**2), (x1**2, x2**2 * F(2, 9))])
+        assert op._plan[0] == 16
+
+    def test_widening_replaces_the_plan(self):
+        op = _heisenberg_cbh(3)
+        x1, x2, _ = _vars(3)
+        op.apply(x1, x2)
+        narrow = op._plan
+        assert narrow[0] == bidiff.MIN_PLAN_WIDTH
+        op.apply(x1**200, x2**300)
+        wide = op._plan
+        assert wide[0] == 16 and wide is not narrow
+        # a later small pair keeps the wide plan; the operator has no other
+        # private slot that could hold a second one
+        assert op.apply(x1, x2) == reference_box_apply(op, x1, x2)
+        assert op._plan is wide
+        assert [name for name in BiDiffOp.__slots__ if name.startswith("_")] == ["_plan"]
+
+
+def revalidated(series: EpsSeries) -> EpsSeries:
+    """The same levels through the checking constructors."""
+    return EpsSeries(series.dim, series.order, [Polynomial(p.dim, p.terms) for p in series.coeffs])
+
+
+def assert_kernel_built(series: EpsSeries) -> None:
+    """A value built by an unchecked constructor equals its re-validated
+    copy: no zero coefficient, no stray key, Fraction values only."""
+    assert series == revalidated(series)
+    assert len(series.coeffs) == series.order + 1
+    assert all(type(c) is F for p in series.coeffs for c in p.terms.values())
+
+
+@pytest.fixture(scope="module")
+def upper4_uea():
+    return uea_product(strictly_upper(4), 5)
+
+
+class TestKernelBuiltValues:
+    """`apply` and the UEA star build their results without validation; the
+    results equal their validated copies."""
+
+    @pytest.mark.parametrize("route", ["uea", "cbh", "kontsevich"])
+    def test_c08_sample_and_dense_pairs(self, upper4_operators, upper4_uea, route):
+        product = upper4_uea if route == "uea" else upper4_operators[route].apply
+        fs = random_polynomials(6, 8, 5, 31, terms=6)
+        gs = random_polynomials(6, 8, 5, 32, terms=6)
+        for f, g in _stratified_c08_sample(6, 6, seed=8) + list(zip(fs, gs)):
+            assert_kernel_built(product(f, g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(applications())
+    def test_random_application(self, case):
+        op, f, g = case
+        assert_kernel_built(op.apply(f, g))
+
+    def test_cancelling_terms_leave_no_zero(self):
+        # d1 f d2 g - d2 f d1 g vanishes at f = g, term by term
+        op = wedge_operator(2, 1, {(1, 2): 1, (2, 1): -1})
+        x1, x2 = _vars(2)
+        for f in (x1 * x2, x1**2 * x2 + x2**3 * F(1, 3)):
+            out = op.apply(f, f)
+            assert out.is_zero()
+            assert_kernel_built(out)
+
+    def test_a_kept_zero_coefficient_is_caught(self):
+        # negative control: a kernel that kept a zero coefficient fails
+        kept = Polynomial._unchecked(2, {(1, 0): F(0)})
+        with pytest.raises(AssertionError):
+            assert_kernel_built(EpsSeries._unchecked(2, 1, (kept, Polynomial.zero(2))))
+
+
+class TestQuadraticGraphOperators:
+    """Graph operators of a quadratic structure have polynomial coefficients
+    of several monomials; `apply` on them against both oracles."""
+
+    def test_two_vertex_graphs(self):
+        pi = test_kontsevich.quadratic_alpha()
+        ops = [graph_to_operator(g, pi, 3) for g in enumerate_graphs(2)]
+        ops = [op for op in ops if not op.is_zero()]
+        assert len(ops) > 10
+        assert max(len(p.terms) for op in ops for p in op.terms.values()) > 1
+        fs = random_polynomials(3, 4, 4, 251, terms=4)
+        gs = random_polynomials(3, 4, 4, 252, terms=4)
+        for op in ops:
+            assert_applies_as_oracles(op, zip(fs, gs))
 
 
 CBH_ALGEBRAS = {

@@ -645,6 +645,32 @@ class TestMirrorAndFlips:
         h2, sign2 = flip_edges(g, [1, 2])
         assert sign2 == 1
         assert flip_edges(g, [])[0] == g
+        with pytest.raises(GraphError):
+            flip_edges(g, [3])
+        with pytest.raises(GraphError):
+            flip_edges(g, [0, 1])
+
+    def test_unchecked_images_equal_the_validated_ones(self):
+        # every graph with n <= 3 and a seeded n = 4 sample: mirror and
+        # flip_edges build their images unchecked, and each one equals the
+        # validated graph on independently computed edges
+        rng = random.Random(25)
+        graphs = [g for n in range(4) for g in enumerate_graphs(n)]
+        assert len(graphs) == 1767
+        graphs += [random_graph(4, rng) for _ in range(500)]
+        swap = {GROUND_X: GROUND_Y, GROUND_Y: GROUND_X}
+        for g in graphs:
+            image, sign = mirror(g)
+            assert image == AdmissibleGraph(
+                tuple((swap.get(a, a), swap.get(b, b)) for a, b in g.edges)
+            )
+            assert sign == (-1) ** g.n
+            chosen = [k for k in range(1, g.n + 1) if rng.random() < 0.5]
+            image, sign = flip_edges(g, chosen)
+            assert image == AdmissibleGraph(
+                tuple((b, a) if k in chosen else (a, b) for k, (a, b) in enumerate(g.edges, 1))
+            )
+            assert sign == (-1) ** len(chosen)
 
 
 class TestTextAndDot:
