@@ -11,35 +11,53 @@ the other.  For constant coefficients this is genuine operator composition;
 in general it is the product in which the exponentials appearing here are
 taken, so `exp` is defined relative to it.
 
-`symbol_mul` and `exp` share one product kernel on packed integers.  Each
-term (m, L, R) -> P is split into one row per monomial of P, and the row
-(m, L, R, x-exponent) becomes one int: the 3 * dim digits of L, R and the
-exponent take `width` bits each, with m above them all.  Coefficients become
-integer numerators over one common denominator.  A product of two rows is
-then one addition of keys and one multiplication of numerators,
-out[k1 + k2] += c1 * c2, and the result is unpacked once, through the
-`Polynomial` and `BiDiffOp` constructors, into Fraction coefficients.
+Packed keys.  Every kernel below, and the colouring search in
+`kontsevich`, packs multi-indices into ints in one layout.  A key is m above
+any number of fields of `dim` digits, each digit `width` bits, coordinate 1
+highest in a field and the first field highest: m|L|R|e for a row of `exp`
+and `symbol_mul` (e the exponent of one coefficient monomial), m|e for a
+row of the application plan, and L|R, with m = 0, for a coloring.  `_pack`
+builds a key and `_MultiIndices.split` reads it back.  The width is the
+least whole number of bytes, at least MIN_PLAN_WIDTH, whose digit cap
+2^(width - 1) - 1 holds `need`, the largest digit the kernel can produce;
+the top bit of every digit is a guard bit that a packed digit leaves clear.
 
-Why no carry corrupts a kept term: the second operand's keys are sorted, so
-a row of the product stops at the first key sum that reaches the limit
-(order + 1) << (3 * dim * width).  For `symbol_mul` the width holds the sum
-of the two operands' largest digits, so no digit of a product carries.  For
-`exp` it holds `order` times the generator's largest digit; every generator
-term has m >= 1, so a product with m <= order has at most `order` factors
-and none of its digits can carry.  A product with m > order has a key at or
-above the limit whether or not a digit carried, because a carry only raises
-a key, so it is dropped either way.
+Why nothing carries: a digit of a sum of keys is the sum of the added
+digits, so when that sum is at most the cap no digit carries into its
+neighbour or into a guard bit, and m, above every digit, reads back intact.
+Each kernel takes as `need` a bound on its output digits:
+  - `symbol_mul`: the sum of the two operands' largest digits.
+  - `exp`: `order` times the generator's largest digit.  Every generator
+    term has m >= 1, so a product with m <= order has at most `order`
+    factors.  A product with m > order has a key at or above the limit
+    (order + 1) << (3 * dim * width) whether or not a digit carried,
+    because a carry only raises a key, so it is dropped either way.
+  - `apply`: top + max(f) + max(g), where top is the plan's largest digit
+    over every L, R and coefficient monomial and max(f), max(g) are the
+    arguments' largest exponents.  An output digit is a coefficient digit
+    plus (f's digit - l) plus (g's digit - r).
+  - the colouring: the component size, since a digit counts the edges into
+    one ground, at most one per vertex.
+Only `apply` reads the guard bits; for the others they are slack.
+
+`symbol_mul` and `exp` share one product kernel.  Each term (m, L, R) -> P
+is split into one row per monomial of P, packed m|L|R|e, and coefficients
+become integer numerators over one common denominator.  A product of two
+rows is then one addition of keys and one multiplication of numerators,
+out[k1 + k2] += c1 * c2, and the result is unpacked once, through the
+`Polynomial` and `BiDiffOp` constructors, into Fraction coefficients.  The
+second operand's keys are sorted, so a row of the product stops at the
+first key sum that reaches the limit.
 
 `apply` runs on one application plan per operator, built from `terms` on
 the first call and kept in the private `_plan` slot (it takes no part in
-`==` or `repr`).  Every multi-index and every coefficient monomial is one
-packed int in the digit layout above, `width` bits per digit, the top bit
-of each digit a guard bit that a packed value leaves clear; each distinct
-tuple is packed once.  A coefficient monomial x^e at eps^m becomes the row
-key (m << dim * width) + packed e, with an integer numerator over the
-operator's common denominator.  The plan maps packed L to (L, |L|, L's
-nonzero digits, entries), the entries sorted by |R|, each one (|R|,
-packed R, R's nonzero digits, flat rows key, numerator, key, numerator, ...).
+`==` or `repr`).  Each distinct multi-index is packed once, and a
+coefficient monomial x^e at eps^m becomes the row key m|e, with an integer
+numerator over the operator's common denominator.  The plan maps packed L
+to (L, |L|, L's nonzero digits, entries), the entries sorted by |R|, each
+one (|R|, packed R, R's nonzero digits, flat rows key, numerator, key,
+numerator, ...).  A call whose arguments need a wider plan rebuilds it and
+replaces it, so an operator keeps one plan, which never narrows.
 
 d^L f is zero unless L <= top(f), f's componentwise largest exponents, and
 |L| <= deg f.  A call looks the points of that box up among the L keys, or
@@ -57,18 +75,6 @@ the rest of the call.  The hits accumulate as out[k1 + k2 + k3] += c1 * c2
 * c3 on ints, and each output key is decoded once, into its eps level and
 exponent tuple, with one Fraction over the three denominators.  Levels
 that no term reaches share one zero polynomial.
-
-Why nothing carries: the plan's width is the least whole number of bytes,
-at least MIN_PLAN_WIDTH, whose digit cap 2^(width - 1) - 1 holds top +
-max(f) + max(g), where top is the plan's largest digit over every L, R and
-coefficient monomial and max(f), max(g) are the arguments' largest
-exponents.  A call whose arguments need more rebuilds the plan wider and
-replaces it, so an operator keeps one plan, which never narrows.  Every
-digit of L, R, f and g is then at most the cap, below the guard bit, so the
-tests above are exact.  An output digit is a coefficient digit plus (f's
-digit - l) plus (g's digit - r), at most top + max(f) + max(g), so adding
-three keys never carries out of a digit or into a guard bit, and m, above
-every digit, reads back intact.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, perm, prod
 from operator import itemgetter
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .poly import Polynomial
 from .series import EpsSeries
@@ -86,13 +92,70 @@ Key = tuple[int, Multi, Multi]
 
 __all__ = ["BiDiffOp", "BiDiffError", "wedge_operator"]
 
-# The least bits per digit of an application plan: seven for the digit and
-# one guard bit, enough for every operator and argument the checks build.
+# The least bits per packed digit: seven for the digit and one guard bit,
+# enough for every operator and argument the checks build.
 MIN_PLAN_WIDTH = 8
 
 
 class BiDiffError(ValueError):
     pass
+
+
+def _width(need: int) -> int:
+    """Bits per packed digit for digits up to `need`: whole bytes, at least
+    MIN_PLAN_WIDTH, with one guard bit above the digit."""
+    return max(MIN_PLAN_WIDTH, -(-(need.bit_length() + 1) // 8) * 8)
+
+
+def _pack(digits: Multi, width: int, m: int = 0) -> int:
+    """m above the digits packed `width` bits each, the first digit highest."""
+    if width == 8:
+        return (m << 8 * len(digits)) | int.from_bytes(bytes(digits), "big")
+    key = m
+    for d in digits:
+        key = (key << width) | d
+    return key
+
+
+class _MultiIndices(dict):
+    """Packed field of `dim` digits -> tuple of its digits, decoded on first
+    use; `split` reads a whole key."""
+
+    def __init__(self, dim: int, width: int):
+        super().__init__()
+        self.width, self.span = width, dim * width
+        self.mask = (1 << self.span) - 1
+
+    def __missing__(self, packed: int) -> Multi:
+        raw, step = packed.to_bytes(self.span // 8, "big"), self.width // 8
+        if step == 1:
+            self[packed] = value = tuple(raw)
+        else:
+            self[packed] = value = tuple(
+                int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)
+            )
+        return value
+
+    def split(self, key: int, fields: int) -> list:
+        """[m, field 1, ..., field `fields`] of a packed key."""
+        mask, span = self.mask, self.span
+        out = []
+        for _ in range(fields):
+            out.append(self[key & mask])
+            key >>= span
+        out.append(key)
+        out.reverse()
+        return out
+
+
+def pair_keys(dim: int, need: int) -> tuple[list[int], list[int], Callable[[int], tuple]]:
+    """The packed (L, R) keys, m = 0, for digits up to `need`: (left, right,
+    decode), where left[i] and right[i] add one to coordinate i of L or of R
+    (index 0 unused) and decode(key) gives (L, R)."""
+    width = _width(need)
+    units = [1 << (width * k) for k in reversed(range(2 * dim))]  # L_1 highest, R_dim lowest
+    split = _MultiIndices(dim, width).split
+    return [0, *units[:dim]], [0, *units[dim:]], lambda key: tuple(split(key, 2)[1:])
 
 
 def _flatten(op: "BiDiffOp") -> tuple[list, int, int]:
@@ -112,17 +175,6 @@ def _flatten(op: "BiDiffOp") -> tuple[list, int, int]:
     return rows, den, top
 
 
-def _pack_keys(rows: list, width: int) -> list[tuple[int, int]]:
-    """(key, numerator) pairs: the digits packed width bits each below m."""
-    out = []
-    for m, digits, num in rows:
-        key = m
-        for d in digits:
-            key = (key << width) | d
-        out.append((key, num))
-    return out
-
-
 def _packed_product(left: list, right: list, limit: int) -> dict[int, int]:
     """out[k1 + k2] += c1 * c2 over every pair with k1 + k2 < limit.
 
@@ -140,6 +192,17 @@ def _packed_product(left: list, right: list, limit: int) -> dict[int, int]:
     return out
 
 
+def _packed_mul(dim: int, order: int, left: list, right: list, den: int, width: int) -> "BiDiffOp":
+    """The symbol product of two flattened operators, numerators over den.
+    The width must hold the sum of their largest digits."""
+    product = _packed_product(
+        [(_pack(digits, width, m), c) for m, digits, c in left],
+        sorted((_pack(digits, width, m), c) for m, digits, c in right),
+        (order + 1) << (3 * dim * width),
+    )
+    return _unpack(dim, order, product, den, width)
+
+
 def _packed_exp(dim: int, order: int, rows: list, den: int, width: int) -> "BiDiffOp":
     """sum_{k <= order} G^k / k! for the flattened generator G (all m >= 1).
 
@@ -147,7 +210,7 @@ def _packed_exp(dim: int, order: int, rows: list, den: int, width: int) -> "BiDi
     the sum scales it to the common denominator den**order * order!.  The
     width must hold `order` times the largest digit of G.
     """
-    gen = sorted(_pack_keys(rows, width))
+    gen = sorted((_pack(digits, width, m), c) for m, digits, c in rows)
     limit = (order + 1) << (3 * dim * width)
     common = den**order * factorial(order)
     total = {0: common}
@@ -162,60 +225,19 @@ def _packed_exp(dim: int, order: int, rows: list, den: int, width: int) -> "BiDi
     return _unpack(dim, order, total, common, width)
 
 
-class _MultiIndices(dict):
-    """Packed multi-index -> tuple of its `dim` digits, decoded on first use."""
-
-    def __init__(self, dim: int, width: int):
-        super().__init__()
-        self.dim, self.width, self.mask = dim, width, (1 << width) - 1
-
-    def __missing__(self, packed: int) -> Multi:
-        if self.width == 8:
-            self[packed] = value = tuple(packed.to_bytes(self.dim, "big"))
-            return value
-        bits, digits = packed, []
-        for _ in range(self.dim):
-            digits.append(bits & self.mask)
-            bits >>= self.width
-        self[packed] = value = tuple(reversed(digits))
-        return value
-
-
 def _unpack(dim: int, order: int, packed: Mapping[int, int], den: int, width: int) -> "BiDiffOp":
-    """The operator whose packed terms are key -> numerator / den."""
-    span = dim * width
-    mask = (1 << span) - 1
-    multi = _MultiIndices(dim, width)
+    """The operator whose packed m|L|R|e terms are key -> numerator / den."""
+    split = _MultiIndices(dim, width).split
     grouped: dict[Key, dict] = {}
     for key, num in packed.items():
-        exps = multi[key & mask]
-        key >>= span
-        right = multi[key & mask]
-        key >>= span
-        coeff = grouped.setdefault((key >> span, multi[key & mask], right), {})
-        coeff[exps] = Fraction(num, den)
+        m, left, right, exps = split(key, 3)
+        grouped.setdefault((m, left, right), {})[exps] = Fraction(num, den)
     return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
-
-
-def _pack(digits: Multi, width: int) -> int:
-    """The digits packed `width` bits each, the first digit highest."""
-    if width == 8:
-        return int.from_bytes(bytes(digits), "big")
-    key = 0
-    for d in digits:
-        key = (key << width) | d
-    return key
 
 
 def _nonzero_digits(multi: Multi) -> tuple[tuple[int, int], ...]:
     """(position, digit) for every nonzero digit of a multi-index."""
     return tuple((i, d) for i, d in enumerate(multi) if d)
-
-
-def _plan_width(need: int) -> int:
-    """Bits per digit for digits up to `need` plus one guard bit, in whole
-    bytes and never below MIN_PLAN_WIDTH."""
-    return max(MIN_PLAN_WIDTH, -(-(need.bit_length() + 1) // 8) * 8)
 
 
 def _box_points(top: Multi, deg: int, width: int) -> list[int]:
@@ -282,13 +304,13 @@ class BiDiffOp:
                     raise BiDiffError("coefficient dimension mismatch")
                 if m < 0:
                     raise BiDiffError("negative eps degree")
-                if m > order or poly.is_zero():
-                    continue
                 left, right = tuple(left), tuple(right)
                 if len(left) != dim or len(right) != dim:
                     raise BiDiffError("multi-index length must equal dim")
                 if any(e < 0 for e in left + right):
                     raise BiDiffError("negative derivative order")
+                if m > order or poly.is_zero():
+                    continue
                 key = (m, left, right)
                 if key in clean:
                     acc = clean[key] + poly
@@ -382,13 +404,8 @@ class BiDiffOp:
         self._check(other)
         left, left_den, left_top = _flatten(self)
         right, right_den, right_top = _flatten(other)
-        width = (left_top + right_top).bit_length()
-        product = _packed_product(
-            _pack_keys(left, width),
-            sorted(_pack_keys(right, width)),
-            (self.order + 1) << (3 * self.dim * width),
-        )
-        return _unpack(self.dim, self.order, product, left_den * right_den, width)
+        width = _width(left_top + right_top)
+        return _packed_mul(self.dim, self.order, left, right, left_den * right_den, width)
 
     def exp(self) -> "BiDiffOp":
         """exp relative to symbol_mul: the sum of G^k / k! for k <= order.
@@ -401,7 +418,7 @@ class BiDiffOp:
         if low is not None and low < 1:
             raise BiDiffError("exp needs all terms at eps degree >= 1")
         rows, den, top = _flatten(self)
-        return _packed_exp(self.dim, self.order, rows, den, (self.order * top).bit_length())
+        return _packed_exp(self.dim, self.order, rows, den, _width(self.order * top))
 
     # -- action on polynomial pairs ---------------------------------------------
 
@@ -414,20 +431,14 @@ class BiDiffOp:
         den = lcm(*[c.denominator for coeff in coeffs for c in coeff.values()])
         multis = set(map(itemgetter(1), terms)).union(map(itemgetter(2), terms))
         top = max(map(max, multis.union(*coeffs)), default=0)
-        width = _plan_width(top + reach)
-        span = self.dim * width
+        width = _width(top + reach)
         # multi-index -> (|K|, packed K, nonzero digits)
         index = {k: (sum(k), _pack(k, width), _nonzero_digits(k)) for k in multis}
-        packed: dict[Multi, int] = {}
         grouped: dict[Multi, dict[Multi, list]] = {}
         for (m, left, right), coeff in zip(terms, coeffs):
             rows = grouped.setdefault(left, {}).setdefault(right, [])
             for e, c in coeff.items():
-                key = packed.get(e)
-                if key is None:
-                    key = packed[e] = _pack(e, width)
-                key += m << span
-                rows += (key, c.numerator * (den // c.denominator))
+                rows += (_pack(e, width, m), c.numerator * (den // c.denominator))
         shared: dict[tuple, tuple] = {}  # one tuple per distinct rows, shared between entries
         by_left = {}
         for left, by_right in grouped.items():
@@ -500,16 +511,15 @@ class BiDiffOp:
                             key = k1 + k23
                             acc[key] = get(key, 0) + c1 * c23
         den *= f_den * g_den
-        span = dim * width
-        mask = (1 << span) - 1
-        multi = _MultiIndices(dim, width)
+        split = _MultiIndices(dim, width).split
         levels: dict[int, dict] = {}
         for key, c in acc.items():
             if c:
-                level = levels.get(key >> span)
+                m, exps = split(key, 1)
+                level = levels.get(m)
                 if level is None:
-                    level = levels[key >> span] = {}
-                level[multi[key & mask]] = Fraction(c, den)
+                    level = levels[m] = {}
+                level[exps] = Fraction(c, den)
         coeffs = [Polynomial.zero(dim)] * (order + 1)
         for m, level in levels.items():
             coeffs[m] = Polynomial._unchecked(dim, level)

@@ -18,10 +18,13 @@ later vertex only the colors that leave some entry live under its grown
 pending I (`grows_live`).  Both tables also give the grown multiset, so
 nothing is sorted during the search, and on a linear structure a second
 incoming derivative offers no color at all.  Polynomials are multiplied only
-at a leaf.  The pair (L, R) travels as one int in `bidiff`'s digit layout,
-L's digits above R's, each as wide as the component size needs, so an edge
-into a ground adds a power of two and no digit can carry; each component
-decodes its keys once, at the end.
+at a leaf.  The pair (L, R) travels as one int in `bidiff`'s packed layout
+(`pair_keys`; the layout and why no digit carries are stated once in
+`bidiff`'s module docstring): a digit counts the edges into one ground, so
+the component size bounds it, an edge into a ground adds one of
+`pair_keys`'s increments, and each component decodes its keys once, at the
+end.  The search keeps one generator per colored vertex on an explicit
+stack, so a long component needs no deep recursion.
 
 Two exact steps run before and around the search.  A vertex with more
 incoming edges than the structure's largest entry degree p carries a
@@ -69,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bidiff import BiDiffOp, _MultiIndices
+from .bidiff import BiDiffOp, pair_keys
 from .freelie import free_lie, hausdorff_series, lie_to_lgraph
 from .graphs import (
     GROUND_X,
@@ -148,16 +151,9 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
 def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
     """{(L, R): coefficient} of the colorings of one aerial component, its
     vertices labelled 1..len(edges); the zero coefficients are dropped."""
-    n, d = len(edges), pi.dim
-    # (L, R) packed in bidiff's digit layout: L's digits above R's, coordinate
-    # 1 highest, each digit `width` bits wide.  A digit counts edges into one
-    # ground, at most one per vertex, so it never exceeds n and never carries.
-    width = n.bit_length()
-    span = d * width
-    bump = {
-        GROUND_X: [0] + [1 << (span + (d - idx) * width) for idx in range(1, d + 1)],
-        GROUND_Y: [0] + [1 << ((d - idx) * width) for idx in range(1, d + 1)],
-    }
+    n = len(edges)
+    left, right, decode = pair_keys(pi.dim, n)
+    bump = {GROUND_X: left, GROUND_Y: right}
     live, rows_of = pi.live_derivatives, pi.live_rows
     keeps, grows = pi.keeps_live, pi.grows_live
     keys: list = [None] * (n + 1)  # (i, j) of each colored vertex
@@ -173,15 +169,9 @@ def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
             return keeps(orders[target], keys[target])
         return grows(orders[target])
 
-    def color(v: int, packed: int):
-        if v > n:
-            total = None
-            for k in range(1, n + 1):
-                poly = live(orders[k])[keys[k]]
-                total = poly if total is None else total * poly
-            acc = terms.get(packed)
-            terms[packed] = total if acc is None else acc + total
-            return
+    def options(v: int, packed: int):
+        """Color vertex v in every allowed way, yielding the (L, R) key of
+        each coloring while keys[v] and its targets' I hold it."""
         first, second = edges[v - 1]
         rows = rows_of(orders[v])
         firsts, seconds = allowed(first, v), allowed(second, v)
@@ -203,18 +193,27 @@ def _coloring_table(edges: tuple, pi: PoissonStructure) -> dict:
                     packed_ij, saved_second = packed_i, orders[second]
                     orders[second] = seconds[j]
                 keys[v] = (i, j)
-                color(v + 1, packed_ij)
+                yield packed_ij
                 if seconds is not None:
                     orders[second] = saved_second
             if firsts is not None:
                 orders[first] = saved_first
 
-    color(1, 0)
-    multi = _MultiIndices(d, width)
-    mask = (1 << span) - 1
-    return {
-        (multi[key >> span], multi[key & mask]): p for key, p in terms.items() if p.terms
-    }
+    stack = [options(1, 0)]  # stack[v - 1] colors vertex v
+    while stack:
+        packed = next(stack[-1], None)
+        if packed is None:
+            stack.pop()
+        elif len(stack) < n:
+            stack.append(options(len(stack) + 1, packed))
+        else:
+            total = None
+            for k in range(1, n + 1):
+                poly = live(orders[k])[keys[k]]
+                total = poly if total is None else total * poly
+            acc = terms.get(packed)
+            terms[packed] = total if acc is None else acc + total
+    return {decode(key): p for key, p in terms.items() if p.terms}
 
 
 # -- loop analysis ---------------------------------------------------------------

@@ -297,6 +297,17 @@ class TestConstruction:
         op = BiDiffOp(2, 1, {(2, (1, 0), (0, 1)): F(1)})
         assert op.is_zero()
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_terms_are_validated_before_the_order_drop(self, order):
+        # at order 1 the eps^2 term is dropped, but only after its
+        # multi-indices pass the same checks as at order 2
+        with pytest.raises(BiDiffError, match="multi-index length must equal dim"):
+            BiDiffOp(2, order, {(2, (1,), (0, 0, 0)): 1})
+        with pytest.raises(BiDiffError, match="negative derivative order"):
+            BiDiffOp(2, order, {(2, (1, -1), (0, 0)): 1})
+        with pytest.raises(BiDiffError, match="multi-index length must equal dim"):
+            BiDiffOp(2, order, {(1, (1,), (0, 0)): Polynomial.zero(2)})
+
 
 class TestAlgebra:
     def test_single_wedge_application(self):
@@ -937,12 +948,63 @@ class TestPackedKernel:
         assert gen.exp() == reference_exp(gen)
 
     def test_one_bit_narrower_packing_disagrees(self):
-        # Heisenberg's generator has largest digit 1, so order 3 packs its
-        # digits 2 bits wide; at 1 bit, eps d1^2 carries into the eps digit.
-        gen = _cbh_generator(heisenberg(), 3, None)
+        # Heisenberg's generator times x1^86 has largest digit 86, so order 3
+        # needs digits up to 258 and packs them 16 bits wide.  One width
+        # narrower, 8 bits, the x1^258 of G^3 carries into R's last digit;
+        # G^2 reaches only 172 and would still fit.
+        x1 = Polynomial.variable(3, 1)
+        gen = _cbh_generator(heisenberg(), 3, None).scale(x1**86)
         rows, den, top = bidiff._flatten(gen)
-        width = (gen.order * top).bit_length()
-        assert (top, width) == (1, 2)
+        width = bidiff._width(gen.order * top)
+        assert (top, width) == (86, 16)
         expected = reference_exp(gen)
         assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width) == expected
-        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width - 1) != expected
+        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width - 8) != expected
+
+    def test_one_width_narrower_symbol_mul_disagrees(self):
+        # largest digits 130 and 126 sum to 256, so the product packs 16 bits
+        # wide; at 8 bits the x1^256 of the product carries
+        x1 = Polynomial.variable(3, 1)
+        gen = _cbh_generator(heisenberg(), 3, None)
+        a, b = gen.scale(x1**130), gen.scale(x1**126)
+        (left, left_den, left_top), (right, right_den, right_top) = map(bidiff._flatten, (a, b))
+        width = bidiff._width(left_top + right_top)
+        assert (left_top, right_top, width) == (130, 126, 16)
+        expected = reference_symbol_mul(a, b)
+        args = (gen.dim, gen.order, left, right, left_den * right_den)
+        assert bidiff._packed_mul(*args, width) == expected == a.symbol_mul(b)
+        assert bidiff._packed_mul(*args, width - 8) != expected
+
+
+@st.composite
+def packed_keys(draw):
+    """(width, dim, m, fields) with digits up to the width's cap, the caps
+    127 and 32767 and the first 16-bit digit 128 drawn often."""
+    width = draw(st.sampled_from([8, 16]))
+    cap = (1 << (width - 1)) - 1
+    dim = draw(st.integers(1, 4))
+    digit = st.one_of(st.integers(0, cap), st.sampled_from([d for d in (0, 127, 128, cap) if d <= cap]))
+    fields = draw(st.lists(st.tuples(*[digit] * dim), min_size=1, max_size=3))
+    return width, dim, draw(st.integers(0, 1 << 40)), fields
+
+
+class TestPackedLayout:
+    """The one packer and its decoder, and the width rule every kernel
+    shares."""
+
+    def test_width_rule(self):
+        assert [bidiff._width(need) for need in (0, 1, 127, 128, 32767, 32768)] == [8, 8, 8, 16, 16, 24]
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_keys())
+    def test_round_trip(self, case):
+        width, dim, m, fields = case
+        assert bidiff._width(max(max(f) for f in fields)) <= width
+        key = bidiff._pack(sum(fields, ()), width, m)
+        assert bidiff._MultiIndices(dim, width).split(key, len(fields)) == [m, *fields]
+
+    def test_pair_keys(self):
+        left, right, decode = bidiff.pair_keys(3, 200)
+        key = 2 * left[1] + left[3] + 200 * right[2]
+        assert decode(key) == ((2, 0, 1), (0, 200, 0))
+        assert left[0] == right[0] == 0

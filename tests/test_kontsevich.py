@@ -314,6 +314,22 @@ class TestIndexedColoring:
         make = lambda: linear_poisson(strictly_upper(4))
         assert assert_coloring_matches_reference(graphs, make, order=8) == 3
 
+    def test_wide_digits(self):
+        # a digit of a 200-vertex component can reach 200, past the 8-bit
+        # cap of 127, so its (L, R) keys pack 16-bit digits
+        make = lambda: half_poisson(solvable2())
+        assert assert_coloring_matches_reference([chain_graph(200)], make, order=200) == 1
+        assert len(graph_to_operator(chain_graph(200), make(), 200).terms) == 2
+
+    @pytest.mark.parametrize("n", [900, 1100])
+    def test_long_chains(self, n):
+        # the search keeps no Python frame per vertex, so a chain longer than
+        # the recursion limit compiles; on solvable2 the n-chain is
+        # (x2 / 2^n) (d1^n tensor d2 - d1^(n-1) d2 tensor d1)
+        op = graph_to_operator(chain_graph(n), half_poisson(solvable2()), n)
+        x2 = Polynomial.variable(2, 2) * F(1, 2**n)
+        assert op == BiDiffOp(2, n, {(n, (n, 0), (0, 1)): x2, (n, (n - 1, 1), (1, 0)): -x2})
+
 
 def symplectic_alpha():
     """The constant structure alpha^{12} = 1 on R^2."""
