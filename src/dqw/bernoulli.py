@@ -12,7 +12,6 @@ Bhat coefficients for the modified variant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .poly import Polynomial
@@ -26,16 +25,20 @@ class BernoulliError(ValueError):
     """A negative index or degree, or an unknown variant."""
 
 
-@lru_cache(maxsize=None)
-def _standard_upto(n: int) -> tuple[Fraction, ...]:
-    values: list[Fraction] = [Fraction(1)]
-    for m in range(1, n + 1):
-        # sum_{k=0}^{m} C(m+1, k) B_k = 0  =>  solve for B_m
+# B_0, B_1, ... as far as any caller has asked, extended in place, so that
+# B_0..B_N costs one pass of the recurrence rather than one per index.
+_STANDARD: list[Fraction] = [Fraction(1)]
+
+
+def _standard(k: int) -> Fraction:
+    values = _STANDARD
+    for m in range(len(values), k + 1):
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  solve for B_m
         acc = Fraction(0)
-        for k in range(m):
-            acc += comb(m + 1, k) * values[k]
+        for j in range(m):
+            acc += comb(m + 1, j) * values[j]
         values.append(-acc / (m + 1))
-    return tuple(values)
+    return values[k]
 
 
 def bernoulli_number(k: int, variant: str = "standard") -> Fraction:
@@ -43,7 +46,7 @@ def bernoulli_number(k: int, variant: str = "standard") -> Fraction:
         raise BernoulliError("index must be >= 0")
     if variant not in _VARIANTS:
         raise BernoulliError(f"variant must be one of {_VARIANTS}")
-    value = _standard_upto(k)[k]
+    value = _standard(k)
     if variant == "modified" and k % 2 == 1:
         value = -value
     return value

@@ -5,10 +5,9 @@ Every subcommand computes a report, prints it in a deterministic format
 verification check fails, 2 on malformed input, and 3 (with the traceback
 on stderr) when the program itself fails.  Rationals are always printed as
 p/q strings, JSON documents carry `"schema": 1`, and identical invocations
-produce byte-identical output.  `--jobs` (or the DQW_JOBS
-environment variable) fans verification and enumeration batches out over a
-process pool with an ordered merge, so the output does not depend on the
-worker count.
+produce byte-identical output.  `--jobs` (default 1) fans verification and
+enumeration batches out over a process pool with an ordered merge, so the
+output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ from .weights import WeightError, product_weight, weight_w_computable
 
 class InputError(ValueError):
     """Malformed command-line input that no library layer checks: an
-    unreadable JSON document, a bad number in an algebra spec, a bad
-    DQW_JOBS."""
+    unreadable JSON document, a bad number in an algebra spec, a size
+    above a command's limit."""
 
 
 # Bad input exits 2.  Any other exception, a bare ValueError included, is a
@@ -224,17 +223,6 @@ def _series_rows(series) -> list[dict]:
     return [{"eps": m, "value": text} for m, text in series.to_pairs()]
 
 
-def _jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        text = os.environ.get("DQW_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise InputError(f"DQW_JOBS must be an integer, got {text!r}") from None
-    return max(1, jobs)
-
-
 def fan_out_plan(items: int, jobs: int, cpus: int | None) -> tuple[int, int]:
     """(workers, chunksize) for `items` items split `jobs` ways.
 
@@ -269,7 +257,21 @@ def _fan_out(fn, items, count: int, jobs: int):
 # -- subcommand handlers --------------------------------------------------------------
 
 
+# Largest `bernoulli --max` and `verify identities --max`.  B_0..B_N is one
+# pass of the recurrence, O(N^2) additions of rationals whose size grows with
+# N, and each identity row sums another n terms.  On a 2-vCPU host, at 300,
+# `bernoulli --poly` takes about 0.5 s and `verify identities` about 1.1 s;
+# at 1000 they take about 7 s (without --poly) and 18 s.
+MAX_BERNOULLI_INDEX = 300
+
+
+def _check_bernoulli_index(command: str, n: int) -> None:
+    if n > MAX_BERNOULLI_INDEX:
+        raise InputError(f"{command} --max {n} exceeds the limit {MAX_BERNOULLI_INDEX}")
+
+
 def cmd_bernoulli(args) -> int:
+    _check_bernoulli_index("bernoulli", args.max)
     variant = "modified" if args.modified else "standard"
     rows = []
     for n in range(args.max + 1):
@@ -444,7 +446,7 @@ def cmd_graphs(args) -> int:
         return 0
     if args.classify:
         count = (args.n * (args.n + 1)) ** args.n
-        rows = list(_fan_out(_classify_row, enumerate_graphs(args.n), count, _jobs(args)))
+        rows = list(_fan_out(_classify_row, enumerate_graphs(args.n), count, max(1, args.jobs)))
     else:
         rows = [{"graph": format_graph(g)} for g in enumerate_graphs(args.n)]
     doc = {"schema": 1, "command": "graphs", "n": args.n, "count": len(rows), "rows": rows}
@@ -603,7 +605,7 @@ def cmd_verify_assoc(args) -> int:
     ]
     report = AssociativityReport(star.name, star.order)
     check = partial(_associativity_failure, args.method, args.algebra, args.order)
-    for failure in _fan_out(check, zip(*polys), args.trials, _jobs(args)):
+    for failure in _fan_out(check, zip(*polys), args.trials, max(1, args.jobs)):
         report.add(failure)
     doc = report.to_json()
     status = "ASSOCIATIVE" if report.ok else "FAILED"
@@ -626,7 +628,7 @@ def cmd_verify_equiv(args) -> int:
     pairs = equivalence_pairs(sa.dim, args.degree, args.mode, args.seed, args.trials)
     report = EquivalenceReport(args.a, args.b, args.order, args.mode)
     check = partial(_equivalence_failure, args.a, args.b, args.algebra, args.order)
-    for failure in _fan_out(check, pairs, len(pairs), _jobs(args)):
+    for failure in _fan_out(check, pairs, len(pairs), max(1, args.jobs)):
         report.add(failure)
     doc = report.to_json()
     status = "EQUAL" if report.ok else "DIFFER"
@@ -635,6 +637,7 @@ def cmd_verify_equiv(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    _check_bernoulli_index("verify identities", args.max)
     rows = []
     for n in range(args.max + 1):
         for identity, sign, expect in (("convolution", 1, 1), ("alternating", -1, 0)):
@@ -710,7 +713,7 @@ def _int_at_least(low: int):
 
 
 def _add_jobs(p) -> None:
-    p.add_argument("--jobs", type=int, default=None, help="process fan-out (env DQW_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="process fan-out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("bernoulli", help="Bernoulli numbers and polynomials")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_int_at_least(0), required=True)
     p.add_argument("--modified", action="store_true", help="flip the sign of B_1")
     p.add_argument("--poly", action="store_true")
     _add_format(p)
@@ -805,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.set_defaults(handler=cmd_verify_equiv)
 
     pi = verify_sub.add_parser("identities")
-    pi.add_argument("--max", type=int, default=30)
+    pi.add_argument("--max", type=_int_at_least(0), default=30)
     _add_format(pi)
     pi.set_defaults(handler=cmd_verify_identities)
 

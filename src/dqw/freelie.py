@@ -251,18 +251,19 @@ class LieSeries:
     def __init__(self, alphabet: Sequence[str], order: int, terms: Mapping[Word, Fraction] | None = None):
         alpha = tuple(alphabet)
         fl = free_lie(alpha)
+        if order < 0:
+            raise LieError("truncation order must be >= 0")
         clean: LieDict = {}
         if terms:
             for word, coeff in terms.items():
                 word = tuple(word)
-                if len(word) > order:
-                    continue
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
                 if not fl.is_lyndon(word):
                     raise LieError(f"{word!r} is not a Lyndon word")
-                clean[word] = coeff
+                if any(letter not in alpha for letter in word):
+                    raise LieError(f"word {word!r} uses letters outside the alphabet")
+                coeff = Fraction(coeff)
+                if coeff and len(word) <= order:
+                    clean[word] = coeff
         object.__setattr__(self, "alphabet", alpha)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)

@@ -12,7 +12,11 @@ sigma(w) = (1/n) * sum_p X^{i_p} sigma(w minus position p) rather than by
 listing n! permutations.  Its inverse peels eps levels: the level-m leftover
 is exactly a polynomial p_m, and subtracting sigma(p_m) eps^m clears it.
 
-The star product is f * g = sigma^{-1}(sigma(f) sigma(g)).
+The star product is f * g = sigma^{-1}(sigma(f) sigma(g)), on polynomial
+factors.  `star` and `mul` share one product kernel, `_product`, which
+refuses more than MAX_STAR_PAIRS term pairs before it straightens any.  A
+series factor goes through `star.uea_product`, which extends the polynomial
+product eps-bilinearly as the other routes' `StarProduct`s do.
 
 Everything is computed on integer numerators.  D is the lcm of the
 denominators of the structure constants; each rewrite spends one eps and one
@@ -41,10 +45,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .liealg import StructureConstants
-from .poly import Polynomial, nonzero
+from .poly import Polynomial
 from .series import EpsSeries
 
 Word = tuple[int, ...]  # non-decreasing generator indices, 1-based
@@ -66,16 +70,15 @@ class PBWError(ValueError):
     pass
 
 
-# Largest deg f + deg g that `star` accepts (for a series, its largest level
-# degree), and the longest word the other entry points take.  sigma's
-# insertion recursion is one call deep per letter, and the words
-# straightened multiply with the degree.  On a 2-vCPU host, on
-# strictly_upper(4) at order 1, (x1+x2+x3+x4)^11 * x1 takes 0.5 s, and
-# (x1+x2+x3+x4)^6 * (x1+x2+x3+x4)^6 takes 4.7 s at 259 MB peak RSS, against
-# 19 s at 937 MB for the degree-14 product of two seventh powers.
+# Largest deg f + deg g that `star` accepts, and the longest word the other
+# entry points take.  sigma's insertion recursion is one call deep per
+# letter, and the words straightened multiply with the degree.  On a 2-vCPU
+# host, on strictly_upper(4) at order 1, (x1+x2+x3+x4)^11 * x1 takes 0.5 s,
+# and (x1+x2+x3+x4)^6 * (x1+x2+x3+x4)^6 takes 4.7 s at 259 MB peak RSS,
+# against 19 s at 937 MB for the degree-14 product of two seventh powers.
 MAX_STAR_DEGREE = 12
 
-# Largest number of lifted term pairs `star` straightens: the degree bound
+# Largest number of term pairs `star` and `mul` straighten: the degree bound
 # above leaves wide factors unbounded, and each pair straightens a word of up
 # to MAX_STAR_DEGREE letters.  On a 2-vCPU host, on strictly_upper(4) at
 # order 1, (x1+x2+x3+x4)^6 lifts to 189 terms, and its square (35,721 pairs)
@@ -190,6 +193,8 @@ class EnvelopingAlgebra:
         words = self._words
         out = []
         for j, p in enumerate(levels):
+            if not isinstance(p, Polynomial):
+                raise PBWError(f"cannot lift {type(p).__name__}: star takes polynomials")
             if p.dim != self.dim:
                 raise PBWError("polynomial dimension mismatch")
             for exps, coeff in p.terms.items():
@@ -214,6 +219,40 @@ class EnvelopingAlgebra:
                     key = (w, m)
                     out[key] = out.get(key, 0) + a * value
         return {key: value for key, value in out.items() if value}, den
+
+    def _numerators(self, element: Element, order: int) -> tuple[Numerators, int]:
+        """The eps^0..eps^order part of an element as numerators over one
+        denominator den (times D^m at eps^m), the scaling `_lift` returns."""
+        kept = {key: Fraction(v) for key, v in element.items() if key[1] <= order}
+        den = lcm(1, *(v.denominator for v in kept.values()))
+        return {
+            (w, m): v.numerator * (den // v.denominator) * self._d**m for (w, m), v in kept.items()
+        }, den
+
+    def _product(self, a: Numerators, b: Numerators, order: int) -> list[dict[Word, int]]:
+        """The eps levels of a * b up to eps^order: level m maps a word to its
+        numerator over den_a * den_b * D^m.  Refuses more than MAX_STAR_PAIRS
+        term pairs before it straightens any."""
+        if len(a) * len(b) > MAX_STAR_PAIRS:
+            raise PBWError(
+                f"the UEA product of {len(a)} by {len(b)} lifted terms exceeds "
+                f"the limit of {MAX_STAR_PAIRS} pairs"
+            )
+        levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
+        nf = self._nf
+        for (w1, m1), x in a.items():
+            for (w2, m2), y in b.items():
+                base = m1 + m2
+                if base > order:
+                    continue
+                xy = x * y
+                word = w1 + w2
+                for (w, dm), value in (nf.get(word) or self._straighten(word)).items():
+                    m = base + dm
+                    if m <= order:
+                        level = levels[m]
+                        level[w] = level.get(w, 0) + xy * value
+        return levels
 
     def _peel(self, levels: list[dict[Word, int]], den: int) -> EpsSeries:
         """sigma^{-1} of the element whose eps^m part is levels[m] over den * D^m.
@@ -273,25 +312,14 @@ class EnvelopingAlgebra:
 
     def mul(self, a: Element, b: Element, order: int) -> Element:
         """Product in the algebra, truncated at eps^order."""
-        lengths_a = [len(w) for w, m in a if m <= order]
-        lengths_b = [len(w) for w, m in b if m <= order]
-        if lengths_a and lengths_b:
-            _check_degree(max(lengths_a) + max(lengths_b), "a product")
-        out: Element = {}
-        for (w1, m1), c1 in a.items():
-            if m1 > order:
-                continue
-            for (w2, m2), c2 in b.items():
-                base = m1 + m2
-                if base > order:
-                    continue
-                scale = c1 * c2
-                for (w, dm), value in self._straighten(w1 + w2).items():
-                    m = base + dm
-                    if m <= order:
-                        key = (w, m)
-                        out[key] = out.get(key, 0) + scale * Fraction(value, self._d**dm)
-        return nonzero(out)
+        (na, den_a), (nb, den_b) = self._numerators(a, order), self._numerators(b, order)
+        if na and nb:
+            _check_degree(max(len(w) for w, _ in na) + max(len(w) for w, _ in nb), "a product")
+        levels = self._product(na, nb, order)
+        return self._view(
+            {(w, m): v for m, level in enumerate(levels) for w, v in level.items() if v},
+            den_a * den_b,
+        )
 
     # -- symmetrization ------------------------------------------------------------
 
@@ -308,65 +336,24 @@ class EnvelopingAlgebra:
 
     def inverse_sigma(self, element: Element, order: int) -> EpsSeries:
         """Peel eps levels: level-m leftovers form p_m, subtract sigma(p_m) eps^m."""
-        kept = {key: Fraction(v) for key, v in element.items() if key[1] <= order}
-        _check_degree(max((len(w) for w, _ in kept), default=0), "a word")
-        den = lcm(1, *(v.denominator for v in kept.values()))
+        nums, den = self._numerators(element, order)
+        _check_degree(max((len(w) for w, _ in nums), default=0), "a word")
         levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
-        for (w, m), v in kept.items():
-            level = levels[m]
-            level[w] = level.get(w, 0) + v.numerator * (den // v.denominator) * self._d**m
+        for (w, m), v in nums.items():
+            levels[m][w] = v
         return self._peel(levels, den)
 
     # -- the star product ------------------------------------------------------------
 
-    def star(
-        self,
-        f: Union[Polynomial, EpsSeries],
-        g: Union[Polynomial, EpsSeries],
-        order: int,
-    ) -> EpsSeries:
-        fl = self._terms(self._levels(f, order))
-        gl = self._terms(self._levels(g, order))
+    def star(self, f: Polynomial, g: Polynomial, order: int) -> EpsSeries:
+        fl, gl = self._terms([f]), self._terms([g])
         degree = max((len(w) for _, w, _ in fl), default=-1) + max(
             (len(w) for _, w, _ in gl), default=-1
         )
         _check_degree(degree, "the UEA product")
         a, den_a = self._lift(fl, order)
         b, den_b = self._lift(gl, order)
-        if len(a) * len(b) > MAX_STAR_PAIRS:
-            raise PBWError(
-                f"the UEA product of {len(a)} by {len(b)} lifted terms exceeds "
-                f"the limit of {MAX_STAR_PAIRS} pairs"
-            )
-        levels: list[dict[Word, int]] = [{} for _ in range(order + 1)]
-        nf = self._nf
-        for (w1, m1), x in a.items():
-            for (w2, m2), y in b.items():
-                base = m1 + m2
-                if base > order:
-                    continue
-                xy = x * y
-                word = w1 + w2
-                for (w, dm), value in (nf.get(word) or self._straighten(word)).items():
-                    m = base + dm
-                    if m <= order:
-                        level = levels[m]
-                        level[w] = level.get(w, 0) + xy * value
-        return self._peel(levels, den_a * den_b)
-
-    def _levels(self, f: Union[Polynomial, EpsSeries], order: int) -> list[Polynomial]:
-        """The eps levels of a star factor, truncated at eps^order."""
-        if isinstance(f, Polynomial):
-            return [f]
-        if isinstance(f, EpsSeries):
-            if f.dim != self.dim:
-                raise PBWError("series dimension mismatch")
-            if f.order < order:
-                raise PBWError(
-                    f"a series known to eps^{f.order} cannot be multiplied to eps^{order}"
-                )
-            return list(f.coeffs[: order + 1])
-        raise PBWError(f"cannot lift {type(f).__name__}")
+        return self._peel(self._product(a, b, order), den_a * den_b)
 
 
 @lru_cache(maxsize=None)
@@ -374,10 +361,5 @@ def enveloping_algebra(c: StructureConstants) -> EnvelopingAlgebra:
     return EnvelopingAlgebra(c)
 
 
-def uea_star(
-    c: StructureConstants,
-    f: Union[Polynomial, EpsSeries],
-    g: Union[Polynomial, EpsSeries],
-    order: int,
-) -> EpsSeries:
+def uea_star(c: StructureConstants, f: Polynomial, g: Polynomial, order: int) -> EpsSeries:
     return enveloping_algebra(c).star(f, g, order)

@@ -156,12 +156,10 @@ class NCSeries:
         if terms:
             for word, coeff in terms.items():
                 word = tuple(word)
-                if len(word) > order:
-                    continue
                 if any(letter not in alpha for letter in word):
                     raise SeriesError(f"word {word!r} uses letters outside the alphabet")
                 frac = Fraction(coeff)
-                if frac:
+                if frac and len(word) <= order:
                     clean[word] = frac
         object.__setattr__(self, "alphabet", alpha)
         object.__setattr__(self, "order", order)

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from dqw import bernoulli
 from dqw.bernoulli import BernoulliError, bernoulli_number, bernoulli_polynomial
 from dqw.poly import Polynomial, parse_polynomial
 
@@ -38,6 +39,30 @@ def test_bad_inputs():
         bernoulli_number(-1)
     with pytest.raises(ValueError):
         bernoulli_number(2, "weird")
+
+
+def reference_standard_upto(n):
+    """The per-n body the in-place table replaced: B_0..B_n by the binomial
+    recurrence, from scratch on every call.  Kept as the table's oracle."""
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += comb(m + 1, k) * values[k]
+        values.append(-acc / (m + 1))
+    return values
+
+
+def test_table_extends_in_place(monkeypatch):
+    # out-of-order requests extend one table, and every value agrees at ==
+    monkeypatch.setattr(bernoulli, "_STANDARD", [Fraction(1)])
+    expected = reference_standard_upto(60)
+    for k in (40, 7, 60, 0, 41):
+        assert bernoulli_number(k) == expected[k]
+    assert bernoulli._STANDARD == expected
+    # negative control: a wrong entry in the table is read back, not recomputed
+    bernoulli._STANDARD[7] = Fraction(1)
+    assert bernoulli_number(7) != expected[7]
 
 
 def test_domain_error_class():

@@ -17,6 +17,7 @@ import dqw.star
 from dqw.cli import (
     MAX_ASSEMBLY_ORDER,
     MAX_BATCH_ITEMS,
+    MAX_BERNOULLI_INDEX,
     MAX_ENUMERATE_N,
     MAX_HAUSDORFF_DEGREE,
     MAX_LINEAR_IN_Y_DEGREE,
@@ -272,9 +273,8 @@ class TestGraphs:
         )
         assert a == b
 
-    def test_streamed_graphs_fan_out_in_chunks(self, monkeypatch):
+    def test_streamed_graphs_fan_out_in_chunks(self):
         # 1728 graphs streamed into the pool; --jobs 2 splits them in two chunks
-        monkeypatch.delenv("DQW_JOBS", raising=False)
         args = ["graphs", "enumerate", "--n", "3", "--classify", "--format", "json"]
         code, serial, _ = run(args + ["--jobs", "1"])
         assert code == 0 and json.loads(serial)["count"] == 1728
@@ -488,24 +488,6 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "must be >=" in err
 
-    def test_env_var_jobs(self):
-        old = os.environ.get("DQW_JOBS")
-        os.environ["DQW_JOBS"] = "2"
-        try:
-            args = [
-                "verify", "equiv", "--a", "uea", "--b", "cbh",
-                "--algebra", "heisenberg", "--degree", "2", "--order", "2",
-                "--format", "json",
-            ]
-            _, a, _ = run(args)
-        finally:
-            if old is None:
-                del os.environ["DQW_JOBS"]
-            else:
-                os.environ["DQW_JOBS"] = old
-        _, b, _ = run(args)
-        assert a == b
-
 
 class TestFailurePath:
     """Negative control: a perturbed CBH product seeded into the CLI's cache.
@@ -517,7 +499,6 @@ class TestFailurePath:
     def bad(self, monkeypatch):
         star = cbh_product(solvable2(), 4, override={("X", "X", "Y"): Fraction(1, 10)})
         monkeypatch.setitem(dqw.cli._STAR_CACHE, ("cbh", "solvable2", 4), star)
-        monkeypatch.delenv("DQW_JOBS", raising=False)
         return star
 
     def test_equiv_report_equals_library(self, bad):
@@ -633,6 +614,24 @@ class TestPlumbing:
     def test_input_errors_exit_two(self, argv):
         code, out, err = run(argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_bernoulli_index_limit(self):
+        # B_0..B_N is one pass of the recurrence, so the limit itself runs
+        code, out, _ = run(["bernoulli", "--max", str(MAX_BERNOULLI_INDEX)])
+        assert code == 0 and out.count("\n") == MAX_BERNOULLI_INDEX + 1
+        for argv in (["bernoulli"], ["verify", "identities"]):
+            code, out, err = run(argv + ["--max", str(MAX_BERNOULLI_INDEX + 1)])
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {' '.join(argv)} --max {MAX_BERNOULLI_INDEX + 1} exceeds the limit "
+                f"{MAX_BERNOULLI_INDEX}\n"
+            )
+
+    @pytest.mark.parametrize("argv", [["bernoulli"], ["verify", "identities"]])
+    def test_negative_bernoulli_index_exits_two(self, argv):
+        # an empty table is bad input, not an empty answer
+        code, out, err = run(argv + ["--max", "-1"])
+        assert (code, out) == (2, "") and "must be >= 0" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -876,10 +875,12 @@ class TestPlumbing:
         # the order-k assembly reads the degree-(k + 1) Hausdorff series
         assert MAX_ASSEMBLY_ORDER <= MAX_HAUSDORFF_DEGREE - 1
 
-    def test_bad_jobs_variable_exits_two(self, monkeypatch):
+    def test_jobs_environment_variable_is_not_read(self, monkeypatch):
+        # `--jobs` is the one way to set the fan-out
+        argv = ["graphs", "enumerate", "--n", "1", "--classify"]
+        serial = run(argv)
         monkeypatch.setenv("DQW_JOBS", "two")
-        code, out, err = run(["graphs", "enumerate", "--n", "1", "--classify"])
-        assert (code, out) == (2, "") and "DQW_JOBS" in err
+        assert run(argv) == serial and serial[0] == 0
 
     def test_console_entry_point(self):
         proc = subprocess.run(

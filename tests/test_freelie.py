@@ -326,6 +326,23 @@ class TestLieSeries:
         with pytest.raises(LieError):
             LieSeries(XY, 4, {("Y", "X"): F(1)})
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_terms_are_validated_before_the_order_drop(self, order):
+        # at order 1 a two-letter word is dropped, but only after it passes
+        # the same checks as at order 2; a zero coefficient is no excuse
+        with pytest.raises(LieError, match="not a Lyndon word"):
+            LieSeries(XY, order, {("Y", "X"): F(1)})
+        with pytest.raises(LieError, match="not a Lyndon word"):
+            LieSeries(XY, order, {("Y", "X"): F(0)})
+        with pytest.raises(LieError, match="outside the alphabet"):
+            LieSeries(XY, order, {("X", "Z"): F(1)})
+        kept = LieSeries(XY, order, {("X", "Y"): F(1), ("Y",): F(0)}).terms
+        assert kept == ({("X", "Y"): F(1)} if order == 2 else {})
+
+    def test_negative_order_refused(self):
+        with pytest.raises(LieError, match="order must be >= 0"):
+            LieSeries(XY, -1)
+
     def test_bracket(self):
         x = LieSeries(XY, 3, {("X",): F(1)})
         y = LieSeries(XY, 3, {("Y",): F(1)})

@@ -72,11 +72,6 @@ def golden(argv, fmt) -> str:
     return (GOLDEN / f"{slug(argv)}.{fmt}").read_text(encoding="utf-8")
 
 
-@pytest.fixture(autouse=True)
-def serial_default(monkeypatch):
-    monkeypatch.delenv("DQW_JOBS", raising=False)
-
-
 def test_every_golden_file_has_a_readme_line():
     expected = {f"{slug(argv)}.{fmt}" for argv in readme_cli_lines() for fmt in ("text", "json")}
     assert {p.name for p in GOLDEN.iterdir()} == expected

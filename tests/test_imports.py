@@ -1,10 +1,17 @@
-"""Every module in src/dqw uses each name it imports.
+"""Every module in src/dqw uses each name it imports, and the package reads
+every private name it defines.
 
 A standard-library stand-in for a linter's unused-import rule: parse each
 module with `ast`, collect the names its import statements bind, and fail on
 any that the module never reads.  `from __future__` imports and names the
 module re-exports through `__all__` are exempt, and so is the package's
 `__init__.py`, whose imports are the public re-export surface.
+
+The unused-private-name rule is the same idea across the package: every
+private module-level function, class or constant, and every private method,
+defined in src/dqw must be read (as a name, an attribute or an imported
+name) somewhere in src/dqw, so that a helper a consolidation leaves behind is
+caught.  Dunder names are not private.
 """
 
 from __future__ import annotations
@@ -73,6 +80,106 @@ def test_injected_unused_import_is_caught():
     # negative control: the real source of a module plus one stray import
     source = (SRC / "poly.py").read_text(encoding="utf-8")
     assert unused_imports(source + "\nfrom itertools import chain\n") == ["chain"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private module-level functions, classes and constants, and private
+    methods, each with the line of its first definition."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        named: list[tuple[str, int]] = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.append((node.name, node.lineno))
+        elif isinstance(node, ast.Assign):
+            named += [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            named.append((node.target.id, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            named += [
+                (f.name, f.lineno)
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        for name, line in named:
+            if _is_private(name):
+                defined.setdefault(name, line)
+    return defined
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads: loaded names and attributes, and the
+    names its `from` imports take from other modules."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each private name defined in one of the sources
+    and read in none of them, sorted."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree)
+        if name not in read
+    )
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def test_package_reads_every_private_name():
+    sources = _package_sources()
+    assert unused_private_names(sources) == []
+    defined = [private_definitions(ast.parse(text)) for text in sources.values()]
+    assert sum(map(len, defined)) >= 80  # the rule has something to check
+
+
+def test_stray_private_helper_is_caught():
+    # negative control: the real source of a module plus one unread helper
+    sources = _package_sources()
+    sources["pbw.py"] += "\n\ndef _unused():\n    return 1\n"
+    assert unused_private_names(sources) == ["pbw.py:_unused"]
+
+
+def test_private_name_kinds():
+    source = (
+        "_LIMIT = 3\n"
+        "_table: dict = {}\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "class _Box:\n"
+        "    __slots__ = ()\n"
+        "    def _method(self):\n"
+        "        return self._other()\n"
+        "    def _other(self):\n"
+        "        return 1\n"
+        "    def __repr__(self):\n"
+        "        return ''\n"
+    )
+    # `_LIMIT` and `_other` are read inside the module; dunders are exempt
+    assert unused_private_names({"m.py": source}) == [
+        "m.py:_Box",
+        "m.py:_helper",
+        "m.py:_method",
+        "m.py:_table",
+    ]
+    # a read in another module counts, under an import alias too
+    other = "from m import _Box as B\nB()._method()\n_helper\n"
+    assert unused_private_names({"m.py": source, "n.py": other}) == ["m.py:_table"]
 
 
 def test_exemptions():

@@ -20,7 +20,7 @@ from dqw.pbw import (
 )
 from dqw.poly import Polynomial, nonzero, parse_polynomial
 from dqw.series import EpsSeries
-from dqw.star import equivalence_pairs
+from dqw.star import StarError, equivalence_pairs, uea_product
 
 F = Fraction
 
@@ -306,18 +306,18 @@ class TestStar:
             parse_polynomial(t, dim=3)
             for t in ("x1", "x2", "x3", "x1*x2", "x1^2", "x2*x3")
         ]
+        star = uea_product(c, 4)  # the series factors go through StarProduct
         for f in monos[:4]:
             for g in monos[:4]:
                 for h in monos[:4]:
-                    left = uea_star(c, uea_star(c, f, g, 4), h, 4)
-                    right = uea_star(c, f, uea_star(c, g, h, 4), 4)
-                    assert left == right
+                    assert star(star(f, g), h) == star(f, star(g, h))
 
     def test_eps_series_inputs(self):
         c = heisenberg()
         f = EpsSeries(3, 2, [Polynomial.variable(3, 1), Polynomial.variable(3, 3)])
         g = Polynomial.variable(3, 2)
-        out = uea_star(c, f, g, 2)
+        out = uea_product(c, 2)(f, g)
+        assert out == ReferenceEnvelopingAlgebra(c).star(f, g, 2)
         # x1 * x2 = x1 x2 + (eps/2) x3; the eps-level x3 contributes x3 x2 at eps^1
         assert out.coeffs[0] == parse_polynomial("x1*x2", dim=3)
         assert out.coeffs[1] == parse_polynomial("1/2*x3 + x2*x3", dim=3)
@@ -386,14 +386,16 @@ class TestKernel:
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_series_inputs(self, name):
         c = ALGEBRAS[name]
-        alg, ref = EnvelopingAlgebra(c), ReferenceEnvelopingAlgebra(c)
+        ref = ReferenceEnvelopingAlgebra(c)
         rng = random.Random(5)
         for _ in range(6):
             fs, gs = _random_series(rng, c.dim, 3), _random_series(rng, c.dim, 3)
             g = gs.coeffs[0]
-            for order in (3, 2):  # a series of higher order is truncated
-                assert alg.star(fs, gs, order) == ref.star(fs, gs, order)
-                assert alg.star(g, fs, order) == ref.star(g, fs, order)
+            for order in (3, 2):  # the reference truncates a series of higher order
+                star = uea_product(c, order)
+                f_cut, g_cut = (EpsSeries(c.dim, order, s.coeffs[: order + 1]) for s in (fs, gs))
+                assert star(f_cut, g_cut) == ref.star(fs, gs, order)
+                assert star(g, f_cut) == ref.star(g, fs, order)
 
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_public_views(self, name):
@@ -530,6 +532,33 @@ class TestStarInput:
         with pytest.raises(PBWError, match="3 by 2 lifted terms exceeds the limit of 5 pairs"):
             EnvelopingAlgebra(c).star(f, g, 2)
 
+    def test_mul_pair_limit_is_checked_before_straightening(self):
+        # sigma((x1+...+x6)^6) has 765 terms, 658 of them at eps^0 and eps^1;
+        # straightening their 432,964 pairs would take about 40 s
+        c = strictly_upper(4)
+        wide = parse_polynomial("(x1+x2+x3+x4+x5+x6)^6", dim=c.dim)
+        a = EnvelopingAlgebra(c).sigma_polynomial(wide)
+        assert len(a) == 765
+        alg = EnvelopingAlgebra(c)
+        with pytest.raises(PBWError, match=f"658 by 658 lifted terms exceeds the limit of {MAX_STAR_PAIRS} pairs"):
+            alg.mul(a, a, 1)
+        assert not alg._nf
+
+    def test_mul_pair_limit_bounds_the_kept_pairs(self, monkeypatch):
+        # the limit is a bound on the pairs of terms at eps^0..eps^order, inclusive
+        c = heisenberg()
+        ref = ReferenceEnvelopingAlgebra(c)
+        a = ref.sigma_polynomial(parse_polynomial("x1*x2 + x3", dim=3))  # X1 X2, X3 and eps X3
+        b = ref.sigma_polynomial(parse_polynomial("x1 + x2", dim=3))
+        monkeypatch.setattr(pbw, "MAX_STAR_PAIRS", 6)
+        assert EnvelopingAlgebra(c).mul(a, b, 2) == ref.mul(a, b, 2)
+        monkeypatch.setattr(pbw, "MAX_STAR_PAIRS", 5)
+        with pytest.raises(PBWError, match="3 by 2 lifted terms exceeds the limit of 5 pairs"):
+            EnvelopingAlgebra(c).mul(a, b, 2)
+        # a term above the truncation order is not counted
+        monkeypatch.setattr(pbw, "MAX_STAR_PAIRS", 4)
+        assert EnvelopingAlgebra(c).mul(a, b, 0) == ref.mul(a, b, 0)
+
     def test_pair_limit_admits_the_documented_product(self):
         # (x1+x2+x3+x4)^6 squared on strictly_upper(4), the README's example
         c = strictly_upper(4)
@@ -539,18 +568,30 @@ class TestStarInput:
         assert len(lifted) == 189 and 189 * 189 <= MAX_STAR_PAIRS
 
     def test_degree_limit_reads_a_series_largest_level(self):
+        # a series factor's levels are multiplied one pair at a time
         c = heisenberg()
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
         s = EpsSeries(3, 2, [x1, Polynomial.zero(3), x1**MAX_STAR_DEGREE])
         with pytest.raises(PBWError, match="exceeds the limit"):
-            uea_star(c, s, x2, 2)
-        # a level beyond the truncation order is dropped, not measured
-        assert uea_star(c, s, x2, 1) == ReferenceEnvelopingAlgebra(c).star(s, x2, 1)
+            uea_product(c, 2)(s, x2)
+        # a level pair beyond the truncation order is skipped, not measured
+        eps_x2 = EpsSeries(3, 2, [Polynomial.zero(3), x2])
+        assert uea_product(c, 2)(s, eps_x2) == ReferenceEnvelopingAlgebra(c).star(s, eps_x2, 2)
 
     def test_truncated_series_refused(self):
         # the eps^2 and eps^3 levels are unknown, not zero
         x1, x2, x3 = (Polynomial.variable(3, i) for i in (1, 2, 3))
-        with pytest.raises(PBWError, match="known to eps\\^1"):
-            uea_star(heisenberg(), EpsSeries(3, 1, [x1, x3]), x2, 3)
-        with pytest.raises(PBWError, match="known to eps\\^1"):
-            uea_star(heisenberg(), x2, EpsSeries(3, 1, [x1, x3]), 2)
+        with pytest.raises(StarError, match="series order must match"):
+            uea_product(heisenberg(), 3)(EpsSeries(3, 1, [x1, x3]), x2)
+        with pytest.raises(StarError, match="series order must match"):
+            uea_product(heisenberg(), 2)(x2, EpsSeries(3, 1, [x1, x3]))
+
+    def test_series_factor_refused(self):
+        # `star` takes polynomials; a series is refused before any lift
+        x2 = Polynomial.variable(3, 2)
+        alg = EnvelopingAlgebra(heisenberg())
+        with pytest.raises(PBWError, match="cannot lift EpsSeries"):
+            alg.star(EpsSeries.from_polynomial(x2, 1), x2, 1)
+        with pytest.raises(PBWError, match="cannot lift EpsSeries"):
+            uea_star(heisenberg(), x2, EpsSeries.from_polynomial(x2, 1), 1)
+        assert not alg._nf and not alg._sigma

@@ -72,6 +72,21 @@ class TestNCSeries:
         X = NCSeries.letter(("X", "Y"), 5, "X")
         assert nc_log(nc_exp(X)) == X
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_terms_are_validated_before_the_order_drop(self, order):
+        # at order 1 a two-letter word is dropped, but only after its letters
+        # pass the same check as at order 2; a zero coefficient is no excuse
+        with pytest.raises(SeriesError, match="outside the alphabet"):
+            NCSeries(("X", "Y"), order, {("Z", "Z"): 1})
+        with pytest.raises(SeriesError, match="outside the alphabet"):
+            NCSeries(("X", "Y"), order, {("X", "Z"): 0})
+        kept = NCSeries(("X", "Y"), order, {("X", "Y"): 1, ("Y",): 0}).terms
+        assert kept == ({("X", "Y"): 1} if order == 2 else {})
+
+    def test_negative_order_refused(self):
+        with pytest.raises(SeriesError, match="order must be >= 0"):
+            NCSeries(("X", "Y"), -1)
+
 
 def small_nc_series(order=4):
     words = st.lists(st.sampled_from(["X", "Y"]), min_size=1, max_size=order).map(tuple)
