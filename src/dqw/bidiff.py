@@ -25,9 +25,10 @@ the top bit of every digit is a guard bit that a packed digit leaves clear.
 Why nothing carries: a digit of a sum of keys is the sum of the added
 digits, so when that sum is at most the cap no digit carries into its
 neighbour or into a guard bit, and m, above every digit, reads back intact.
-Each kernel takes as `need` a bound on its output digits:
-  - `symbol_mul`: the sum of the two operands' largest digits.
-  - `exp`: `order` times the generator's largest digit.  Every generator
+Each kernel takes as `need` a bound on its output digits, and an operand's
+bound is its largest digit, or the `need` it came out of a kernel with:
+  - `symbol_mul`: the sum of the two operands' bounds.
+  - `exp`: `order` times the generator's bound.  Every generator
     term has m >= 1, so a product with m <= order has at most `order`
     factors.  A product with m > order has a key at or above the limit
     (order + 1) << (3 * dim * width) whether or not a digit carried,
@@ -40,24 +41,33 @@ Each kernel takes as `need` a bound on its output digits:
     one ground, at most one per vertex.
 Only `apply` reads the guard bits; for the others they are slack.
 
-`symbol_mul` and `exp` share one product kernel.  Each term (m, L, R) -> P
-is split into one row per monomial of P, packed m|L|R|e, and coefficients
-become integer numerators over one common denominator.  A product of two
-rows is then one addition of keys and one multiplication of numerators,
-out[k1 + k2] += c1 * c2, and the result is unpacked once, through the
-`Polynomial` and `BiDiffOp` constructors, into Fraction coefficients.  The
-second operand's keys are sorted, so a row of the product stops at the
-first key sum that reaches the limit.
+`symbol_mul` and `exp` share one product kernel on packed rows: one row
+per coefficient monomial x^e of a term (m, L, R), keyed m|L|R|e, with an
+integer numerator over one common denominator.  A product of two rows is
+one addition of keys and one multiplication of numerators, out[k1 + k2] +=
+c1 * c2.  The second operand's keys are sorted, so a row of the product
+stops at the first key sum that reaches the limit.  An operator that comes
+out of the kernel keeps its rows, zero numerators dropped and the
+denominator reduced to the least common one, with `need` (the kernel's
+bound on its digits) in the private `_rows` slot.  `terms` is a view:
+decoded from the rows on its first read, each m|L|R prefix once, into
+Fraction coefficients, and then kept.  `apply`, `is_zero` and a product or
+exponential with this operator as an operand read the rows, so an operator
+that is only applied is never decoded.  A dict-built operator (the checking
+constructor, `+`, `scale`) is flattened into rows when a kernel or plan
+needs them.  Rows packed at another width than a kernel needs are repacked
+field by field, each distinct L, R or e once.
 
-`apply` runs on one application plan per operator, built from `terms` on
-the first call and kept in the private `_plan` slot (it takes no part in
-`==` or `repr`).  Each distinct multi-index is packed once, and a
-coefficient monomial x^e at eps^m becomes the row key m|e, with an integer
-numerator over the operator's common denominator.  The plan maps packed L
-to (L, |L|, L's nonzero digits, entries), the entries sorted by |R|, each
-one (|R|, packed R, R's nonzero digits, flat rows key, numerator, key,
-numerator, ...).  A call whose arguments need a wider plan rebuilds it and
-replaces it, so an operator keeps one plan, which never narrows.
+`apply` runs on one application plan per operator, built from the packed
+rows on the first call and kept in the private `_plan` slot (it takes no
+part in `==` or `repr`).  Only the distinct fields are decoded, for |K|,
+the nonzero digits and `top`, the largest real digit; at the rows' own
+width the fields and the row key m|e come from shifts and masks of each
+key.  The plan maps packed L to (L, |L|, L's nonzero digits, entries), the
+entries sorted by |R|, each one (|R|, packed R, R's nonzero digits, flat
+rows key, numerator, key, numerator, ...).  A call whose arguments need a
+wider plan rebuilds it and replaces it, so an operator keeps one plan,
+which never narrows.
 
 d^L f is zero unless L <= top(f), f's componentwise largest exponents, and
 |L| <= deg f.  A call looks the points of that box up among the L keys, or
@@ -80,8 +90,7 @@ that no term reaches share one zero polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, perm, prod
-from operator import itemgetter
+from math import factorial, gcd, lcm, perm, prod
 from typing import Callable, Mapping
 
 from .poly import Polynomial
@@ -90,7 +99,7 @@ from .series import EpsSeries
 Multi = tuple[int, ...]
 Key = tuple[int, Multi, Multi]
 
-__all__ = ["BiDiffOp", "BiDiffError", "wedge_operator"]
+__all__ = ["BiDiffOp", "BiDiffError", "wedge_operator", "MAX_EXP_PAIRS"]
 
 # The least bits per packed digit: seven for the digit and one guard bit,
 # enough for every operator and argument the checks build.
@@ -158,24 +167,76 @@ def pair_keys(dim: int, need: int) -> tuple[list[int], list[int], Callable[[int]
     return [0, *units[:dim]], [0, *units[dim:]], lambda key: tuple(split(key, 2)[1:])
 
 
-def _flatten(op: "BiDiffOp") -> tuple[list, int, int]:
-    """The terms of op one per coefficient monomial, as (m, digits, numerator)
-    with digits = L + R + x-exponent and every numerator over den, the lcm of
-    op's coefficient denominators.  Returns (rows, den, largest digit)."""
-    den = 1
-    for poly in op.terms.values():
-        for c in poly.terms.values():
-            den = lcm(den, c.denominator)
-    rows, top = [], 0
+def _flatten(op: "BiDiffOp") -> tuple[dict[int, int], int, int]:
+    """The terms of a dict-built op one row per coefficient monomial, packed
+    m|L|R|e at the width of its largest digit, as (rows, den, largest
+    digit): rows maps a key to its numerator over den, the lcm of op's
+    coefficient denominators."""
+    den, top = 1, 0
     for (m, left, right), poly in op.terms.items():
+        top = max(top, *left, *right)
         for exps, c in poly.terms.items():
-            digits = left + right + exps
-            top = max(top, *digits)
-            rows.append((m, digits, c.numerator * (den // c.denominator)))
+            den = lcm(den, c.denominator)
+            top = max(top, *exps)
+    width = _width(top)
+    rows = {
+        _pack(left + right + exps, width, m): c.numerator * (den // c.denominator)
+        for (m, left, right), poly in op.terms.items()
+        for exps, c in poly.terms.items()
+    }
     return rows, den, top
 
 
-def _packed_product(left: list, right: list, limit: int) -> dict[int, int]:
+def _rows_of(op: "BiDiffOp") -> tuple[dict[int, int], int, int]:
+    """(rows, den, need) of op: the kernel's packed rows if op came out of
+    `exp` or `symbol_mul`, else its flattened terms; the rows are packed at
+    _width(need), and need bounds every digit."""
+    return op._rows if op._rows is not None else _flatten(op)
+
+
+def _fields(rows: Mapping[int, int], dim: int, width: int) -> _MultiIndices:
+    """The distinct L, R and e fields of packed m|L|R|e keys, decoded."""
+    fields = _MultiIndices(dim, width)
+    span, mask = fields.span, fields.mask
+    distinct = set()
+    for key in rows:
+        distinct.update((key & mask, (key >> span) & mask, (key >> 2 * span) & mask))
+    for field in distinct:
+        fields[field]
+    return fields
+
+
+def _repack(rows: Mapping[int, int], fields: _MultiIndices, width: int) -> tuple[dict, _MultiIndices]:
+    """The same rows packed `width` bits a digit, with their fields decoded;
+    `fields` must hold every field of the rows.  Each distinct field is packed
+    once."""
+    span, mask = fields.span, fields.mask
+    wide = _MultiIndices(fields.span // fields.width, width)
+    packed = {}
+    for field, digits in fields.items():
+        packed[field] = key = _pack(digits, width)
+        wide[key] = digits
+    step = wide.span
+    out = {}
+    for key, c in rows.items():
+        e = packed[key & mask]
+        key >>= span
+        right = packed[key & mask]
+        key >>= span
+        left = packed[key & mask]
+        m = key >> span
+        out[(((m << step | left) << step | right) << step) | e] = c
+    return out, wide
+
+
+def _at_width(rows: dict[int, int], dim: int, need: int, width: int) -> dict[int, int]:
+    """Rows packed at _width(need), packed `width` bits a digit instead."""
+    if _width(need) == width:
+        return rows
+    return _repack(rows, _fields(rows, dim, _width(need)), width)[0]
+
+
+def _packed_product(left, right: list, limit: int) -> dict[int, int]:
     """out[k1 + k2] += c1 * c2 over every pair with k1 + k2 < limit.
 
     `right` must be sorted by key, so each row stops at the first sum that
@@ -192,47 +253,84 @@ def _packed_product(left: list, right: list, limit: int) -> dict[int, int]:
     return out
 
 
-def _packed_mul(dim: int, order: int, left: list, right: list, den: int, width: int) -> "BiDiffOp":
-    """The symbol product of two flattened operators, numerators over den.
-    The width must hold the sum of their largest digits."""
-    product = _packed_product(
-        [(_pack(digits, width, m), c) for m, digits, c in left],
-        sorted((_pack(digits, width, m), c) for m, digits, c in right),
-        (order + 1) << (3 * dim * width),
-    )
-    return _unpack(dim, order, product, den, width)
+def _packed_mul(dim: int, order: int, left: dict, right: dict, den: int, need: int) -> "BiDiffOp":
+    """The symbol product of two operators' rows, both packed at
+    _width(need) with numerators over den; need must bound the sum of their
+    largest digits."""
+    width = _width(need)
+    product = _packed_product(left.items(), sorted(right.items()), (order + 1) << (3 * dim * width))
+    return BiDiffOp._unchecked(dim, order, rows=_reduced(product, den, need))
 
 
-def _packed_exp(dim: int, order: int, rows: list, den: int, width: int) -> "BiDiffOp":
-    """sum_{k <= order} G^k / k! for the flattened generator G (all m >= 1).
+# The most term pairs, len(power) * len(generator), that one power step of
+# `exp` may multiply; a larger step is refused before it multiplies any.
+# The largest step the test suite and the golden files build is 364,932
+# pairs (the CBH exp of strictly_upper(5) at order 4), and the graph
+# assembly of strictly_upper(4) at the CLI's MAX_ASSEMBLY_ORDER builds
+# 147,840.  On a 2-vCPU host, the CBH exp of the 14-dimensional free
+# nilpotent algebra of step 5 at order 4 reaches 8.0M pairs (0.4 s, 60 MB),
+# while the order-2 Moyal exp of a generic 64 x 64 matrix reaches 16.3M
+# pairs at G^2 and took 70 s and 2.4 GB.
+MAX_EXP_PAIRS = 10_000_000
+
+
+def _packed_exp(dim: int, order: int, gen: dict, den: int, need: int) -> "BiDiffOp":
+    """sum_{k <= order} G^k / k! for the generator rows G (all m >= 1),
+    packed at _width(need) with numerators over den; need must be `order`
+    times a bound on G's digits.
 
     The k-th power is kept as integer numerators over den**k; adding it to
-    the sum scales it to the common denominator den**order * order!.  The
-    width must hold `order` times the largest digit of G.
+    the sum scales it to the common denominator den**order * order!.  A
+    power step of more than MAX_EXP_PAIRS term pairs is refused before it
+    multiplies any.
     """
-    gen = sorted((_pack(digits, width, m), c) for m, digits, c in rows)
-    limit = (order + 1) << (3 * dim * width)
+    gen = sorted(gen.items())
+    limit = (order + 1) << (3 * dim * _width(need))
     common = den**order * factorial(order)
     total = {0: common}
-    power = [(0, 1)]
-    for k in range(1, order + 1):
-        power = [(key, c) for key, c in _packed_product(power, gen, limit).items() if c]
-        if not power:
-            break
+    power, k = gen, 1  # G^1 is G itself: no product before G^2
+    while power:
         weight = den ** (order - k) * (factorial(order) // factorial(k))
         for key, c in power:
             total[key] = total.get(key, 0) + c * weight
-    return _unpack(dim, order, total, common, width)
+        if k == order:
+            break
+        k += 1
+        if len(power) * len(gen) > MAX_EXP_PAIRS:
+            raise BiDiffError(
+                f"exp power {k} of {len(power)} by {len(gen)} terms exceeds "
+                f"the limit of {MAX_EXP_PAIRS} pairs"
+            )
+        power = [(key, c) for key, c in _packed_product(power, gen, limit).items() if c]
+    return BiDiffOp._unchecked(dim, order, rows=_reduced(total, common, need))
 
 
-def _unpack(dim: int, order: int, packed: Mapping[int, int], den: int, width: int) -> "BiDiffOp":
-    """The operator whose packed m|L|R|e terms are key -> numerator / den."""
-    split = _MultiIndices(dim, width).split
-    grouped: dict[Key, dict] = {}
-    for key, num in packed.items():
-        m, left, right, exps = split(key, 3)
-        grouped.setdefault((m, left, right), {})[exps] = Fraction(num, den)
-    return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
+def _reduced(rows: dict[int, int], den: int, need: int) -> tuple[dict[int, int], int, int]:
+    """(rows, den, need) with the zero numerators dropped and the rest and den
+    divided by their gcd, so that den is the least common denominator."""
+    rows = {key: c for key, c in rows.items() if c}
+    common = gcd(den, *rows.values())
+    if common > 1:
+        den //= common
+        rows = {key: c // common for key, c in rows.items()}
+    return rows, den, need
+
+
+def _decode(dim: int, rows: dict[int, int], den: int, need: int) -> dict[Key, Polynomial]:
+    """The terms {(m, L, R): coefficient} of packed m|L|R|e rows over den,
+    each m|L|R prefix decoded once."""
+    fields = _MultiIndices(dim, _width(need))
+    span, mask = fields.span, fields.mask
+    grouped: dict[int, dict] = {}
+    for key, num in rows.items():
+        coeff = grouped.get(key >> span)
+        if coeff is None:
+            coeff = grouped[key >> span] = {}
+        coeff[fields[key & mask]] = Fraction(num, den)
+    return {
+        tuple(fields.split(prefix, 2)): Polynomial._unchecked(dim, coeff)
+        for prefix, coeff in grouped.items()
+    }
 
 
 def _nonzero_digits(multi: Multi) -> tuple[tuple[int, int], ...]:
@@ -290,7 +388,7 @@ def _derive(rows: list, orders: int, digits: tuple, guard: int) -> list[tuple[in
 class BiDiffOp:
     """eps-graded bidifferential operator; immutable once built."""
 
-    __slots__ = ("dim", "order", "terms", "_plan")
+    __slots__ = ("dim", "order", "_terms", "_rows", "_plan")
 
     def __init__(self, dim: int, order: int, terms: Mapping[Key, Polynomial] | None = None):
         if dim < 1 or order < 0:
@@ -320,13 +418,37 @@ class BiDiffOp:
                         clean[key] = acc
                 else:
                     clean[key] = poly
+        self._set(dim, order, clean, None)
+
+    def _set(self, dim: int, order: int, terms: dict | None, rows: tuple | None):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_plan", None)
+
+    @classmethod
+    def _unchecked(cls, dim: int, order: int, terms: dict | None = None, rows: tuple | None = None):
+        """The operator with exactly these terms, or these packed (rows, den,
+        need) from a kernel: only for a caller that guarantees what the
+        checking constructor would keep (valid keys with m <= order, nonzero
+        coefficients)."""
+        op = object.__new__(cls)
+        op._set(dim, order, terms, rows)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("BiDiffOp is immutable")
+
+    @property
+    def terms(self) -> dict[Key, Polynomial]:
+        """{(m, L, R): coefficient}; decoded from the packed rows on first
+        read when the operator came out of `exp` or `symbol_mul`."""
+        terms = self._terms
+        if terms is None:
+            terms = _decode(self.dim, *self._rows)
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- constructors ---------------------------------------------------------
 
@@ -348,7 +470,7 @@ class BiDiffOp:
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._rows is None else self._rows[0])
 
     def _check(self, other: "BiDiffOp"):
         if self.dim != other.dim or self.order != other.order:
@@ -394,7 +516,10 @@ class BiDiffOp:
         )
 
     def min_eps_degree(self) -> int | None:
-        return min((m for (m, _, _) in self.terms), default=None)
+        if self._rows is None:
+            return min((m for (m, _, _) in self.terms), default=None)
+        rows, _, need = self._rows
+        return min(rows) >> (3 * self.dim * _width(need)) if rows else None
 
     def symbol_mul(self, other: "BiDiffOp") -> "BiDiffOp":
         """Coefficients multiply, derivative multi-indices add.
@@ -402,23 +527,27 @@ class BiDiffOp:
         Runs on the packed kernel: each digit of a product is at most the sum
         of the two operands' largest digits, so that sum sets the width."""
         self._check(other)
-        left, left_den, left_top = _flatten(self)
-        right, right_den, right_top = _flatten(other)
-        width = _width(left_top + right_top)
-        return _packed_mul(self.dim, self.order, left, right, left_den * right_den, width)
+        left, left_den, left_need = _rows_of(self)
+        right, right_den, right_need = _rows_of(other)
+        need = left_need + right_need
+        width = _width(need)
+        left = _at_width(left, self.dim, left_need, width)
+        right = _at_width(right, self.dim, right_need, width)
+        return _packed_mul(self.dim, self.order, left, right, left_den * right_den, need)
 
     def exp(self) -> "BiDiffOp":
         """exp relative to symbol_mul: the sum of G^k / k! for k <= order.
 
         Every term must have eps degree >= 1, so G^k starts at eps^k.  Runs on
         the packed kernel (`_packed_exp`), with the width taken from order
-        times the largest digit of G.
+        times G's digit bound.
         """
         low = self.min_eps_degree()
         if low is not None and low < 1:
             raise BiDiffError("exp needs all terms at eps degree >= 1")
-        rows, den, top = _flatten(self)
-        return _packed_exp(self.dim, self.order, rows, den, _width(self.order * top))
+        rows, den, need = _rows_of(self)
+        gen = _at_width(rows, self.dim, need, _width(self.order * need))
+        return _packed_exp(self.dim, self.order, gen, den, self.order * need)
 
     # -- action on polynomial pairs ---------------------------------------------
 
@@ -426,26 +555,32 @@ class BiDiffOp:
         """The application plan (width, guard, top, den, by_left), wide enough
         for arguments whose largest digits sum to `reach`; it replaces any
         narrower plan in `_plan`.  See the module docstring for the layout."""
-        terms = self.terms
-        coeffs = [poly.terms for poly in terms.values()]
-        den = lcm(*[c.denominator for coeff in coeffs for c in coeff.values()])
-        multis = set(map(itemgetter(1), terms)).union(map(itemgetter(2), terms))
-        top = max(map(max, multis.union(*coeffs)), default=0)
-        width = _width(top + reach)
-        # multi-index -> (|K|, packed K, nonzero digits)
-        index = {k: (sum(k), _pack(k, width), _nonzero_digits(k)) for k in multis}
-        grouped: dict[Multi, dict[Multi, list]] = {}
-        for (m, left, right), coeff in zip(terms, coeffs):
-            rows = grouped.setdefault(left, {}).setdefault(right, [])
-            for e, c in coeff.items():
-                rows += (_pack(e, width, m), c.numerator * (den // c.denominator))
+        rows, den, need = _rows_of(self)
+        width = _width(need)
+        fields = _fields(rows, self.dim, width)
+        top = max(map(max, fields.values()), default=0)
+        if _width(top + reach) != width:  # repack each distinct field once
+            width = _width(top + reach)
+            rows, fields = _repack(rows, fields, width)
+        span, mask = fields.span, fields.mask
+        grouped: dict[int, dict[int, list]] = {}
+        for key, c in rows.items():
+            e = key & mask
+            key >>= span
+            right = key & mask
+            key >>= span
+            left = key & mask
+            # m|L with L cleared, or'ed with e, is the row key m|e
+            grouped.setdefault(left, {}).setdefault(right, []).extend(((key ^ left) | e, c))
+        # packed K -> (|K|, packed K, nonzero digits)
+        index = {k: (sum(digits), k, _nonzero_digits(digits)) for k, digits in fields.items()}
         shared: dict[tuple, tuple] = {}  # one tuple per distinct rows, shared between entries
         by_left = {}
         for left, by_right in grouped.items():
             entries = []
-            for right, rows in by_right.items():
-                rows = tuple(rows)
-                entries.append((*index[right], shared.setdefault(rows, rows)))
+            for right, flat in by_right.items():
+                flat = tuple(flat)
+                entries.append((*index[right], shared.setdefault(flat, flat)))
             size, key, digits = index[left]
             by_left[key] = (key, size, digits, tuple(sorted(entries)))
         guard = _pack((1 << (width - 1),) * self.dim, width)

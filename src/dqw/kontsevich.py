@@ -142,8 +142,10 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
         table = _coloring_table(component.edges, pi)
         if not table:
             return BiDiffOp.zero(d, order)
+        # the colouring yields valid keys and nonzero coefficients, m <= n <= order
         m = component.n
-        factor = BiDiffOp(d, order, {(m, left, right): p for (left, right), p in table.items()})
+        terms = {(m, left, right): p for (left, right), p in table.items()}
+        factor = BiDiffOp._unchecked(d, order, terms)
         op = factor if op is None else op.symbol_mul(factor)
     return op
 

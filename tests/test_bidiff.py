@@ -1,10 +1,13 @@
 """Tests for eps-graded bidifferential operators."""
 
+import importlib.util
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, perm, prod
 from operator import add, le, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from dqw import bidiff
 from dqw.bidiff import BiDiffError, BiDiffOp, wedge_operator
 from dqw.graphs import enumerate_graphs
-from dqw.kontsevich import assemble_linear_star, graph_to_operator
-from dqw.liealg import heisenberg, solvable2, strictly_upper
+from dqw.kontsevich import assemble_linear_star, graph_to_operator, prime_type_table
+from dqw.liealg import heisenberg, linear_poisson, solvable2, strictly_upper
 from dqw.poly import Polynomial, parse_polynomial
 from dqw.series import EpsSeries
 from dqw.star import (
@@ -837,7 +840,16 @@ class TestPlanWidth:
         # private slot that could hold a second one
         assert op.apply(x1, x2) == reference_box_apply(op, x1, x2)
         assert op._plan is wide
-        assert [name for name in BiDiffOp.__slots__ if name.startswith("_")] == ["_plan"]
+        # the other private slots hold the terms (decoded by the oracle) and
+        # the kernel's (rows, den, need), never a plan
+        assert [name for name in BiDiffOp.__slots__ if name.startswith("_")] == [
+            "_terms",
+            "_rows",
+            "_plan",
+        ]
+        assert op._terms == op.terms
+        rows, den, need = op._rows
+        assert isinstance(rows, dict) and isinstance(den, int) and isinstance(need, int)
 
 
 def revalidated(series: EpsSeries) -> EpsSeries:
@@ -955,11 +967,15 @@ class TestPackedKernel:
         x1 = Polynomial.variable(3, 1)
         gen = _cbh_generator(heisenberg(), 3, None).scale(x1**86)
         rows, den, top = bidiff._flatten(gen)
-        width = bidiff._width(gen.order * top)
+        need = gen.order * top
+        width = bidiff._width(need)
         assert (top, width) == (86, 16)
         expected = reference_exp(gen)
-        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width) == expected
-        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, width - 8) != expected
+        wide = bidiff._at_width(rows, gen.dim, top, width)
+        assert bidiff._packed_exp(gen.dim, gen.order, wide, den, need) == expected
+        # rows packed at 8 bits, and a need of 127 keeps the kernel there
+        assert bidiff._width(top) == 8
+        assert bidiff._packed_exp(gen.dim, gen.order, rows, den, 127) != expected
 
     def test_one_width_narrower_symbol_mul_disagrees(self):
         # largest digits 130 and 126 sum to 256, so the product packs 16 bits
@@ -968,12 +984,261 @@ class TestPackedKernel:
         gen = _cbh_generator(heisenberg(), 3, None)
         a, b = gen.scale(x1**130), gen.scale(x1**126)
         (left, left_den, left_top), (right, right_den, right_top) = map(bidiff._flatten, (a, b))
-        width = bidiff._width(left_top + right_top)
-        assert (left_top, right_top, width) == (130, 126, 16)
+        need = left_top + right_top
+        assert (left_top, right_top, bidiff._width(need)) == (130, 126, 16)
         expected = reference_symbol_mul(a, b)
-        args = (gen.dim, gen.order, left, right, left_den * right_den)
-        assert bidiff._packed_mul(*args, width) == expected == a.symbol_mul(b)
-        assert bidiff._packed_mul(*args, width - 8) != expected
+        args = (gen.dim, gen.order)
+        den = left_den * right_den
+        for width, bound in ((16, need), (8, 127)):
+            left_rows = bidiff._at_width(left, gen.dim, left_top, width)
+            right_rows = bidiff._at_width(right, gen.dim, right_top, width)
+            product = bidiff._packed_mul(*args, left_rows, right_rows, den, bound)
+            assert (product == expected) == (width == 16)
+        assert a.symbol_mul(b) == expected
+
+
+def reference_unpack(dim: int, order: int, packed: dict, den: int, width: int) -> BiDiffOp:
+    """The decode `exp` and `symbol_mul` ran on every result before their
+    operators kept the packed rows: each m|L|R|e row through the checking
+    `Polynomial` and `BiDiffOp` constructors.  Kept as the oracle of the
+    `terms` view."""
+    split = bidiff._MultiIndices(dim, width).split
+    grouped: dict = {}
+    for key, num in packed.items():
+        m, left, right, exps = split(key, 3)
+        grouped.setdefault((m, left, right), {})[exps] = F(num, den)
+    return BiDiffOp(dim, order, {k: Polynomial(dim, c) for k, c in grouped.items()})
+
+
+def assert_decodes_as_oracle(op: BiDiffOp) -> None:
+    """op came out of a kernel and has not been read: its first read of
+    `terms` equals `reference_unpack` of its rows, with Fraction values and
+    no zero coefficient."""
+    assert op._terms is None
+    rows, den, need = op._rows
+    assert all(rows.values())
+    want = reference_unpack(op.dim, op.order, rows, den, bidiff._width(need))
+    assert op.terms == want.terms and op == want and repr(op) == repr(want)
+    assert op._terms is op.terms
+    assert all(type(c) is F and c for p in op.terms.values() for c in p.terms.values())
+
+
+def _assembly_generator(c, order: int) -> BiDiffOp:
+    """The generator `assemble_linear_star` exponentiates."""
+    pi = linear_poisson(c)
+    gen = BiDiffOp.zero(c.dim, order)
+    for graph, omega, _ in prime_type_table(order):
+        if omega:
+            gen = gen + graph_to_operator(graph, pi, order).scale(omega)
+    return gen
+
+
+def _seeded_operator(rng: random.Random, dim: int, order: int, min_eps: int) -> BiDiffOp:
+    """A few terms whose coefficients have up to three monomials with
+    rational values of either sign."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (
+            rng.randint(min_eps, order),
+            tuple(rng.randint(0, 3) for _ in range(dim)),
+            tuple(rng.randint(0, 3) for _ in range(dim)),
+        )
+        coeff = {
+            tuple(rng.randint(0, 2) for _ in range(dim)): F(rng.randint(-4, 4), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        }
+        terms[key] = Polynomial(dim, coeff)
+    return BiDiffOp(dim, order, terms)
+
+
+class TestPackedRows:
+    """An operator out of `exp` or `symbol_mul` keeps the kernel's rows;
+    `terms` is decoded from them on first read, as `reference_unpack` did."""
+
+    @pytest.mark.parametrize("route", ["moyal", "cbh", "assembly"])
+    def test_exp_of_the_generators(self, route):
+        c = strictly_upper(4)
+        if route == "moyal":
+            coeffs = {
+                (i + 1, j + 1): GENERIC_ALPHA[i][j] for i in range(4) for j in range(4) if i != j
+            }
+            gen = wedge_operator(4, 6, coeffs, prefactor=F(1, 2))
+        elif route == "cbh":
+            gen = _cbh_generator(c, 5, None)
+        else:
+            gen = _assembly_generator(c, 5)
+        op = gen.exp()
+        assert_decodes_as_oracle(op)
+        assert op == reference_exp(gen)
+
+    def test_seeded_symbol_mul_pairs(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            dim, order = rng.randint(1, 3), rng.randint(1, 5)
+            a, b = (_seeded_operator(rng, dim, order, 0) for _ in range(2))
+            product = a.symbol_mul(b)
+            assert_decodes_as_oracle(product)
+            assert product == reference_symbol_mul(a, b)
+            # a kernel-built operand is read from its rows
+            again = a.symbol_mul(b)
+            chained = again.symbol_mul(again)
+            assert again._terms is None
+            assert chained == reference_symbol_mul(product, product)
+
+    def test_cancelling_numerators_are_dropped(self):
+        # (d1 + d2) (d1 - d2) = d1^2 - d2^2: the kernel sums d1 d2 - d2 d1 to
+        # a zero numerator
+        x1, x2 = _vars(2)
+        z = (0, 0)
+        a = BiDiffOp(2, 1, {(0, (1, 0), z): x1, (0, (0, 1), z): x1})
+        b = BiDiffOp(2, 1, {(0, (1, 0), z): x1, (0, (0, 1), z): -x1})
+        product = a.symbol_mul(b)
+        assert len(product._rows[0]) == 2
+        assert_decodes_as_oracle(product)
+        assert product == reference_symbol_mul(a, b)
+
+    def test_kernel_operand_repacked_to_a_wider_product(self):
+        # rows packed 8 bits a digit (need 120) times an operand whose
+        # largest digit is 10: the product packs 16 bits a digit
+        x1 = Polynomial.variable(3, 1)
+        gen = _cbh_generator(heisenberg(), 3, None).scale(x1**40)
+        star = gen.exp()
+        assert bidiff._width(star._rows[2]) == 8
+        other = _cbh_generator(heisenberg(), 3, None).scale(x1**10)
+        product = star.symbol_mul(other)
+        assert bidiff._width(product._rows[2]) == 16
+        assert star._terms is None
+        assert_decodes_as_oracle(product)
+        assert product == reference_symbol_mul(star, other)
+
+    def test_exp_of_a_kernel_built_generator(self):
+        gen = _cbh_generator(strictly_upper(3), 4, None)
+        built = gen.symbol_mul(BiDiffOp.identity(gen.dim, gen.order))
+        assert built._rows is not None and built._terms is None
+        star = built.exp()
+        assert built._terms is None
+        assert star == reference_exp(gen)
+        with pytest.raises(BiDiffError):
+            BiDiffOp.identity(3, 2).symbol_mul(BiDiffOp.identity(3, 2)).exp()
+
+    def test_is_zero_decodes_nothing(self, monkeypatch):
+        decoded = []
+        real = bidiff._decode
+        monkeypatch.setattr(bidiff, "_decode", lambda *args: decoded.append(args) or real(*args))
+        # every product term sits at eps^2, past order 1: a kernel-built zero
+        wedge = wedge_operator(2, 1, {(1, 2): 1, (2, 1): -1})
+        zero = wedge.symbol_mul(wedge)
+        nonzero = wedge.exp()
+        assert zero.is_zero() and not nonzero.is_zero()
+        assert zero.min_eps_degree() is None and nonzero.min_eps_degree() == 0
+        assert decoded == [] and zero._terms is None and nonzero._terms is None
+        assert zero == BiDiffOp.zero(2, 1) and len(decoded) == 1
+
+
+class TestRowFedPlan:
+    """The plan is built from packed rows for every operator: straight from
+    a kernel's rows at their own width, repacked at any other width, and
+    from the flattened terms of a dict-built operator."""
+
+    def test_kernel_and_dict_built_across_widths(self):
+        # need = 3 * 100 packs the kernel 16 bits a digit, but the largest
+        # real digit is 100 (the eps^3 term has no partner within order 3),
+        # so small arguments get an 8-bit plan
+        x1, x2 = _vars(2)
+        gen = BiDiffOp(
+            2,
+            3,
+            {
+                (1, (1, 0), (0, 1)): x2 * F(1, 2),
+                (1, (0, 1), (1, 0)): F(-1, 3),
+                (3, (0, 0), (0, 0)): x1**100 * F(2, 7),
+            },
+        )
+        cases = [
+            ((x1**3 + x2, x1 * x2**2 * F(3, 5)), 8),
+            ((x1**20 * x2, x2**10 + x1), 16),
+            ((x1**200 + x2**3, x2**32700 * F(1, 9)), 24),
+        ]
+        for (f, g), width in cases:
+            kernel = gen.exp()
+            assert bidiff._width(kernel._rows[2]) == 16
+            out = kernel.apply(f, g)
+            assert kernel._terms is None
+            assert kernel._plan[0] == width and kernel._plan[2] == 100
+            dict_built = BiDiffOp(kernel.dim, kernel.order, kernel.terms)
+            assert dict_built.apply(f, g) == out == reference_box_apply(kernel, f, g)
+            assert dict_built._plan[:4] == kernel._plan[:4]
+
+    def test_c08_operators_keep_their_plans(self, upper4_operators):
+        # the packed plan of each C08 operator against the one built from a
+        # dict-built copy of its terms: same width, top, denominator and L
+        # keys, and apply gives the oracle's values on both
+        pairs = _stratified_c08_sample(6, 2, seed=9)
+        for op in upper4_operators.values():
+            copy = BiDiffOp(op.dim, op.order, op.terms)
+            for f, g in pairs:
+                assert copy.apply(f, g) == op.apply(f, g) == reference_box_apply(op, f, g)
+            assert copy._plan[:4] == op._plan[:4]
+            assert copy._plan[4].keys() == op._plan[4].keys()
+
+
+def _load_perfbench(name: str):
+    """A perfbench module by file, without putting perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_equiv_monomial_never_decodes_terms(monkeypatch):
+    # the seed-0 equiv-monomial set-up and all 776 items, in one process:
+    # every product goes through `apply`, so no operator's `terms` is read
+    gen, workloads = _load_perfbench("gen"), _load_perfbench("workloads")
+    decoded = []
+    real = bidiff._decode
+    monkeypatch.setattr(bidiff, "_decode", lambda *args: decoded.append(args) or real(*args))
+    inputs = gen.generate("equiv-monomial", 0)
+    state = workloads.setup("equiv-monomial", inputs)
+    items = workloads.items("equiv-monomial", inputs, state)
+    assert len(items) == 776
+    assert all(run()[0] for _, run in items)
+    for route in ("cbh", "kontsevich"):
+        op = state[route].operator
+        assert op._rows is not None and op._terms is None
+    assert len(decoded) == 0
+
+
+class TestExpLimit:
+    """`exp` refuses a power step of more than MAX_EXP_PAIRS term pairs
+    before it multiplies any."""
+
+    @staticmethod
+    def _wide_generator(side: int) -> BiDiffOp:
+        # one term whose coefficient has side^2 monomials: side^2 rows
+        coeff = Polynomial(2, {(i, j): 1 for i in range(side) for j in range(side)})
+        return BiDiffOp(2, 2, {(1, (1, 0), (0, 1)): coeff})
+
+    def test_refused_before_any_product(self, monkeypatch):
+        products = []
+        real = bidiff._packed_product
+        monkeypatch.setattr(
+            bidiff, "_packed_product", lambda *args: products.append(1) or real(*args)
+        )
+        gen = self._wide_generator(60)  # 3600 rows, 12.96M pairs at G^2
+        start = time.perf_counter()
+        with pytest.raises(BiDiffError, match="exceeds the limit of 10000000 pairs"):
+            gen.exp()
+        assert time.perf_counter() - start < 1
+        assert products == []
+
+    def test_the_limit_itself_runs(self, monkeypatch):
+        gen = self._wide_generator(4)  # 16 rows, 256 pairs at G^2
+        monkeypatch.setattr(bidiff, "MAX_EXP_PAIRS", 256)
+        assert gen.exp() == reference_exp(gen)
+        monkeypatch.setattr(bidiff, "MAX_EXP_PAIRS", 255)
+        with pytest.raises(BiDiffError):
+            gen.exp()
 
 
 @st.composite

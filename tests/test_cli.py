@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -614,6 +615,21 @@ class TestPlumbing:
     def test_input_errors_exit_two(self, argv):
         code, out, err = run(argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_wide_exp_exits_two(self, tmp_path):
+        # the order-2 Moyal exp of a generic 64 x 64 matrix multiplies 4032 by
+        # 4032 generator terms at G^2, above bidiff.MAX_EXP_PAIRS; it ran for
+        # 70 s and 2.4 GB before the limit
+        d = 64
+        alpha = [[f"{j - i}/{i + j}" for j in range(1, d + 1)] for i in range(1, d + 1)]
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({"dim": d, "alpha": alpha}))
+        start = time.perf_counter()
+        code, out, err = run(["star", "--method", "moyal", "--algebra", str(path),
+                              "--f", "x1", "--g", "x2", "--order", "2"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: exp power 2 of 4032 by 4032 terms exceeds the limit of 10000000 pairs\n"
 
     def test_bernoulli_index_limit(self):
         # B_0..B_N is one pass of the recurrence, so the limit itself runs

@@ -146,6 +146,9 @@ def assert_matches_reference(graphs, pi):
         want = reference_graph_to_operator(g, pi, g.n)
         assert got == want, g
         assert repr(got) == repr(want), g
+        # the component factors enter unchecked: they hold exactly what the
+        # checking constructor keeps
+        assert got.terms == BiDiffOp(got.dim, got.order, got.terms).terms, g
 
 
 class TestDerivativeTable:
