@@ -12,7 +12,8 @@ Bhat coefficients for the modified variant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add, mul
 
 from .poly import Polynomial
 
@@ -28,16 +29,39 @@ class BernoulliError(ValueError):
 # B_0, B_1, ... as far as any caller has asked, extended in place, so that
 # B_0..B_N costs one pass of the recurrence rather than one per index.
 _STANDARD: list[Fraction] = [Fraction(1)]
+# Where the last extension stopped: (the table, den, nums, pascal), with
+# B_j = nums[j] / den for every entry and pascal[j] = C(len(table), j).  An
+# extension resumes from it when it still describes _STANDARD, and otherwise
+# rebuilds it from the table's entries.
+_RESUME: tuple[list[Fraction], int, list[int], list[int]] | None = None
 
 
 def _standard(k: int) -> Fraction:
+    """B_k from sum_{j=0}^{m} C(m+1, j) B_j = 0, solved for B_m at each m
+    past the table: with the B_j as integer numerators over one denominator
+    and C(m + 1, j) read off one Pascal row, extended once per m, each B_m
+    is one integer sum and one Fraction."""
+    global _RESUME
     values = _STANDARD
-    for m in range(len(values), k + 1):
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  solve for B_m
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
+    start = len(values)
+    if k < start:
+        return values[k]
+    if _RESUME and _RESUME[0] is values and len(_RESUME[2]) == start:
+        _, den, nums, pascal = _RESUME
+    else:
+        den = lcm(*(b.denominator for b in values))
+        nums = [b.numerator * (den // b.denominator) for b in values]
+        pascal = [comb(start, j) for j in range(start + 1)]
+    for m in range(start, k + 1):
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]  # C(m + 1, j)
+        value = Fraction(-sum(map(mul, pascal, nums)), (m + 1) * den)
+        values.append(value)
+        if den % value.denominator:
+            grow = lcm(den, value.denominator) // den
+            nums = [a * grow for a in nums]
+            den *= grow
+        nums.append(value.numerator * (den // value.denominator))
+    _RESUME = (values, den, nums, pascal)
     return values[k]
 
 

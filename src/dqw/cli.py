@@ -259,11 +259,12 @@ def _fan_out(fn, items, count: int, jobs: int):
 
 
 # Largest `bernoulli --max` and `verify identities --max`.  B_0..B_N is one
-# pass of the recurrence, O(N^2) additions of rationals whose size grows with
+# pass of the recurrence, O(N^2) products of integers whose size grows with
 # N, and each identity row sums another n integer terms.  On a 2-vCPU host,
-# at 300, `bernoulli --poly` takes about 0.5 s and `verify identities` about
-# 0.35 s; at 1000 `bernoulli` (without --poly) takes about 8 s and `verify
-# identities` about 9 s, both bound by the recurrence.
+# in fresh processes, at 300 `bernoulli` takes about 0.2 s, `bernoulli
+# --poly` about 0.6 s and `verify identities` about 0.2 s; at 1000
+# `bernoulli` (without --poly) takes about 1 s and `verify identities` about
+# 2.2 s, against about 10 s each while the recurrence summed Fractions.
 MAX_BERNOULLI_INDEX = 300
 
 

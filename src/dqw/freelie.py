@@ -359,7 +359,8 @@ def _log_word_coefficient(word: Word) -> Fraction:
     of the block weights over the splittings of the word into k blocks.
     ways[j][k] holds that sum over the splittings of the first j letters
     into k blocks, scaled by j!: the scaled weights are the integers
-    C(j, i) C(a + b, a) for a block word[i:j] = X^a Y^b.
+    C(j, i) C(a + b, a) for a block word[i:j] = X^a Y^b.  The sum over k
+    is one integer over lcm(1..n) n!, as every k <= n divides lcm(1..n).
     """
     n = len(word)
     # ends[i]: the largest j such that word[i:j] has no Y before an X
@@ -378,8 +379,9 @@ def _log_word_coefficient(word: Word) -> Fraction:
             for k in range(i + 1):
                 if row[k]:
                     target[k + 1] += scale * row[k]
-    total = sum(Fraction(c if k % 2 else -c, k) for k, c in enumerate(ways[n]) if k and c)
-    return total / factorial(n)
+    scale = lcm(*range(1, n + 1))
+    total = sum((c if k % 2 else -c) * (scale // k) for k, c in enumerate(ways[n]) if k)
+    return Fraction(total, scale * factorial(n))
 
 
 @lru_cache(maxsize=None)

@@ -295,7 +295,8 @@ def graph_product(a: AdmissibleGraph, b: AdmissibleGraph) -> AdmissibleGraph:
 
 def factorize(g: AdmissibleGraph) -> list[AdmissibleGraph]:
     """Prime components (aerial connectivity classes with their ground feet),
-    ordered by smallest original vertex label and relabeled 1..k each."""
+    ordered by smallest original vertex label and relabeled 1..k each.
+    Relabelling keeps a valid component valid, so each is built unchecked."""
     components: dict[int, list[int]] = {}  # least vertex -> the sorted component
     for v, root in enumerate(_shape(g)[1][1:], start=1):
         components.setdefault(root, []).append(v)
@@ -306,7 +307,7 @@ def factorize(g: AdmissibleGraph) -> list[AdmissibleGraph]:
             tuple(relabel[t] if t >= 1 else t for t in g.edges[old - 1])
             for old in comp
         )
-        factors.append(AdmissibleGraph(edges))
+        factors.append(AdmissibleGraph._unchecked(edges))
     return factors
 
 

@@ -12,7 +12,9 @@ update; without that reduction the denominators grow as products of
 lcm(1..k) along a chain.  T and the ground value are each one pass over the
 list, scaled by lcm(1..k + 2) for a degree-k accumulator, which every
 (j + 1)(j + 2) with j <= k divides.  A product of accumulators is one int
-convolution, and each base value is a single Fraction.  T exists only there:
+convolution.  The base values multiply into one int numerator and one int
+denominator, which `normalized_weight` and `product_weight` carry through
+their factors, so each public call builds one Fraction.  T exists only there:
 `wedge_transform`, `ground_integral` and `pn_polynomial` convert a
 `Polynomial` to the kernel and back.
 
@@ -35,11 +37,15 @@ per mirror choice.
 
 None of the entry points runs the full `classify`.  The feet shape is one
 predicate, the one `classify` reads for `w_computable`, and the loop verdict
-comes from the peel itself: `decompose_nonloop` reads its heights off one
-pass over the aerial edges, and that pass refuses a loop.  So a call looks
-at the graph's edges once for its feet and once for its peel.  In
-`normalized_weight` the first candidate with integrable feet settles the
-call, because a loop in it is a loop in every image.
+comes from the peel itself.  With integrable feet every vertex points at
+one aerial vertex at most, so the peel counts each vertex's pending aerial
+in-edges and folds a vertex once its count reaches zero (Kahn's order); a
+vertex that is never folded lies on a loop.  So a call makes a few linear
+passes over the graph's edges and runs no search.  Only a graph whose feet do
+not integrate is walked in `decompose_nonloop`'s height order, to name its
+error as the peel always has: the loop first, then the first vertex with
+other feet.  In `normalized_weight` the first candidate with integrable
+feet settles the call, because a loop in it is a loop in every image.
 """
 
 from __future__ import annotations
@@ -102,10 +108,11 @@ def _ground_sum(nums: list[int], scale: int) -> int:
     return sum(a * (scale // ((k + 1) * (k + 2))) for k, a in enumerate(nums))
 
 
-def _ground(nums: list[int], den: int) -> Fraction:
-    """int_0^1 G(s) ds with G the antiderivative of the accumulator."""
+def _ground_parts(nums: list[int], den: int) -> tuple[int, int]:
+    """int_0^1 G(s) ds with G the antiderivative of the accumulator, as
+    (numerator, denominator), not reduced."""
     scale = lcm(*range(1, len(nums) + 2))
-    return Fraction(_ground_sum(nums, scale), den * scale)
+    return _ground_sum(nums, scale), den * scale
 
 
 def _transform(nums: list[int], den: int) -> _Acc:
@@ -145,7 +152,7 @@ def _to_polynomial(acc: _Acc) -> Polynomial:
 
 def ground_integral(g: Polynomial) -> Fraction:
     """int_0^1 G(s) ds with G the antiderivative of g, G(0) = 0."""
-    return _ground(*_from_polynomial(g))
+    return Fraction(*_ground_parts(*_from_polynomial(g)))
 
 
 def wedge_transform(g: Polynomial) -> Polynomial:
@@ -171,33 +178,76 @@ class Weight:
 
     @classmethod
     def of(cls, n: int, integral: Fraction) -> "Weight":
-        return cls(n, integral, integral / factorial(n))
+        weight = Fraction(integral.numerator, integral.denominator * factorial(n))
+        return cls(n, integral, weight)
 
 
-def _peel_weight(g: AdmissibleGraph, loop_error: str) -> Fraction:
-    """Fold every (X, aerial) vertex into its target; multiply base values.
-    A loop graph raises `WeightError(loop_error)`.  A graph without loops
-    has a sink, whose pair holds both grounds, so a graph that passes the
-    feet check has a base vertex."""
+def _integrable(pair: tuple[int, int]) -> bool:
+    """Whether a vertex with these feet folds: (X, Y) or (X, aerial)."""
+    return pair[0] == GROUND_X and (pair[1] > 0 or pair[1] == GROUND_Y)
+
+
+def _fold_order(edges: tuple[tuple[int, int], ...]) -> list[int]:
+    """Kahn's order of a graph whose every pair is integrable: a vertex comes
+    after every vertex that points at it.  Each vertex points at one vertex
+    at most, so a loop has no edge out of it, and its vertices, which never
+    lose their last pending in-edge, are the ones missing from the order."""
+    n = len(edges)
+    pending = [0] * (n + 1)  # in-edges from the vertices not yet in the order
+    for _, t in edges:
+        if t > 0:
+            pending[t] += 1
+    stack = [v for v in range(1, n + 1) if not pending[v]]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        t = edges[v - 1][1]
+        if t > 0:
+            pending[t] -= 1
+            if not pending[t]:
+                stack.append(t)
+    return order
+
+
+def _refusal(g: AdmissibleGraph, loop_error: str) -> WeightError:
+    """The error for a graph with feet that do not integrate: a loop first,
+    then the first such vertex in `decompose_nonloop`'s height order."""
     try:
         peel = decompose_nonloop(g)
     except GraphError:
-        raise WeightError(loop_error) from None
+        return WeightError(loop_error)
+    v, pair = next((v, pair) for v, pair in peel if not _integrable(pair))
+    return WeightError(f"vertex {v} has feet {pair}; only (X, Y) or (X, aerial) integrate")
+
+
+def _peel_weight(g: AdmissibleGraph, loop_error: str) -> tuple[int, int]:
+    """Fold every (X, aerial) vertex into its target once its last source is
+    folded; multiply the base values.  The integral comes back as (numerator,
+    denominator), not reduced.  A loop graph raises `WeightError(loop_error)`.
+    A graph without loops has a sink, whose pair holds both grounds, so a
+    graph that passes the feet check has a base vertex."""
+    edges = g.edges
+    if not all(map(_integrable, edges)):
+        raise _refusal(g, loop_error)
+    order = _fold_order(edges)
+    if len(order) < len(edges):
+        raise WeightError(loop_error)
     acc: dict[int, _Acc] = {}
-    total = Fraction(1)
-    for v, pair in peel:
+    num = den = 1
+    for v in order:
         mine = acc.pop(v, _ONE)
-        if pair == (GROUND_X, GROUND_Y):
-            total *= _ground(*mine)
+        target = edges[v - 1][1]
+        if target == GROUND_Y:
+            top, bottom = _ground_parts(*mine)
+            num *= top
+            den *= bottom
             continue
-        if pair[0] != GROUND_X or pair[1] < 1:
-            raise WeightError(
-                f"vertex {v} has feet {pair}; only (X, Y) or (X, aerial) integrate"
-            )
         folded = _transform(*mine)
-        target = pair[1]
         acc[target] = _times(acc[target], folded) if target in acc else folded
-    return total
+    if acc:  # a vertex folded before one of its sources
+        raise WeightError(f"internal: accumulators {sorted(acc)} were never folded")
+    return num, den
 
 
 _NOT_W_COMPUTABLE = "graph is not w-computable; see normalized_weight"
@@ -210,7 +260,7 @@ def weight_w_computable(g: AdmissibleGraph) -> Weight:
         return Weight.of(0, Fraction(1))
     if not _w_feet(g):
         raise WeightError(_NOT_W_COMPUTABLE)
-    return Weight.of(g.n, _peel_weight(g, _NOT_W_COMPUTABLE))
+    return Weight.of(g.n, Fraction(*_peel_weight(g, _NOT_W_COMPUTABLE)))
 
 
 def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
@@ -222,7 +272,24 @@ def iterated_integral_weight(g: AdmissibleGraph) -> Weight:
     """
     if g.n == 0:
         return Weight.of(0, Fraction(1))
-    return Weight.of(g.n, _peel_weight(g, "loops carry no iterated integral here"))
+    integral = Fraction(*_peel_weight(g, "loops carry no iterated integral here"))
+    return Weight.of(g.n, integral)
+
+
+def _normalized(g: AdmissibleGraph) -> tuple[int, int]:
+    """The signed integral of g's integrable image, as (numerator,
+    denominator): per mirror choice, the one candidate flips the vertices
+    whose second target is X."""
+    for use_mirror in (False, True):
+        base, sign = mirror(g) if use_mirror else (g, 1)
+        forced = [k for k, pair in enumerate(base.edges, start=1) if pair[1] == GROUND_X]
+        if forced:
+            base, fsign = flip_edges(base, forced)
+            sign *= fsign
+        if _w_feet(base):
+            num, den = _peel_weight(base, _NO_IMAGE)
+            return sign * num, den
+    raise WeightError(_NO_IMAGE)
 
 
 def normalized_weight(g: AdmissibleGraph) -> Weight:
@@ -231,21 +298,16 @@ def normalized_weight(g: AdmissibleGraph) -> Weight:
     transforms by the sign."""
     if g.n == 0:
         return Weight.of(0, Fraction(1))
-    for use_mirror in (False, True):
-        base, msign = mirror(g) if use_mirror else (g, 1)
-        forced = [k for k, pair in enumerate(base.edges, start=1) if pair[1] == GROUND_X]
-        candidate, fsign = flip_edges(base, forced)
-        if _w_feet(candidate):
-            integral = _peel_weight(candidate, _NO_IMAGE) * msign * fsign
-            return Weight.of(g.n, integral)
-    raise WeightError(_NO_IMAGE)
+    return Weight.of(g.n, Fraction(*_normalized(g)))
 
 
 def product_weight(g: AdmissibleGraph) -> Weight:
     """Multiply the normalized integrals of the aerial components."""
     if g.n == 0:
         return Weight.of(0, Fraction(1))
-    total = Fraction(1)
+    num = den = 1
     for part in factorize(g):
-        total *= normalized_weight(part).integral
-    return Weight.of(g.n, total)
+        top, bottom = _normalized(part)
+        num *= top
+        den *= bottom
+    return Weight.of(g.n, Fraction(num, den))

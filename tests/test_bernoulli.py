@@ -65,6 +65,21 @@ def test_table_extends_in_place(monkeypatch):
     assert bernoulli_number(7) != expected[7]
 
 
+def test_integer_recurrence_equals_the_fraction_recurrence(monkeypatch):
+    # B_0..B_400 requested out of order, from a fresh table, then resumed
+    # one index at a time as the CLI asks, all at == with the Fraction body
+    monkeypatch.setattr(bernoulli, "_STANDARD", [Fraction(1)])
+    expected = reference_standard_upto(400)
+    for k in (250, 3, 251, 0, 330, 1, 17, 330):
+        assert bernoulli_number(k) == expected[k], k
+    for k in range(331, 401):
+        assert bernoulli_number(k) == expected[k], k
+    assert bernoulli._STANDARD == expected
+    # a table swapped in under the saved state restarts from its own entries
+    monkeypatch.setattr(bernoulli, "_STANDARD", expected[:40])
+    assert bernoulli_number(60) == expected[60]
+
+
 def test_domain_error_class():
     for call in (
         lambda: bernoulli_number(-1),

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -63,6 +63,29 @@ def block_dp(word, weight) -> Fraction:
             for k in range(i + 1):
                 ways[j][k + 1] += ways[i][k] * weight(a, j - i - a)
     return sum(F((-1) ** (k - 1), k) * ways[n][k] for k in range(1, n + 1))
+
+
+def reference_log_word_coefficient(word) -> Fraction:
+    """`_log_word_coefficient` before its sum over k ran on integers: the
+    same block dynamic program, one Fraction per number of blocks."""
+    n = len(word)
+    ends = [n] * n
+    for i in range(n - 2, -1, -1):
+        ends[i] = i + 1 if (word[i], word[i + 1]) == ("Y", "X") else ends[i + 1]
+    ways = [[0] * (n + 1) for _ in range(n + 1)]
+    ways[0][0] = 1
+    for i in range(n):
+        row = ways[i]
+        a = 0
+        for j in range(i + 1, ends[i] + 1):
+            a += word[j - 1] == "X"
+            scale = comb(j, i) * comb(j - i, a)
+            target = ways[j]
+            for k in range(i + 1):
+                if row[k]:
+                    target[k + 1] += scale * row[k]
+    total = sum(F(c if k % 2 else -c, k) for k, c in enumerate(ways[n]) if k and c)
+    return total / factorial(n)
 
 
 def exp_weight(a, b):
@@ -288,6 +311,11 @@ class TestLyndonRoute:
         for n in range(1, order + 1):
             for word in product(XY, repeat=n):
                 assert _log_word_coefficient(word) == assoc_log.coefficient(word), word
+
+    def test_word_coefficients_equal_the_fraction_sum_through_twelve(self):
+        for n in range(1, 13):
+            for word in product(XY, repeat=n):
+                assert _log_word_coefficient(word) == reference_log_word_coefficient(word), word
 
     def test_linear_in_y_tail_through_thirty(self):
         # X^k Y is the smallest Lyndon word of its degree, so its coordinate

@@ -9,6 +9,7 @@ import pytest
 
 import dqw.weights
 import test_acceptance
+import test_bidiff
 import test_graphs
 
 from dqw.bernoulli import bernoulli_number, bernoulli_polynomial
@@ -18,11 +19,13 @@ from dqw.graphs import (
     GROUND_Y,
     UNIT_GRAPH,
     AdmissibleGraph,
+    GraphError,
     build_w_computable,
     chain_graph,
     classify,
     decompose_nonloop,
     enumerate_graphs,
+    factorize,
     flip_edges,
     graph_product,
     graph_types,
@@ -96,7 +99,33 @@ def reference_peel_weight(g: AdmissibleGraph) -> Fraction:
 
 
 def peel_weight(g: AdmissibleGraph) -> Fraction:
-    return _peel_weight(g, "loop")
+    return Fraction(*_peel_weight(g, "loop"))
+
+
+def reference_height_peel(g: AdmissibleGraph, loop_error: str = "loop") -> Fraction:
+    """`_peel_weight` before it folded in Kahn's order: the integer kernel in
+    `decompose_nonloop`'s height order, whose refusal was the loop verdict
+    and whose reference counts kept a vertex from folding before its
+    sources; one Fraction per base value."""
+    try:
+        peel = decompose_nonloop(g)
+    except GraphError:
+        raise WeightError(loop_error) from None
+    acc = {}
+    total = Fraction(1)
+    for v, pair in peel:
+        mine = acc.pop(v, dqw.weights._ONE)
+        if pair == (GROUND_X, GROUND_Y):
+            total *= Fraction(*dqw.weights._ground_parts(*mine))
+            continue
+        if pair[0] != GROUND_X or pair[1] < 1:
+            raise WeightError(
+                f"vertex {v} has feet {pair}; only (X, Y) or (X, aerial) integrate"
+            )
+        folded = dqw.weights._transform(*mine)
+        target = pair[1]
+        acc[target] = dqw.weights._times(acc[target], folded) if target in acc else folded
+    return total
 
 
 def reference_weight_w_computable(g: AdmissibleGraph) -> Weight:
@@ -106,7 +135,7 @@ def reference_weight_w_computable(g: AdmissibleGraph) -> Weight:
         return Weight.of(0, F(1))
     if not classify(g).w_computable:
         raise WeightError("graph is not w-computable; see normalized_weight")
-    return Weight.of(g.n, peel_weight(g))
+    return Weight.of(g.n, reference_height_peel(g))
 
 
 def reference_iterated_integral_weight(g: AdmissibleGraph) -> Weight:
@@ -115,7 +144,7 @@ def reference_iterated_integral_weight(g: AdmissibleGraph) -> Weight:
         return Weight.of(0, F(1))
     if classify(g).loop:
         raise WeightError("loops carry no iterated integral here")
-    return Weight.of(g.n, peel_weight(g))
+    return Weight.of(g.n, reference_height_peel(g))
 
 
 def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
@@ -129,8 +158,18 @@ def reference_normalized_weight(g: AdmissibleGraph) -> Weight:
             for subset in itertools.combinations(range(1, g.n + 1), r):
                 candidate, fsign = flip_edges(base, subset)
                 if classify(candidate).w_computable:
-                    return Weight.of(g.n, peel_weight(candidate) * msign * fsign)
+                    integral = reference_height_peel(candidate) * msign * fsign
+                    return Weight.of(g.n, integral)
     raise WeightError("no mirror/flip image of the graph is w-computable")
+
+
+def reference_product_weight(g: AdmissibleGraph) -> Weight:
+    """`product_weight` as one Fraction product of the factors' searched
+    normalized integrals."""
+    total = Fraction(1)
+    for part in factorize(g):
+        total *= reference_normalized_weight(part).integral
+    return Weight.of(g.n, total)
 
 
 def outcome(weigh, g):
@@ -447,3 +486,134 @@ class TestIntegerKernel:
             peel_matches_reference(kernel_cases())
         with pytest.raises(AssertionError):
             test_acceptance.test_c10_product_weights()
+
+
+def random_integrable_feet(rng: random.Random, n: int) -> AdmissibleGraph:
+    """Every pair (X, Y) or (X, aerial), a base with chance 1/n: loops,
+    forests and graphs with several bases or none."""
+    return AdmissibleGraph(tuple(
+        (GROUND_X, GROUND_Y) if rng.random() < 1 / n
+        else (GROUND_X, rng.choice([v for v in range(1, n + 1) if v != k]))
+        for k in range(1, n + 1)
+    ))
+
+
+def seeded_kahn_cases() -> list[AdmissibleGraph]:
+    """n = 4..6: uniform graphs, graphs with integrable feet, and those with
+    one vertex's pair flipped, so loops and bad feet meet."""
+    rng = random.Random(29)
+    graphs = []
+    for n in (4, 5, 6):
+        feet = [random_integrable_feet(rng, n) for _ in range(200)]
+        graphs += feet + [random_graph(rng, n) for _ in range(200)]
+        graphs += [flip_edges(g, [rng.randrange(1, n + 1)])[0] for g in feet[:100]]
+    return graphs
+
+
+def census_weight_pairs() -> list[AdmissibleGraph]:
+    """The factors and the product of every census weight pair, seeds 0 and 1."""
+    gen = test_bidiff._load_perfbench("gen")
+    graphs = []
+    for seed in (0, 1):
+        for a, b in gen.generate("census", seed)["weight_pairs"]:
+            a, b = parse_graph(a), parse_graph(b)
+            graphs += [a, b, graph_product(a, b)]
+    return graphs
+
+
+def long_chain_cases() -> list[AdmissibleGraph]:
+    """The 3000-vertex root-last chain closed into one loop, and with its
+    top vertex's pair flipped: both settle before any long arithmetic."""
+    chain = test_graphs.root_last_chain(3000).edges
+    return [
+        AdmissibleGraph(chain[:-1] + ((GROUND_X, 1),)),
+        AdmissibleGraph(((GROUND_Y, 2),) + chain[1:]),
+    ]
+
+
+def kahn_cases() -> list[AdmissibleGraph]:
+    graphs = [g for n in range(4) for g in enumerate_graphs(n)] + kernel_cases()
+    return graphs + seeded_kahn_cases() + census_weight_pairs()
+
+
+def peel_matches_height_order(graphs) -> dict[str, int]:
+    """Assert the Kahn peel == the height-order peel on every graph, value or
+    error text; count the outcomes by kind."""
+    kinds = {"value": 0, "loop": 0, "feet": 0}
+    for g in graphs:
+        got = outcome(peel_weight, g)
+        assert got == outcome(reference_height_peel, g), g
+        kinds["value" if isinstance(got, Fraction) else "loop" if got == "loop" else "feet"] += 1
+    return kinds
+
+
+ROUTES = (
+    (weight_w_computable, reference_weight_w_computable),
+    (iterated_integral_weight, reference_iterated_integral_weight),
+    (normalized_weight, reference_normalized_weight),
+    (product_weight, reference_product_weight),
+)
+
+
+class TestKahnPeel:
+    """`_peel_weight` folds each vertex once its pending in-edges are folded;
+    the height-order peel it replaced is its oracle at ==, error texts
+    included, and every route equals its reference built on that oracle."""
+
+    def test_peel_matches_height_order(self):
+        kinds = peel_matches_height_order(kahn_cases() + long_chain_cases())
+        assert kinds == {"value": 2224, "loop": 2320, "feet": 689}
+
+    def test_routes_match_their_references(self):
+        for g in kahn_cases():
+            for weigh, reference in ROUTES:
+                assert outcome(weigh, g) == outcome(reference, g), (weigh.__name__, g)
+        for g in long_chain_cases():
+            for weigh, reference in ROUTES[:2]:
+                assert outcome(weigh, g) == outcome(reference, g), (weigh.__name__, g)
+
+    def test_long_chain_folds_without_recursion(self):
+        g = test_graphs.root_last_chain(3000)
+        assert dqw.weights._fold_order(g.edges) == list(range(1, 3001))
+        loop, flipped = long_chain_cases()
+        assert outcome(iterated_integral_weight, loop) == "loops carry no iterated integral here"
+        assert outcome(peel_weight, flipped) == (
+            "vertex 1 has feet (-1, 2); only (X, Y) or (X, aerial) integrate"
+        )
+
+    def test_a_loop_is_named_before_bad_feet(self):
+        g = parse_graph("1:(X,Y);2:(Y,3);3:(X,2)")
+        assert outcome(peel_weight, g) == outcome(reference_height_peel, g) == "loop"
+        assert outcome(iterated_integral_weight, g) == "loops carry no iterated integral here"
+
+    def test_the_first_bad_vertex_is_the_highest(self):
+        # vertex 3 sits above vertex 2, so the height order names it first
+        g = parse_graph("1:(X,Y);2:(1,X);3:(Y,2)")
+        text = "vertex 3 has feet (-1, 2); only (X, Y) or (X, aerial) integrate"
+        assert outcome(peel_weight, g) == outcome(reference_height_peel, g) == text
+
+    def test_folding_before_the_last_source_is_caught(self, monkeypatch):
+        # negative control: a vertex folds right after its first source
+        def first_source_order(edges):
+            order = [v for v in range(1, len(edges) + 1) if all(t != v for _, t in edges)]
+            for v in order:
+                t = edges[v - 1][1]
+                if t > 0 and t not in order:
+                    order.append(t)
+            return order
+
+        monkeypatch.setattr(dqw.weights, "_fold_order", first_source_order)
+        with pytest.raises(AssertionError):
+            peel_matches_height_order(kernel_cases())
+
+    def test_a_peel_that_never_flags_a_loop_is_caught(self, monkeypatch):
+        # negative control: the vertices of a loop join the end of the order
+        real = dqw.weights._fold_order
+
+        def loop_blind_order(edges):
+            order = real(edges)
+            return order + [v for v in range(1, len(edges) + 1) if v not in order]
+
+        monkeypatch.setattr(dqw.weights, "_fold_order", loop_blind_order)
+        with pytest.raises(AssertionError):
+            peel_matches_height_order(g for n in range(4) for g in enumerate_graphs(n))
