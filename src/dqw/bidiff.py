@@ -14,9 +14,9 @@ taken, so `exp` is defined relative to it.
 Packed keys.  Every kernel below, and the colouring search in
 `kontsevich`, packs multi-indices into ints in one layout.  A key is m above
 any number of fields of `dim` digits, each digit `width` bits, coordinate 1
-highest in a field and the first field highest: m|L|R|e for a row of `exp`
-and `symbol_mul` (e the exponent of one coefficient monomial), m|e for a
-row of the application plan, and L|R, with m = 0, for a coloring.  `_pack`
+highest in a field and the first field highest: m|L|R|e for a row of an
+operator (e the exponent of one coefficient monomial), m|e for a row of
+the application plan, and L|R, with m = 0, for a coloring.  `_pack`
 builds a key and `_MultiIndices.split` reads it back.  The width is the
 least whole number of bytes, at least MIN_PLAN_WIDTH, whose digit cap
 2^(width - 1) - 1 holds `need`, the largest digit the kernel can produce;
@@ -46,17 +46,16 @@ per coefficient monomial x^e of a term (m, L, R), keyed m|L|R|e, with an
 integer numerator over one common denominator.  A product of two rows is
 one addition of keys and one multiplication of numerators, out[k1 + k2] +=
 c1 * c2.  The second operand's keys are sorted, so a row of the product
-stops at the first key sum that reaches the limit.  An operator that comes
-out of the kernel keeps its rows, zero numerators dropped and the
-denominator reduced to the least common one, with `need` (the kernel's
-bound on its digits) in the private `_rows` slot.  `terms` is a view:
-decoded from the rows on its first read, each m|L|R prefix once, into
-Fraction coefficients, and then kept.  `apply`, `is_zero` and a product or
-exponential with this operator as an operand read the rows, so an operator
-that is only applied is never decoded.  A dict-built operator (the checking
-constructor, `+`, `scale`) is flattened into rows when a kernel or plan
-needs them.  Rows packed at another width than a kernel needs are repacked
-field by field, each distinct L, R or e once.
+stops at the first key sum that reaches the limit.
+
+Every operator holds only such rows, as (rows, den, need) in the private
+`_rows` slot: packed at _width(need), zero numerators dropped and den the
+least common denominator, so at one width two operators are equal exactly
+when their rows and den are.  `==` compares at the wider of two widths, and
+`+` adds numerators over the lcm of the two denominators there; rows packed
+at another width than an operation needs are repacked field by field, each
+distinct L, R or e once.  `terms` is a view, decoded from the rows on each
+read, each m|L|R prefix once.
 
 `apply` runs on one application plan per operator, built from the packed
 rows on the first call and kept in the private `_plan` slot (it takes no
@@ -167,31 +166,24 @@ def pair_keys(dim: int, need: int) -> tuple[list[int], list[int], Callable[[int]
     return [0, *units[:dim]], [0, *units[dim:]], lambda key: tuple(split(key, 2)[1:])
 
 
-def _flatten(op: "BiDiffOp") -> tuple[dict[int, int], int, int]:
-    """The terms of a dict-built op one row per coefficient monomial, packed
-    m|L|R|e at the width of its largest digit, as (rows, den, largest
-    digit): rows maps a key to its numerator over den, the lcm of op's
-    coefficient denominators."""
+def _flatten(terms: list[tuple[Key, Polynomial]]) -> tuple[dict[int, int], int, int]:
+    """The terms one row per coefficient monomial, packed m|L|R|e at the
+    width of their largest digit, as (rows, den, largest digit): rows maps a
+    key to the sum of its numerators over den, the lcm of the coefficient
+    denominators."""
     den, top = 1, 0
-    for (m, left, right), poly in op.terms.items():
+    for (m, left, right), poly in terms:
         top = max(top, *left, *right)
         for exps, c in poly.terms.items():
             den = lcm(den, c.denominator)
             top = max(top, *exps)
     width = _width(top)
-    rows = {
-        _pack(left + right + exps, width, m): c.numerator * (den // c.denominator)
-        for (m, left, right), poly in op.terms.items()
-        for exps, c in poly.terms.items()
-    }
+    rows: dict[int, int] = {}
+    for (m, left, right), poly in terms:
+        for exps, c in poly.terms.items():
+            key = _pack(left + right + exps, width, m)
+            rows[key] = rows.get(key, 0) + c.numerator * (den // c.denominator)
     return rows, den, top
-
-
-def _rows_of(op: "BiDiffOp") -> tuple[dict[int, int], int, int]:
-    """(rows, den, need) of op: the kernel's packed rows if op came out of
-    `exp` or `symbol_mul`, else its flattened terms; the rows are packed at
-    _width(need), and need bounds every digit."""
-    return op._rows if op._rows is not None else _flatten(op)
 
 
 def _fields(rows: Mapping[int, int], dim: int, width: int) -> _MultiIndices:
@@ -259,7 +251,7 @@ def _packed_mul(dim: int, order: int, left: dict, right: dict, den: int, need: i
     largest digits."""
     width = _width(need)
     product = _packed_product(left.items(), sorted(right.items()), (order + 1) << (3 * dim * width))
-    return BiDiffOp._unchecked(dim, order, rows=_reduced(product, den, need))
+    return BiDiffOp._unchecked(dim, order, _reduced(product, den, need))
 
 
 # The most term pairs, len(power) * len(generator), that one power step of
@@ -302,7 +294,7 @@ def _packed_exp(dim: int, order: int, gen: dict, den: int, need: int) -> "BiDiff
                 f"the limit of {MAX_EXP_PAIRS} pairs"
             )
         power = [(key, c) for key, c in _packed_product(power, gen, limit).items() if c]
-    return BiDiffOp._unchecked(dim, order, rows=_reduced(total, common, need))
+    return BiDiffOp._unchecked(dim, order, _reduced(total, common, need))
 
 
 def _reduced(rows: dict[int, int], den: int, need: int) -> tuple[dict[int, int], int, int]:
@@ -388,53 +380,41 @@ def _derive(rows: list, orders: int, digits: tuple, guard: int) -> list[tuple[in
 class BiDiffOp:
     """eps-graded bidifferential operator; immutable once built."""
 
-    __slots__ = ("dim", "order", "_terms", "_rows", "_plan")
+    __slots__ = ("dim", "order", "_rows", "_plan")
 
     def __init__(self, dim: int, order: int, terms: Mapping[Key, Polynomial] | None = None):
         if dim < 1 or order < 0:
             raise BiDiffError("need dim >= 1 and order >= 0")
-        clean: dict[Key, Polynomial] = {}
-        if terms:
-            for (m, left, right), poly in terms.items():
-                if not isinstance(poly, Polynomial):
-                    poly = Polynomial.constant(dim, Fraction(poly))
-                if poly.dim != dim:
-                    raise BiDiffError("coefficient dimension mismatch")
-                if m < 0:
-                    raise BiDiffError("negative eps degree")
-                left, right = tuple(left), tuple(right)
-                if len(left) != dim or len(right) != dim:
-                    raise BiDiffError("multi-index length must equal dim")
-                if any(e < 0 for e in left + right):
-                    raise BiDiffError("negative derivative order")
-                if m > order or poly.is_zero():
-                    continue
-                key = (m, left, right)
-                if key in clean:
-                    acc = clean[key] + poly
-                    if acc.is_zero():
-                        del clean[key]
-                    else:
-                        clean[key] = acc
-                else:
-                    clean[key] = poly
-        self._set(dim, order, clean, None)
+        kept: list[tuple[Key, Polynomial]] = []
+        for (m, left, right), poly in (terms or {}).items():
+            if not isinstance(poly, Polynomial):
+                poly = Polynomial.constant(dim, Fraction(poly))
+            if poly.dim != dim:
+                raise BiDiffError("coefficient dimension mismatch")
+            if m < 0:
+                raise BiDiffError("negative eps degree")
+            left, right = tuple(left), tuple(right)
+            if len(left) != dim or len(right) != dim:
+                raise BiDiffError("multi-index length must equal dim")
+            if any(e < 0 for e in left + right):
+                raise BiDiffError("negative derivative order")
+            if m <= order and not poly.is_zero():
+                kept.append(((m, left, right), poly))
+        self._set(dim, order, _reduced(*_flatten(kept)) if kept else ({}, 1, 0))
 
-    def _set(self, dim: int, order: int, terms: dict | None, rows: tuple | None):
+    def _set(self, dim: int, order: int, rows: tuple):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_plan", None)
 
     @classmethod
-    def _unchecked(cls, dim: int, order: int, terms: dict | None = None, rows: tuple | None = None):
-        """The operator with exactly these terms, or these packed (rows, den,
-        need) from a kernel: only for a caller that guarantees what the
-        checking constructor would keep (valid keys with m <= order, nonzero
-        coefficients)."""
+    def _unchecked(cls, dim: int, order: int, rows: tuple):
+        """The operator with these (rows, den, need): only for a caller that
+        guarantees what the checking constructor would build (keys with m <=
+        order packed at _width(need), no zero numerator, den least)."""
         op = object.__new__(cls)
-        op._set(dim, order, terms, rows)
+        op._set(dim, order, rows)
         return op
 
     def __setattr__(self, name, value):
@@ -442,13 +422,9 @@ class BiDiffOp:
 
     @property
     def terms(self) -> dict[Key, Polynomial]:
-        """{(m, L, R): coefficient}; decoded from the packed rows on first
-        read when the operator came out of `exp` or `symbol_mul`."""
-        terms = self._terms
-        if terms is None:
-            terms = _decode(self.dim, *self._rows)
-            object.__setattr__(self, "_terms", terms)
-        return terms
+        """{(m, L, R): coefficient}, decoded from the packed rows on each
+        read."""
+        return _decode(self.dim, *self._rows)
 
     # -- constructors ---------------------------------------------------------
 
@@ -470,28 +446,38 @@ class BiDiffOp:
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._rows is None else self._rows[0])
+        return not self._rows[0]
 
     def _check(self, other: "BiDiffOp"):
         if self.dim != other.dim or self.order != other.order:
             raise BiDiffError("dim/order mismatch")
 
+    def _both_at(self, other: "BiDiffOp", need: int) -> tuple[dict, dict]:
+        """The rows of both operators packed at _width(need)."""
+        width = _width(need)
+        return tuple(_at_width(op._rows[0], op.dim, op._rows[2], width) for op in (self, other))
+
     def __eq__(self, other):
         if not isinstance(other, BiDiffOp):
             return NotImplemented
-        return (
-            self.dim == other.dim and self.order == other.order and self.terms == other.terms
-        )
+        if (self.dim, self.order, self._rows[1]) != (other.dim, other.order, other._rows[1]):
+            return False
+        left, right = self._both_at(other, max(self._rows[2], other._rows[2]))
+        return left == right
 
     def __add__(self, other):
         if not isinstance(other, BiDiffOp):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for key, poly in other.terms.items():
-            acc = terms.get(key)
-            terms[key] = poly if acc is None else acc + poly
-        return BiDiffOp(self.dim, self.order, terms)
+        (_, left_den, left_need), (_, right_den, right_need) = self._rows, other._rows
+        need = max(left_need, right_need)
+        left, right = self._both_at(other, need)
+        den = lcm(left_den, right_den)
+        out = {key: c * (den // left_den) for key, c in left.items()}
+        scale = den // right_den
+        for key, c in right.items():
+            out[key] = out.get(key, 0) + c * scale
+        return BiDiffOp._unchecked(self.dim, self.order, _reduced(out, den, need))
 
     def __sub__(self, other):
         if not isinstance(other, BiDiffOp):
@@ -499,25 +485,16 @@ class BiDiffOp:
         return self + other.scale(Fraction(-1))
 
     def scale(self, factor: Fraction | int | Polynomial) -> "BiDiffOp":
-        if not isinstance(factor, Polynomial):
-            factor = Polynomial.constant(self.dim, Fraction(factor))
-        return BiDiffOp(
-            self.dim, self.order, {key: poly * factor for key, poly in self.terms.items()}
-        )
-
-    def shift(self, k: int) -> "BiDiffOp":
-        """Multiply by eps^k (terms pushed past the truncation order drop off)."""
-        if k < 0:
-            raise BiDiffError("negative shift")
-        return BiDiffOp(
-            self.dim,
-            self.order,
-            {(m + k, l, r): poly for (m, l, r), poly in self.terms.items() if m + k <= self.order},
-        )
+        if isinstance(factor, Polynomial):
+            z = (0,) * self.dim
+            return self.symbol_mul(BiDiffOp.single(self.dim, self.order, 0, z, z, factor))
+        factor = Fraction(factor)
+        rows, den, need = self._rows
+        rows = {key: c * factor.numerator for key, c in rows.items()}
+        den *= factor.denominator
+        return BiDiffOp._unchecked(self.dim, self.order, _reduced(rows, den, need))
 
     def min_eps_degree(self) -> int | None:
-        if self._rows is None:
-            return min((m for (m, _, _) in self.terms), default=None)
         rows, _, need = self._rows
         return min(rows) >> (3 * self.dim * _width(need)) if rows else None
 
@@ -527,13 +504,9 @@ class BiDiffOp:
         Runs on the packed kernel: each digit of a product is at most the sum
         of the two operands' largest digits, so that sum sets the width."""
         self._check(other)
-        left, left_den, left_need = _rows_of(self)
-        right, right_den, right_need = _rows_of(other)
-        need = left_need + right_need
-        width = _width(need)
-        left = _at_width(left, self.dim, left_need, width)
-        right = _at_width(right, self.dim, right_need, width)
-        return _packed_mul(self.dim, self.order, left, right, left_den * right_den, need)
+        need = self._rows[2] + other._rows[2]
+        left, right = self._both_at(other, need)
+        return _packed_mul(self.dim, self.order, left, right, self._rows[1] * other._rows[1], need)
 
     def exp(self) -> "BiDiffOp":
         """exp relative to symbol_mul: the sum of G^k / k! for k <= order.
@@ -545,7 +518,7 @@ class BiDiffOp:
         low = self.min_eps_degree()
         if low is not None and low < 1:
             raise BiDiffError("exp needs all terms at eps degree >= 1")
-        rows, den, need = _rows_of(self)
+        rows, den, need = self._rows
         gen = _at_width(rows, self.dim, need, _width(self.order * need))
         return _packed_exp(self.dim, self.order, gen, den, self.order * need)
 
@@ -555,7 +528,7 @@ class BiDiffOp:
         """The application plan (width, guard, top, den, by_left), wide enough
         for arguments whose largest digits sum to `reach`; it replaces any
         narrower plan in `_plan`.  See the module docstring for the layout."""
-        rows, den, need = _rows_of(self)
+        rows, den, need = self._rows
         width = _width(need)
         fields = _fields(rows, self.dim, width)
         top = max(map(max, fields.values()), default=0)
@@ -664,10 +637,9 @@ class BiDiffOp:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
-        bits = []
-        for (m, l, r), poly in self.sorted_terms()[:6]:
-            bits.append(f"eps^{m}*({poly.to_text()})*d{l}⊗d{r}")
-        more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
+        terms = self.sorted_terms()
+        bits = [f"eps^{m}*({poly.to_text()})*d{l}⊗d{r}" for (m, l, r), poly in terms[:6]]
+        more = "" if len(terms) <= 6 else f" ... ({len(terms)} terms)"
         return f"BiDiffOp({' + '.join(bits) or '0'}{more})"
 
 

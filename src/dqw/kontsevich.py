@@ -137,16 +137,15 @@ def graph_to_operator(g: AdmissibleGraph, pi: PoissonStructure, order: int) -> B
     in_degree = Counter(t for pair in g.edges for t in pair if t > 0)
     if max(in_degree.values(), default=0) > pi.max_entry_degree:
         return BiDiffOp.zero(d, order)
-    op = None
+    tables = []
     for component in factorize(g):
         table = _coloring_table(component.edges, pi)
         if not table:
             return BiDiffOp.zero(d, order)
-        # the colouring yields valid keys and nonzero coefficients, m <= n <= order
-        m = component.n
-        terms = {(m, left, right): p for (left, right), p in table.items()}
-        factor = BiDiffOp._unchecked(d, order, terms)
-        op = factor if op is None else op.symbol_mul(factor)
+        tables.append({(component.n, left, right): p for (left, right), p in table.items()})
+    op = BiDiffOp(d, order, tables[0])
+    for terms in tables[1:]:
+        op = op.symbol_mul(BiDiffOp(d, order, terms))
     return op
 
 

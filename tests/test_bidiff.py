@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, perm, prod
+from math import factorial, gcd, lcm, perm, prod
 from operator import add, le, sub
 from pathlib import Path
 
@@ -296,6 +296,13 @@ class TestConstruction:
         with pytest.raises(BiDiffError):
             BiDiffOp(2, 2, {(0, (0, 0), (0, 0)): Polynomial.one(3)})
 
+    def test_keys_that_read_alike_are_summed(self):
+        # distinct keys with the same multi-indices once read as tuples
+        x1 = Polynomial.variable(1, 1)
+        op = BiDiffOp(1, 1, {(1, (1,), (0,)): x1, (1, range(1, 2), (0,)): x1 * 2 + 1})
+        assert op.terms == {(1, (1,), (0,)): x1 * 3 + 1}
+        assert BiDiffOp(1, 1, {(1, (1,), (0,)): x1, (1, range(1, 2), (0,)): -x1}).is_zero()
+
     def test_order_truncation_drops_terms(self):
         op = BiDiffOp(2, 1, {(2, (1, 0), (0, 1)): F(1)})
         assert op.is_zero()
@@ -346,9 +353,9 @@ class TestAlgebra:
         assert ab.terms == {(2, (1,), (1,)): x1}
 
     def test_shift_and_scale(self):
+        # eps shifts act on series (`EpsSeries.shift`), not on operators
         op = BiDiffOp.single(2, 2, 0, (1, 0), (0, 1), F(2))
-        assert op.shift(1).min_eps_degree() == 1
-        assert op.shift(3).is_zero()
+        assert not hasattr(op, "shift")
         assert op.scale(F(1, 2)).terms[(0, (1, 0), (0, 1))] == Polynomial.one(2)
 
     def test_add_sub(self):
@@ -840,14 +847,9 @@ class TestPlanWidth:
         # private slot that could hold a second one
         assert op.apply(x1, x2) == reference_box_apply(op, x1, x2)
         assert op._plan is wide
-        # the other private slots hold the terms (decoded by the oracle) and
-        # the kernel's (rows, den, need), never a plan
-        assert [name for name in BiDiffOp.__slots__ if name.startswith("_")] == [
-            "_terms",
-            "_rows",
-            "_plan",
-        ]
-        assert op._terms == op.terms
+        # the one other private slot holds the packed (rows, den, need),
+        # never a plan
+        assert BiDiffOp.__slots__ == ("dim", "order", "_rows", "_plan")
         rows, den, need = op._rows
         assert isinstance(rows, dict) and isinstance(den, int) and isinstance(need, int)
 
@@ -928,6 +930,12 @@ CBH_ALGEBRAS = {
 }
 
 
+def rebuilt(op: BiDiffOp) -> BiDiffOp:
+    """op through the checking constructor, whose bound on the digits is the
+    largest digit itself."""
+    return BiDiffOp(op.dim, op.order, op.terms)
+
+
 class TestPackedKernel:
     """`exp` and `symbol_mul` against `reference_exp` and
     `reference_symbol_mul`, at exact equality."""
@@ -965,8 +973,8 @@ class TestPackedKernel:
         # narrower, 8 bits, the x1^258 of G^3 carries into R's last digit;
         # G^2 reaches only 172 and would still fit.
         x1 = Polynomial.variable(3, 1)
-        gen = _cbh_generator(heisenberg(), 3, None).scale(x1**86)
-        rows, den, top = bidiff._flatten(gen)
+        gen = rebuilt(_cbh_generator(heisenberg(), 3, None).scale(x1**86))
+        rows, den, top = gen._rows
         need = gen.order * top
         width = bidiff._width(need)
         assert (top, width) == (86, 16)
@@ -982,8 +990,8 @@ class TestPackedKernel:
         # wide; at 8 bits the x1^256 of the product carries
         x1 = Polynomial.variable(3, 1)
         gen = _cbh_generator(heisenberg(), 3, None)
-        a, b = gen.scale(x1**130), gen.scale(x1**126)
-        (left, left_den, left_top), (right, right_den, right_top) = map(bidiff._flatten, (a, b))
+        a, b = rebuilt(gen.scale(x1**130)), rebuilt(gen.scale(x1**126))
+        (left, left_den, left_top), (right, right_den, right_top) = a._rows, b._rows
         need = left_top + right_top
         assert (left_top, right_top, bidiff._width(need)) == (130, 126, 16)
         expected = reference_symbol_mul(a, b)
@@ -1011,16 +1019,24 @@ def reference_unpack(dim: int, order: int, packed: dict, den: int, width: int) -
 
 
 def assert_decodes_as_oracle(op: BiDiffOp) -> None:
-    """op came out of a kernel and has not been read: its first read of
-    `terms` equals `reference_unpack` of its rows, with Fraction values and
-    no zero coefficient."""
-    assert op._terms is None
+    """op's rows are reduced (no zero numerator, den least) and `terms`
+    equals `reference_unpack` of them, with Fraction values and no zero
+    coefficient; each read of `terms` decodes a fresh dict."""
     rows, den, need = op._rows
-    assert all(rows.values())
+    assert all(rows.values()) and gcd(den, *rows.values()) == 1
     want = reference_unpack(op.dim, op.order, rows, den, bidiff._width(need))
     assert op.terms == want.terms and op == want and repr(op) == repr(want)
-    assert op._terms is op.terms
+    assert op.terms is not op.terms
     assert all(type(c) is F and c for p in op.terms.values() for c in p.terms.values())
+
+
+@pytest.fixture
+def decoded(monkeypatch) -> list:
+    """The arguments of every `bidiff._decode` call from here on."""
+    calls = []
+    real = bidiff._decode
+    monkeypatch.setattr(bidiff, "_decode", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def _assembly_generator(c, order: int) -> BiDiffOp:
@@ -1053,7 +1069,7 @@ def _seeded_operator(rng: random.Random, dim: int, order: int, min_eps: int) -> 
 
 class TestPackedRows:
     """An operator out of `exp` or `symbol_mul` keeps the kernel's rows;
-    `terms` is decoded from them on first read, as `reference_unpack` did."""
+    `terms` is decoded from them on each read, as `reference_unpack` did."""
 
     @pytest.mark.parametrize("route", ["moyal", "cbh", "assembly"])
     def test_exp_of_the_generators(self, route):
@@ -1071,7 +1087,7 @@ class TestPackedRows:
         assert_decodes_as_oracle(op)
         assert op == reference_exp(gen)
 
-    def test_seeded_symbol_mul_pairs(self):
+    def test_seeded_symbol_mul_pairs(self, decoded):
         rng = random.Random(28)
         for _ in range(60):
             dim, order = rng.randint(1, 3), rng.randint(1, 5)
@@ -1081,8 +1097,9 @@ class TestPackedRows:
             assert product == reference_symbol_mul(a, b)
             # a kernel-built operand is read from its rows
             again = a.symbol_mul(b)
+            decoded.clear()
             chained = again.symbol_mul(again)
-            assert again._terms is None
+            assert decoded == []
             assert chained == reference_symbol_mul(product, product)
 
     def test_cancelling_numerators_are_dropped(self):
@@ -1097,9 +1114,10 @@ class TestPackedRows:
         assert_decodes_as_oracle(product)
         assert product == reference_symbol_mul(a, b)
 
-    def test_kernel_operand_repacked_to_a_wider_product(self):
-        # rows packed 8 bits a digit (need 120) times an operand whose
-        # largest digit is 10: the product packs 16 bits a digit
+    def test_kernel_operand_repacked_to_a_wider_product(self, decoded):
+        # rows packed 8 bits a digit (need 3 * 41: the generator's bound 1
+        # plus 40) times an operand whose bound is 11: the product packs 16
+        # bits a digit
         x1 = Polynomial.variable(3, 1)
         gen = _cbh_generator(heisenberg(), 3, None).scale(x1**40)
         star = gen.exp()
@@ -1107,53 +1125,176 @@ class TestPackedRows:
         other = _cbh_generator(heisenberg(), 3, None).scale(x1**10)
         product = star.symbol_mul(other)
         assert bidiff._width(product._rows[2]) == 16
-        assert star._terms is None
+        assert decoded == []
         assert_decodes_as_oracle(product)
         assert product == reference_symbol_mul(star, other)
 
-    def test_exp_of_a_kernel_built_generator(self):
+    def test_exp_of_a_kernel_built_generator(self, decoded):
         gen = _cbh_generator(strictly_upper(3), 4, None)
         built = gen.symbol_mul(BiDiffOp.identity(gen.dim, gen.order))
-        assert built._rows is not None and built._terms is None
         star = built.exp()
-        assert built._terms is None
+        assert decoded == []
         assert star == reference_exp(gen)
         with pytest.raises(BiDiffError):
             BiDiffOp.identity(3, 2).symbol_mul(BiDiffOp.identity(3, 2)).exp()
 
-    def test_is_zero_decodes_nothing(self, monkeypatch):
-        decoded = []
-        real = bidiff._decode
-        monkeypatch.setattr(bidiff, "_decode", lambda *args: decoded.append(args) or real(*args))
+    def test_is_zero_decodes_nothing(self, decoded):
         # every product term sits at eps^2, past order 1: a kernel-built zero
         wedge = wedge_operator(2, 1, {(1, 2): 1, (2, 1): -1})
         zero = wedge.symbol_mul(wedge)
         nonzero = wedge.exp()
         assert zero.is_zero() and not nonzero.is_zero()
         assert zero.min_eps_degree() is None and nonzero.min_eps_degree() == 0
-        assert decoded == [] and zero._terms is None and nonzero._terms is None
-        assert zero == BiDiffOp.zero(2, 1) and len(decoded) == 1
+        assert zero == BiDiffOp.zero(2, 1) and nonzero != zero
+        assert decoded == []
+
+
+def reference_add(a: BiDiffOp, b: BiDiffOp) -> BiDiffOp:
+    """The term-by-term sum `BiDiffOp.__add__` replaced: one Polynomial sum
+    per shared (m, L, R).  Kept as the oracle of the row sum."""
+    assert a.dim == b.dim and a.order == b.order
+    terms = dict(a.terms)
+    for key, poly in b.terms.items():
+        acc = terms.get(key)
+        terms[key] = poly if acc is None else acc + poly
+    return BiDiffOp(a.dim, a.order, terms)
+
+
+def reference_scale(op: BiDiffOp, factor) -> BiDiffOp:
+    """The term-by-term `BiDiffOp.scale` replaced: every coefficient times
+    the factor.  Kept as the oracle of the row scaling."""
+    if not isinstance(factor, Polynomial):
+        factor = Polynomial.constant(op.dim, F(factor))
+    return BiDiffOp(op.dim, op.order, {key: poly * factor for key, poly in op.terms.items()})
+
+
+def reference_eq(a: BiDiffOp, b: BiDiffOp) -> bool:
+    """The `BiDiffOp.__eq__` on decoded terms it replaced.  Kept as the
+    oracle of the row comparison."""
+    return a.dim == b.dim and a.order == b.order and a.terms == b.terms
+
+
+def assert_arithmetic_as_oracles(a: BiDiffOp, b: BiDiffOp) -> None:
+    """`+`, `-`, `scale` and `==` on a and b against the reference bodies,
+    at `==` and through `terms`."""
+    x1 = Polynomial.variable(a.dim, 1)
+    want = reference_add(a, b)
+    total = a + b
+    assert total.terms == want.terms and total == want
+    assert_decodes_as_oracle(total)
+    assert (a - b).terms == reference_add(a, reference_scale(b, -1)).terms
+    for op in (a, b):
+        for factor in (F(0), F(-3, 4), 2, x1 * F(2, 3) - 1, Polynomial.zero(a.dim)):
+            scaled, want = op.scale(factor), reference_scale(op, factor)
+            assert scaled.terms == want.terms and scaled == want
+    for left, right in ((a, b), (b, a), (a, a), (a, rebuilt(a)), (total - b, a)):
+        assert (left == right) == reference_eq(left, right)
+        assert (left != right) == (not reference_eq(left, right))
+
+
+def _loose_bound_generator() -> BiDiffOp:
+    """A generator whose exp has need 3 * 100, packed 16 bits a digit, but
+    largest real digit 100: its eps^3 term has no partner within order 3."""
+    x1, x2 = _vars(2)
+    return BiDiffOp(
+        2,
+        3,
+        {
+            (1, (1, 0), (0, 1)): x2 * F(1, 2),
+            (1, (0, 1), (1, 0)): F(-1, 3),
+            (3, (0, 0), (0, 0)): x1**100 * F(2, 7),
+        },
+    )
+
+
+class TestRowArithmetic:
+    """`==`, `+` and `scale` read the packed rows; they agree with the
+    term-by-term `reference_eq`, `reference_add` and `reference_scale`."""
+
+    def test_seeded_operators(self):
+        rng = random.Random(30)
+        for _ in range(60):
+            dim, order = rng.randint(1, 3), rng.randint(1, 4)
+            a, b = (_seeded_operator(rng, dim, order, 0) for _ in range(2))
+            for left, right in ((a, b), (a.symbol_mul(b), b), (a, a.symbol_mul(a))):
+                assert_arithmetic_as_oracles(left, right)
+
+    def test_mixed_width_generators(self):
+        # the generators of TestPackedKernel's width controls: bounds 131
+        # and 127 pack 16 and 8 bits a digit
+        x1 = Polynomial.variable(3, 1)
+        gen = _cbh_generator(heisenberg(), 3, None)
+        a, b = gen.scale(x1**130), gen.scale(x1**126)
+        assert [bidiff._width(op._rows[2]) for op in (a, b)] == [16, 8]
+        assert_arithmetic_as_oracles(a, b)
+        assert_arithmetic_as_oracles(b, a.exp())
+
+    def test_kernel_built_equals_dict_built(self, decoded):
+        kernel = _loose_bound_generator().exp()
+        dict_built = rebuilt(kernel)
+        # the largest real digit, 100, packs the dict-built rows 8 bits a
+        # digit
+        assert [bidiff._width(op._rows[2]) for op in (kernel, dict_built)] == [16, 8]
+        decoded.clear()
+        assert kernel == dict_built and dict_built == kernel
+        assert decoded == []
+        assert reference_eq(kernel, dict_built)
+        assert_arithmetic_as_oracles(kernel, dict_built)
+
+    def test_changed_rows_are_unequal(self):
+        # negative controls on the rows themselves
+        op = _cbh_generator(strictly_upper(3), 3, None).exp()
+        rows, den, need = op._rows
+        changed = dict(rows)
+        key = min(changed)
+        changed[key] += 1
+        for other in (
+            BiDiffOp._unchecked(op.dim, op.order, (changed, den, need)),  # one numerator
+            BiDiffOp._unchecked(op.dim, op.order, (rows, 2 * den, need)),  # twice the den
+        ):
+            assert op != other and other != op and not reference_eq(op, other)
+
+    def test_equal_rows_at_widths_8_and_16(self):
+        narrow = _cbh_generator(strictly_upper(3), 3, None).exp()
+        rows, den, need = narrow._rows
+        wide = BiDiffOp._unchecked(
+            narrow.dim, narrow.order, (bidiff._at_width(rows, narrow.dim, need, 16), den, 255)
+        )
+        assert (bidiff._width(need), bidiff._width(255)) == (8, 16)
+        assert wide._rows[0] != rows
+        assert wide == narrow and narrow == wide and reference_eq(wide, narrow)
+        assert wide.terms == narrow.terms
+
+    def test_mutating_the_terms_view(self):
+        op = _cbh_generator(strictly_upper(3), 3, None)
+        copy = rebuilt(op)
+        view = op.terms
+        before = dict(view)
+        key = next(iter(view))
+        view[key] = view[key] * 2
+        del view[next(reversed(view))]
+        view[(1, (5, 0, 0), (0, 0, 0))] = Polynomial.one(3)
+        assert op.terms == before and op == copy
+
+    def test_c08_operators_compare_without_decoding(self, upper4_operators, decoded):
+        cbh, assembly = upper4_operators["cbh"], upper4_operators["kontsevich"]
+        assert len(cbh._rows[0]) > 1000
+        assert cbh == assembly and assembly == cbh
+        # negative control: a changed Hausdorff coefficient the algebra sees
+        changed = cbh_product(strictly_upper(4), 5, override={("X", "X", "Y"): F(1)}).operator
+        assert changed != assembly
+        assert decoded == []
 
 
 class TestRowFedPlan:
     """The plan is built from packed rows for every operator: straight from
     a kernel's rows at their own width, repacked at any other width, and
-    from the flattened terms of a dict-built operator."""
+    from the rows the checking constructor packs."""
 
-    def test_kernel_and_dict_built_across_widths(self):
-        # need = 3 * 100 packs the kernel 16 bits a digit, but the largest
-        # real digit is 100 (the eps^3 term has no partner within order 3),
-        # so small arguments get an 8-bit plan
+    def test_kernel_and_dict_built_across_widths(self, decoded):
+        # small arguments get an 8-bit plan from the 16-bit kernel rows
         x1, x2 = _vars(2)
-        gen = BiDiffOp(
-            2,
-            3,
-            {
-                (1, (1, 0), (0, 1)): x2 * F(1, 2),
-                (1, (0, 1), (1, 0)): F(-1, 3),
-                (3, (0, 0), (0, 0)): x1**100 * F(2, 7),
-            },
-        )
+        gen = _loose_bound_generator()
         cases = [
             ((x1**3 + x2, x1 * x2**2 * F(3, 5)), 8),
             ((x1**20 * x2, x2**10 + x1), 16),
@@ -1162,8 +1303,9 @@ class TestRowFedPlan:
         for (f, g), width in cases:
             kernel = gen.exp()
             assert bidiff._width(kernel._rows[2]) == 16
+            decoded.clear()
             out = kernel.apply(f, g)
-            assert kernel._terms is None
+            assert decoded == []
             assert kernel._plan[0] == width and kernel._plan[2] == 100
             dict_built = BiDiffOp(kernel.dim, kernel.order, kernel.terms)
             assert dict_built.apply(f, g) == out == reference_box_apply(kernel, f, g)
@@ -1191,21 +1333,15 @@ def _load_perfbench(name: str):
     return module
 
 
-def test_equiv_monomial_never_decodes_terms(monkeypatch):
+def test_equiv_monomial_never_decodes_terms(decoded):
     # the seed-0 equiv-monomial set-up and all 776 items, in one process:
     # every product goes through `apply`, so no operator's `terms` is read
     gen, workloads = _load_perfbench("gen"), _load_perfbench("workloads")
-    decoded = []
-    real = bidiff._decode
-    monkeypatch.setattr(bidiff, "_decode", lambda *args: decoded.append(args) or real(*args))
     inputs = gen.generate("equiv-monomial", 0)
     state = workloads.setup("equiv-monomial", inputs)
     items = workloads.items("equiv-monomial", inputs, state)
     assert len(items) == 776
     assert all(run()[0] for _, run in items)
-    for route in ("cbh", "kontsevich"):
-        op = state[route].operator
-        assert op._rows is not None and op._terms is None
     assert len(decoded) == 0
 
 

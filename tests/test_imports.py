@@ -12,6 +12,12 @@ private module-level function, class or constant, and every private method,
 defined in src/dqw must be read (as a name, an attribute or an imported
 name) somewhere in src/dqw, so that a helper a consolidation leaves behind is
 caught.  Dunder names are not private.
+
+The packed-layout rule keeps `BiDiffOp`'s packed rows behind one module: no
+module of src/dqw other than `bidiff.py` imports a private name from
+`bidiff` or calls `BiDiffOp._unchecked`, so every other module builds its
+operators through the checking constructor and reads them through the
+public views.
 """
 
 from __future__ import annotations
@@ -194,3 +200,49 @@ def test_exemptions():
         "    return g(1, 2)\n"
     )
     assert unused_imports(source) == ["os"]
+
+
+def packed_layout_leaks(sources: dict[str, str]) -> list[str]:
+    """`module:name` for each private name a module other than `bidiff.py`
+    imports from `bidiff`, and each of its calls of `BiDiffOp._unchecked`,
+    sorted."""
+    leaks = []
+    for module, text in sources.items():
+        if module == "bidiff.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "bidiff":
+                leaks += [f"{module}:{alias.name}" for alias in node.names if _is_private(alias.name)]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_unchecked"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "BiDiffOp"
+            ):
+                leaks.append(f"{module}:BiDiffOp._unchecked")
+    return sorted(leaks)
+
+
+def test_packed_layout_stays_in_bidiff():
+    sources = _package_sources()
+    assert packed_layout_leaks(sources) == []
+    # the rule has something to check: bidiff's own calls, and the other
+    # modules' imports from it
+    assert "BiDiffOp._unchecked(" in sources["bidiff.py"]
+    assert sum("from .bidiff import" in text for text in sources.values()) >= 3
+
+
+def test_packed_layout_leak_is_caught():
+    # negative control: the real source of a module plus a private import
+    # and an unchecked build; `Polynomial._unchecked` stays allowed
+    sources = _package_sources()
+    sources["kontsevich.py"] += (
+        "\nfrom .bidiff import _pack, pair_keys as keys\n"
+        "op = BiDiffOp._unchecked(1, 0, ({}, 1, 0))\n"
+        "p = Polynomial._unchecked(1, {})\n"
+    )
+    assert packed_layout_leaks(sources) == [
+        "kontsevich.py:BiDiffOp._unchecked",
+        "kontsevich.py:_pack",
+    ]
