@@ -118,8 +118,8 @@ def resolve_algebra(spec: str):
     if spec.endswith(".json") or os.sep in spec:
         with open(spec, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+                doc = json.load(fh, object_pairs_hook=_object_without_repeats)
+            except ValueError as exc:  # not JSON, not UTF-8, or a key given twice
                 raise InputError(f"{spec}: not a JSON document: {exc}") from exc
         if isinstance(doc, dict) and "alpha" in doc:
             return "constant", _alpha_matrix(spec, doc)
@@ -132,6 +132,15 @@ def resolve_algebra(spec: str):
             raise InputError(f"symplectic(d) needs an integer d, got {text!r}") from None
         return "constant", symplectic_matrix(d, "split")
     return "lie", builtin_algebra(spec)
+
+
+def _object_without_repeats(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key whose last value
+    json.load would keep."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("a key is given twice in one object")
+    return doc
 
 
 def _alpha_matrix(spec: str, doc: dict) -> tuple:
@@ -363,11 +372,11 @@ def cmd_algebra_validate(args) -> int:
         "command": "algebra-validate",
         "kind": "lie",
         "dim": value.dim,
-        "brackets": len(value.nonzero_brackets()),
+        "brackets": len(value.brackets),
         "ok": ok,
         **checks,
     }
-    lines = [f"dim={value.dim} brackets={len(value.nonzero_brackets())}"] + [
+    lines = [f"dim={value.dim} brackets={len(value.brackets)}"] + [
         f"{name}: {'pass' if flag else 'FAIL'}" for name, flag in checks.items()
     ]
     _emit(args, doc, lines)

@@ -1,8 +1,10 @@
 """Finite-dimensional Lie algebra data and the Poisson structures they induce.
 
-Structure constants are stored densely as nested tuples c[k-1][i-1][j-1] for
-[X^i, X^j] = sum_k c_k^{ij} X^k, kept antisymmetric in (i, j).  The induced
-linear Poisson structure on the dual has matrix alpha^{ij} = sum_k c_k^{ij} x_k.
+Structure constants are stored as the list of nonzero brackets
+{(i, j): {k: c_k^{ij}}} for i < j, from [X^i, X^j] = sum_k c_k^{ij} X^k;
+c_k^{ji} = -c_k^{ij} is implied, so antisymmetry holds by construction.  The
+induced linear Poisson structure on the dual has matrix
+alpha^{ij} = sum_k c_k^{ij} x_k.
 
 `triangular_nilpotent` checks the increasing-orientation condition: every
 bracket [X^i, X^j] lives in the span of basis vectors strictly beyond both i
@@ -45,9 +47,11 @@ class LieAlgebraError(ValueError):
     pass
 
 
-# Largest dimension an algebra or a constant structure may have: the
-# structure table holds dim^3 entries (72 MB at dim 150), so a larger one is
-# bad input rather than a run out of memory.
+# Largest dimension an algebra or a constant structure may have.  The bracket
+# list stays short, but the products built on it hold dim x dim Poisson and
+# ad matrices and colour graph edges with dim indices, so their cost grows as
+# a power of dim; a larger one is bad input rather than a run out of time or
+# memory.
 MAX_DIM = 64
 
 
@@ -56,54 +60,61 @@ def check_dim(dim: int) -> None:
         raise LieAlgebraError(f"dimension {dim} exceeds the limit {MAX_DIM}")
 
 
-Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
 @dataclass(frozen=True)
 class StructureConstants:
-    """Antisymmetric structure-constant table of a finite-dimensional algebra."""
+    """The nonzero brackets of a finite-dimensional Lie algebra.
+
+    `brackets[(i, j)] = {k: c_k^{ij}}` for i < j, keys and components in
+    ascending order, with zero coefficients and empty columns dropped: the
+    constructor brings any {(i, j): {k: c}} given for i < j to this form, so
+    equal algebras store equal mappings.  Shared; do not mutate it.
+    """
 
     dim: int
-    table: Table  # table[k-1][i-1][j-1] = c_k^{ij}
+    brackets: dict[tuple[int, int], dict[int, Fraction]]
 
     def __post_init__(self):
         d = self.dim
+        check_dim(d)
         if d < 1:
             raise LieAlgebraError("dimension must be positive")
-        if len(self.table) != d or any(
-            len(plane) != d or any(len(row) != d for row in plane) for plane in self.table
-        ):
-            raise LieAlgebraError("structure table must be dim^3")
+        brackets = {}
+        for (i, j), column in sorted(self.brackets.items()):
+            if not (1 <= i < j <= d):
+                raise LieAlgebraError(f"bracket key ({i},{j}) must satisfy 1 <= i < j <= dim")
+            live = {}
+            for k, value in sorted(column.items()):
+                if not 1 <= k <= d:
+                    raise LieAlgebraError(f"component {k} out of range")
+                value = Fraction(value)
+                if value:
+                    live[k] = value
+            if live:
+                brackets[(i, j)] = live
+        object.__setattr__(self, "brackets", brackets)
+
+    def __hash__(self):
+        # the stored order is canonical, so equal mappings hash alike
+        return hash((self.dim, *((ij, *column.items()) for ij, column in self.brackets.items())))
 
     @classmethod
     def from_brackets(
         cls, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int | str]]
     ) -> "StructureConstants":
-        """Build from {(i, j): {k: c_k^{ij}}} given for i < j; antisymmetry is filled in."""
-        check_dim(dim)
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), column in brackets.items():
-            if not (1 <= i < j <= dim):
-                raise LieAlgebraError(f"bracket key ({i},{j}) must satisfy 1 <= i < j <= dim")
-            for k, value in column.items():
-                if not 1 <= k <= dim:
-                    raise LieAlgebraError(f"component {k} out of range")
-                value = Fraction(value)
-                c[k - 1][i - 1][j - 1] = value
-                c[k - 1][j - 1][i - 1] = -value
-        return cls(dim, tuple(tuple(tuple(row) for row in plane) for plane in c))
+        """Build from {(i, j): {k: c_k^{ij}}} given for i < j."""
+        return cls(dim, brackets)
 
     def c(self, k: int, i: int, j: int) -> Fraction:
         """c_k^{ij}, 1-based."""
-        return self.table[k - 1][i - 1][j - 1]
+        if i > j:
+            return -self.c(k, j, i)
+        return self.brackets.get((i, j), {}).get(k, Fraction(0))
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[X^i, X^j] as {k: coefficient}, zero entries omitted."""
-        return {
-            k: self.table[k - 1][i - 1][j - 1]
-            for k in range(1, self.dim + 1)
-            if self.table[k - 1][i - 1][j - 1]
-        }
+        """[X^i, X^j] as a fresh {k: coefficient}, zero entries omitted."""
+        if i > j:
+            return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
+        return dict(self.brackets.get((i, j), {}))
 
     def bracket_vectors(
         self, a: Mapping[int, Fraction], b: Mapping[int, Fraction]
@@ -118,64 +129,42 @@ class StructureConstants:
 
     def ad_matrix(self, i: int) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of ad_{X^i} acting on column vectors: rows k, columns j."""
-        return tuple(
-            tuple(self.table[k][i - 1][j] for j in range(self.dim)) for k in range(self.dim)
-        )
+        span = range(1, self.dim + 1)
+        return tuple(tuple(self.c(k, i, j) for j in span) for k in span)
 
     # -- diagnostics -----------------------------------------------------------
 
-    def is_antisymmetric(self) -> bool:
-        d = self.dim
-        return all(
-            self.table[k][i][j] == -self.table[k][j][i]
-            for k in range(d)
-            for i in range(d)
-            for j in range(i, d)
-        )
-
     def satisfies_jacobi(self) -> bool:
-        d = self.dim
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                for l in range(j + 1, d + 1):
-                    for m in range(1, d + 1):
-                        total = Fraction(0)
-                        for k in range(1, d + 1):
-                            total += (
-                                self.c(k, i, j) * self.c(m, k, l)
-                                + self.c(k, j, l) * self.c(m, k, i)
-                                + self.c(k, l, i) * self.c(m, k, j)
-                            )
-                        if total:
-                            return False
+        """[[X^i, X^j], X^l] + [[X^j, X^l], X^i] + [[X^l, X^i], X^j] = 0 for
+        every i < j < l.  The sum is zero on a triple none of whose pairs has
+        a live bracket, so only the triples around a live bracket are summed."""
+        triples = {
+            tuple(sorted((i, j, l)))
+            for i, j in self.brackets
+            for l in range(1, self.dim + 1)
+            if l != i and l != j
+        }
+        for i, j, l in triples:
+            total: dict[int, Fraction] = {}
+            for a, b, e in ((i, j, l), (j, l, i), (l, i, j)):
+                for k, x in self.bracket_basis(a, b).items():
+                    for m, y in self.bracket_basis(k, e).items():
+                        total[m] = total.get(m, 0) + x * y
+            if any(total.values()):
+                return False
         return True
 
     def is_triangular_nilpotent(self) -> bool:
         """c_k^{ij} = 0 unless k > max(i, j) (strictly increasing brackets)."""
-        d = self.dim
-        return all(
-            not self.table[k][i][j]
-            for k in range(d)
-            for i in range(d)
-            for j in range(d)
-            if k + 1 <= max(i + 1, j + 1)
-        )
+        return all(k > j for (_, j), column in self.brackets.items() for k in column)
 
     def validate(self) -> dict[str, bool]:
         return {
-            "antisymmetric": self.is_antisymmetric(),
+            # only i < j is stored and c_k^{ji} = -c_k^{ij} is implied
+            "antisymmetric": True,
             "jacobi": self.satisfies_jacobi(),
             "triangular_nilpotent": self.is_triangular_nilpotent(),
         }
-
-    def nonzero_brackets(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        out = {}
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                column = self.bracket_basis(i, j)
-                if column:
-                    out[(i, j)] = column
-        return out
 
 
 # -- builtin algebras -----------------------------------------------------------
@@ -202,20 +191,17 @@ def strictly_upper(n: int) -> StructureConstants:
                        key=lambda ab: (ab[1] - ab[0], ab[0]))
     index = {ab: k + 1 for k, ab in enumerate(positions)}
     dim = len(positions)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
     for i, (a, b) in enumerate(positions, start=1):
         for j, (p, q) in enumerate(positions, start=1):
             if i >= j:
                 continue
-            column: dict[int, Fraction] = {}
-            # [E_ab, E_pq] = delta_{bp} E_aq - delta_{qa} E_pb
+            # [E_ab, E_pq] = delta_{bp} E_aq - delta_{qa} E_pb; both deltas
+            # are 1 only when a < b = p < q = a, which cannot happen
             if b == p:
-                column[index[(a, q)]] = column.get(index[(a, q)], Fraction(0)) + 1
-            if q == a:
-                column[index[(p, b)]] = column.get(index[(p, b)], Fraction(0)) - 1
-            column = {k: v for k, v in column.items() if v}
-            if column:
-                brackets[(i, j)] = column
+                brackets[(i, j)] = {index[(a, q)]: 1}
+            elif q == a:
+                brackets[(i, j)] = {index[(p, b)]: -1}
     return StructureConstants.from_brackets(dim, brackets)
 
 
@@ -263,10 +249,7 @@ def moyal_trick(alpha) -> StructureConstants:
         if any(matrix[i][j] != -matrix[j][i] for i in range(d) for j in range(d)):
             raise LieAlgebraError("alpha must be antisymmetric")
     brackets = {
-        (i, j): {d + 1: matrix[i - 1][j - 1]}
-        for i in range(1, d + 1)
-        for j in range(i + 1, d + 1)
-        if matrix[i - 1][j - 1]
+        (i, j): {d + 1: matrix[i - 1][j - 1]} for i in range(1, d + 1) for j in range(i + 1, d + 1)
     }
     return StructureConstants.from_brackets(d + 1, brackets)
 
@@ -472,20 +455,13 @@ class PoissonStructure:
 def linear_poisson(c: StructureConstants) -> PoissonStructure:
     """alpha^{ij} = sum_k c_k^{ij} x_k on the dual of the algebra."""
     d = c.dim
-    entries = tuple(
-        tuple(
-            Polynomial(
-                d,
-                {
-                    tuple(1 if m == k else 0 for m in range(d)): c.table[k][i][j]
-                    for k in range(d)
-                    if c.table[k][i][j]
-                },
-            )
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+    terms: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
+    for (i, j), column in c.brackets.items():
+        for k, v in column.items():
+            x_k = tuple(1 if m == k else 0 for m in range(1, d + 1))
+            terms[i - 1][j - 1][x_k] = v
+            terms[j - 1][i - 1][x_k] = -v
+    entries = tuple(tuple(Polynomial(d, t) for t in row) for row in terms)
     return PoissonStructure(d, "linear", entries)
 
 
@@ -509,7 +485,7 @@ def structure_to_json(c: StructureConstants) -> dict:
         "dim": c.dim,
         "brackets": [
             {"i": i, "j": j, "coeffs": {str(k): str(v) for k, v in column.items()}}
-            for (i, j), column in sorted(c.nonzero_brackets().items())
+            for (i, j), column in c.brackets.items()
         ],
     }
 
@@ -557,15 +533,19 @@ def index_from_json(value) -> int:
 
 def structure_from_json(data: Mapping) -> StructureConstants:
     """The algebra of a `structure_to_json` document; anything malformed,
-    including a dimension above MAX_DIM, raises LieAlgebraError."""
+    including a dimension above MAX_DIM or a bracket or component given twice
+    (also in two spellings, such as 1 and "01"), raises LieAlgebraError."""
     try:
         dim = index_from_json(data["dim"])
-        brackets = {
-            (index_from_json(entry["i"]), index_from_json(entry["j"])): {
-                index_from_json(k): rational_from_json(v) for k, v in entry["coeffs"].items()
-            }
-            for entry in data.get("brackets", [])
-        }
+        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for entry in data.get("brackets", []):
+            ij = (index_from_json(entry["i"]), index_from_json(entry["j"]))
+            column = {index_from_json(k): rational_from_json(v) for k, v in entry["coeffs"].items()}
+            if len(column) < len(entry["coeffs"]):
+                raise ValueError(f"a component of bracket {ij} is given twice")
+            if ij in brackets:
+                raise ValueError(f"bracket {ij} is given twice")
+            brackets[ij] = column
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LieAlgebraError(f"malformed structure document: {exc}") from exc
     return StructureConstants.from_brackets(dim, brackets)

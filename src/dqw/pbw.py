@@ -119,7 +119,7 @@ class EnvelopingAlgebra:
     def __init__(self, c: StructureConstants):
         self.c = c
         self.dim = c.dim
-        brackets = c.nonzero_brackets()
+        brackets = c.brackets
         self._d = lcm(1, *(v.denominator for col in brackets.values() for v in col.values()))
         # descent (j, i), j > i -> [(k, c_k^{ji} * D)]
         self._bracket = {

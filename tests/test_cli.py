@@ -158,6 +158,94 @@ class TestAlgebraValidate:
         kind, _ = resolve_algebra(os.path.join(".", "heisenberg"))
         assert kind == "constant"
 
+    # Output pinned from the dense structure table that the bracket list
+    # replaced; the text and JSON must stay byte for byte the same.
+    NON_JACOBI = {
+        "schema": 1,
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"3": "1"}},
+            {"i": 1, "j": 3, "coeffs": {"1": "1"}},
+        ],
+    }
+    # explicit zeros in a live and in an otherwise empty column: neither is
+    # counted, and the zero at k = 1 <= max(i, j) does not fail the
+    # triangular check
+    EXPLICIT_ZERO = {
+        "schema": 1,
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "coeffs": {"3": "1", "1": "0"}},
+            {"i": 1, "j": 3, "coeffs": {"2": "0"}},
+        ],
+    }
+    PINNED = [
+        ("strictly_upper(4)", 0, "dim=6 brackets=4", [True, True, True]),
+        ("solvable2", 0, "dim=2 brackets=1", [True, True, False]),
+        (NON_JACOBI, 1, "dim=3 brackets=2", [True, False, False]),
+        (EXPLICIT_ZERO, 0, "dim=3 brackets=1", [True, True, True]),
+    ]
+
+    @pytest.mark.parametrize(
+        "target, code, head, flags",
+        PINNED,
+        ids=["strictly_upper4", "solvable2", "non-jacobi", "explicit-zero"],
+    )
+    def test_pinned_output(self, tmp_path, target, code, head, flags):
+        if isinstance(target, dict):
+            path = tmp_path / "alg.json"
+            path.write_text(json.dumps(target))
+            target = str(path)
+        names = ["antisymmetric", "jacobi", "triangular_nilpotent"]
+        text = head + "\n" + "".join(
+            f"{name}: {'pass' if flag else 'FAIL'}\n" for name, flag in zip(names, flags)
+        )
+        assert run(["algebra", "validate", target]) == (code, text, "")
+        dim, brackets = (int(part.split("=")[1]) for part in head.split())
+        js = "".join(
+            [
+                "{\n",
+                f'  "antisymmetric": {json.dumps(flags[0])},\n',
+                f'  "brackets": {brackets},\n',
+                '  "command": "algebra-validate",\n',
+                f'  "dim": {dim},\n',
+                f'  "jacobi": {json.dumps(flags[1])},\n',
+                '  "kind": "lie",\n',
+                f'  "ok": {json.dumps(code == 0)},\n',
+                '  "schema": 1,\n',
+                f'  "triangular_nilpotent": {json.dumps(flags[2])}\n',
+                "}\n",
+            ]
+        )
+        assert run(["algebra", "validate", target, "--format", "json"]) == (code, js, "")
+
+    def test_largest_builtin_validates(self):
+        # dim 55 is the largest builtin the CLI accepts; the dense table took
+        # minutes here
+        code, out, _ = run(["algebra", "validate", "strictly_upper(11)"])
+        assert code == 0 and out.startswith("dim=55 brackets=165\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "3": "2"}}]}',
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "2"}}]}',
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}},'
+            ' {"i": "01", "j": 2, "coeffs": {"3": "2"}}]}',
+            '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}},'
+            ' {"i": 1, "j": 2, "coeffs": {"3": "1"}}]}',
+            '{"dim": 3, "dim": 3, "brackets": []}',
+        ],
+        ids=["repeated-key", "component-spellings", "bracket-spellings", "repeated-bracket",
+             "repeated-dim"],
+    )
+    def test_repeated_entry_exits_two(self, tmp_path, text):
+        # each was read with the last value winning
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run(["algebra", "validate", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ") and "given twice" in err
+
 
 class TestStar:
     def test_uea_series(self):

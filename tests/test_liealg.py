@@ -1,6 +1,7 @@
 """Tests for structure constants, builtin algebras, and Poisson structures."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,149 @@ from dqw.poly import MAX_DIGITS, Polynomial, parse_polynomial
 F = Fraction
 
 
+# -- dense reference oracles ------------------------------------------------------
+# The dense checks that the bracket list replaced, reading every c_k^{ij}
+# through c(); the live-bracket versions must agree with them.
+
+
+def reference_satisfies_jacobi(c):
+    d = c.dim
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            for l in range(j + 1, d + 1):
+                for m in range(1, d + 1):
+                    total = Fraction(0)
+                    for k in range(1, d + 1):
+                        total += (
+                            c.c(k, i, j) * c.c(m, k, l)
+                            + c.c(k, j, l) * c.c(m, k, i)
+                            + c.c(k, l, i) * c.c(m, k, j)
+                        )
+                    if total:
+                        return False
+    return True
+
+
+def reference_is_triangular_nilpotent(c):
+    d = c.dim
+    return all(
+        not c.c(k, i, j)
+        for k in range(1, d + 1)
+        for i in range(1, d + 1)
+        for j in range(1, d + 1)
+        if k <= max(i, j)
+    )
+
+
+def reference_linear_poisson(c):
+    d = c.dim
+    unit = [tuple(1 if m == k else 0 for m in range(1, d + 1)) for k in range(1, d + 1)]
+    return tuple(
+        tuple(
+            Polynomial(d, {unit[k - 1]: c.c(k, i, j) for k in range(1, d + 1) if c.c(k, i, j)})
+            for j in range(1, d + 1)
+        )
+        for i in range(1, d + 1)
+    )
+
+
+def random_brackets(rng, dim, kind):
+    """{(i, j): {k: c}} with small rational coefficients, zeros included.
+    "central" brackets land in a chosen centre whose elements have no
+    bracket themselves, so Jacobi holds; "triangular" ones land beyond j, so
+    the triangular check holds; "any" ones mostly fail both."""
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    targets = {ij: list(range(1, dim + 1)) for ij in pairs}
+    if kind == "central":
+        centre = sorted(rng.sample(range(1, dim + 1), rng.randint(1, dim - 1)))
+        targets = {(i, j): centre for i, j in pairs if i not in centre and j not in centre}
+    elif kind == "triangular":
+        targets = {(i, j): list(range(j + 1, dim + 1)) for i, j in pairs if j < dim}
+    return {
+        ij: {
+            k: F(rng.randint(-2, 2), rng.randint(1, 3))
+            for k in rng.sample(targets[ij], rng.randint(1, min(2, len(targets[ij]))))
+        }
+        for ij in rng.sample(sorted(targets), rng.randint(0, len(targets)))
+    }
+
+
+SO3 = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+ALGEBRAS = {
+    "heisenberg": heisenberg(),
+    "solvable2": solvable2(),
+    **{f"strictly_upper({n})": strictly_upper(n) for n in (2, 3, 4, 5)},
+    "moyal_trick(2)": moyal_trick(2),
+    "moyal_trick(4)": moyal_trick(4),
+    "moyal_trick(alpha3)": moyal_trick([[0, 2, 1], [-2, 0, F(-1, 3)], [-1, F(1, 3), 0]]),
+    "so3": StructureConstants.from_brackets(3, SO3),
+}
+RANDOM = [
+    (seed, kind, random_brackets(random.Random(seed), 2 + seed % 4, kind))
+    for kind in ("any", "central", "triangular")
+    for seed in range(40)
+]
+
+
+def assert_matches_references(c):
+    assert c.satisfies_jacobi() == reference_satisfies_jacobi(c)
+    assert c.is_triangular_nilpotent() == reference_is_triangular_nilpotent(c)
+    d = c.dim
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            assert c.bracket_basis(i, j) == {
+                k: c.c(k, i, j) for k in range(1, d + 1) if c.c(k, i, j)
+            }
+            for k in range(1, d + 1):
+                assert c.c(k, i, j) == -c.c(k, j, i)
+    assert linear_poisson(c).entries == reference_linear_poisson(c)
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("name", ALGEBRAS)
+    def test_named_algebras(self, name):
+        assert_matches_references(ALGEBRAS[name])
+
+    def test_seeded_random_brackets(self):
+        outcomes = set()
+        for seed, kind, brackets in RANDOM:
+            c = StructureConstants.from_brackets(2 + seed % 4, brackets)
+            assert_matches_references(c)
+            for (i, j), column in brackets.items():
+                for k, value in column.items():
+                    assert c.c(k, i, j) == value and c.c(k, j, i) == -value
+            if kind == "central":
+                assert c.satisfies_jacobi()
+            if kind == "triangular":
+                assert c.is_triangular_nilpotent()
+            outcomes.add((c.satisfies_jacobi(), c.is_triangular_nilpotent()))
+        # every combination occurs, so neither check agrees by being constant
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_negative_controls(self):
+        # the first seeded set that the reference refuses is refused here too
+        for check, reference in (
+            ("satisfies_jacobi", reference_satisfies_jacobi),
+            ("is_triangular_nilpotent", reference_is_triangular_nilpotent),
+        ):
+            c = next(
+                c
+                for c in (StructureConstants.from_brackets(2 + s % 4, b) for s, _, b in RANDOM)
+                if not reference(c)
+            )
+            assert getattr(c, check)() is False
+        # the failing triple (1, 2, 3) has no live bracket on its two
+        # smallest indices: [[X2, X3], X1] = [X3, X1] = -X1
+        c = StructureConstants.from_brackets(3, {(2, 3): {3: 1}, (1, 3): {1: 1}})
+        assert not reference_satisfies_jacobi(c) and not c.satisfies_jacobi()
+        # one added bracket breaks a Jacobi algebra: [[X1, X2], X3] = -X6
+        broken = dict(strictly_upper(4).brackets)
+        broken[(3, 4)] = {4: 1}
+        c = StructureConstants.from_brackets(6, broken)
+        assert not reference_satisfies_jacobi(c) and not c.satisfies_jacobi()
+        assert not reference_is_triangular_nilpotent(c) and not c.is_triangular_nilpotent()
+
+
 class TestConstruction:
     def test_from_brackets_antisymmetry(self):
         c = heisenberg()
@@ -53,6 +197,36 @@ class TestConstruction:
 
     def test_hashable(self):
         assert len({heisenberg(), heisenberg(), solvable2()}) == 2
+
+    def test_canonical_form(self):
+        zero = StructureConstants.from_brackets(3, {(1, 2): {3: 0}})
+        empty = StructureConstants.from_brackets(3, {})
+        assert zero == empty and hash(zero) == hash(empty) and zero.brackets == {}
+        a = StructureConstants.from_brackets(3, {(2, 3): {1: 1}, (1, 2): {3: "1/2", 1: 2}})
+        b = StructureConstants.from_brackets(3, {(1, 2): {1: 2, 3: F(1, 2)}, (2, 3): {1: F(1)}})
+        assert a == b and hash(a) == hash(b)
+        assert list(a.brackets) == [(1, 2), (2, 3)] and list(a.brackets[(1, 2)]) == [1, 3]
+        assert a.validate()["antisymmetric"]
+        # negative controls: one coefficient or the dimension differs
+        assert heisenberg() != StructureConstants.from_brackets(3, {(1, 2): {3: 2}})
+        assert empty != StructureConstants.from_brackets(4, {})
+
+    def test_bracket_basis_is_a_copy(self):
+        c = heisenberg()
+        c.bracket_basis(1, 2)[3] = F(5)
+        c.bracket_basis(1, 2)[1] = F(1)
+        c.bracket_basis(2, 1)[3] = F(7)
+        assert c == heisenberg() and c.brackets == {(1, 2): {3: F(1)}}
+        assert c.bracket_basis(1, 2) == {3: F(1)} and c.bracket_basis(2, 1) == {3: F(-1)}
+
+    def test_largest_builtin(self):
+        c = strictly_upper(11)
+        assert (c.dim, len(c.brackets)) == (55, 165)
+        assert c.validate() == {
+            "antisymmetric": True,
+            "jacobi": True,
+            "triangular_nilpotent": True,
+        }
 
 
 class TestValidation:
@@ -277,6 +451,33 @@ class TestSerialisation:
         assert doc["dim"] == 3
         assert doc["brackets"] == [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_pinned_document(self):
+        # pinned from the dense structure table that the bracket list replaced
+        assert json.dumps(structure_to_json(strictly_upper(4))) == (
+            '{"schema": 1, "dim": 6, "brackets": ['
+            '{"i": 1, "j": 2, "coeffs": {"4": "1"}}, '
+            '{"i": 1, "j": 5, "coeffs": {"6": "1"}}, '
+            '{"i": 2, "j": 3, "coeffs": {"5": "1"}}, '
+            '{"i": 3, "j": 4, "coeffs": {"6": "-1"}}]}'
+        )
+
+    @pytest.mark.parametrize(
+        "brackets",
+        [
+            [{"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": 1, "j": 2, "coeffs": {"3": "1"}}],
+            [{"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": "01", "j": 2, "coeffs": {"3": "2"}}],
+            [{"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": 1, "j": "2", "coeffs": {}}],
+            [{"i": 1, "j": 2, "coeffs": {"3": "1", "03": "2"}}],
+            [{"i": 1, "j": 2, "coeffs": {"3": "0", "003": "0"}}],
+        ],
+        ids=["same-bracket", "bracket-spellings", "empty-repeat", "component-spellings",
+             "zero-components"],
+    )
+    def test_repeated_entries(self, brackets):
+        # the last of two entries used to win
+        with pytest.raises(LieAlgebraError, match="given twice"):
+            structure_from_json({"dim": 3, "brackets": brackets})
 
     def test_fraction_coefficients(self):
         c = StructureConstants.from_brackets(2, {(1, 2): {2: F(-3, 7)}})
